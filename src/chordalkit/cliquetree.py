@@ -16,7 +16,7 @@ separator of the (possibly complement) chordal graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import debug
 from .errors import (
@@ -82,13 +82,23 @@ class GeneratorsResult:
     trace: SearchTrace | None = field(default=None, compare=False, repr=False)
 
 
-def _is_clique(adjacent: Callable[[int, int], bool], vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not adjacent(vs[a], vs[b]):
-                return False
-    return True
+def _follower_check(adjacent: Callable[[int, int], bool], sep: VertexSet, pos) -> bool:
+    """Step check of Tarjan & Yannakakis, O(|sep|): with p the vertex of sep
+    with the smallest position, every other vertex of sep must be adjacent
+    to p. Run at every step in decreasing position order, it first fails at
+    the same step as a pairwise clique test: if sep(x) is the first
+    non-clique but sep(x) - {p} lies in N(p), its non-adjacent pair lies in
+    sep(p), and p was processed earlier."""
+    if not sep:
+        return True
+    p = min(sep, key=pos.__getitem__)
+    return all(adjacent(p, v) for v in sep if v != p)
+
+
+def _not_chordal(h: Graph, x: int) -> NotChordalError:
+    return NotChordalError(
+        f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
+    )
 
 
 class _TreeBuilder:
@@ -221,7 +231,7 @@ def clique_tree_from_peo(h: Graph, alpha: Ordering, *, verify: bool = True) -> C
     for i in range(h.n, 0, -1):
         x = alpha.vertex_at(i)
         sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if verify and not _is_clique(h.adjacent, sep):
+        if verify and not _follower_check(h.adjacent, sep, alpha.pos):
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
@@ -265,7 +275,7 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, vali
     for i in range(h.n, 0, -1):
         x = alpha.vertex_at(i)
         sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if verify and not _is_clique(h.adjacent, sep):
+        if verify and not _follower_check(h.adjacent, sep, alpha.pos):
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
@@ -310,10 +320,8 @@ def mls_clique_tree(
         x = run.choose(i, prefer="greater")
         run.assign(x, i)
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
-        if verify and not _is_clique(h.adjacent, sep):
-            raise NotChordalError(
-                f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
-            )
+        if verify and not _follower_check(h.adjacent, sep, run.pos):
+            raise _not_chordal(h, x)
         if builder.current() != sep:
             builder.open_clique(sep, builder.parent_of(sep, run.pos))
         builder.add_vertex(builder.s, x)
@@ -347,10 +355,8 @@ def dcl_mls_clique_tree(
         x = run.choose(i, prefer="greater")
         run.assign(x, i)
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
-        if verify and not _is_clique(h.adjacent, sep):
-            raise NotChordalError(
-                f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
-            )
+        if verify and not _follower_check(h.adjacent, sep, run.pos):
+            raise _not_chordal(h, x)
         if i < h.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.LESS:
             builder.open_clique(sep, builder.parent_of(sep, run.pos))
         builder.add_vertex(builder.s, x)
@@ -399,7 +405,7 @@ def complement_mls_clique_tree(
         x = run.choose(i, prefer="equal")
         run.assign(x, i)
         sep = frozenset(v for v in run.numbered_list if view.adjacent(x, v))
-        if verify and not _is_clique(view.adjacent, sep):
+        if verify and not _follower_check(view.adjacent, sep, run.pos):
             raise ComplementNotChordalError(
                 f"complement neighborhood of {g.names[x]!r} is not a complement clique"
             )
@@ -503,9 +509,12 @@ def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
 def _fast_mcs_clique_tree(h: Graph) -> CliqueTreeResult:
     require_connected(h)
     n = h.n
+    adj = h.adj
     label = [0] * n
     numbered = [False] * n
-    pos = [0] * n
+    # follower[y]: the latest-numbered neighbor of y, i.e. the vertex of
+    # y's processed neighborhood with the smallest position
+    follower = [0] * n
     alpha: list[int] = [0] * (n + 1)
     buckets: list[set[int]] = [set(range(n))]
     top = 0
@@ -517,15 +526,21 @@ def _fast_mcs_clique_tree(h: Graph) -> CliqueTreeResult:
         x = min(buckets[top])
         buckets[top].discard(x)
         numbered[x] = True
-        pos[x] = i
         alpha[i] = x
-        sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if i < n and label[x] <= prev:
-            builder.open_clique(sep, builder.parent_of(sep, pos))
+        sep = frozenset(y for y in adj[x] if numbered[y])
+        if sep:
+            p = follower[x]
+            # the follower check: sep - {p} inside N(p); p itself is never
+            # in adj[p], so exactly one vertex may remain
+            if len(sep - adj[p]) > 1:
+                raise _not_chordal(h, x)
+            if label[x] <= prev:
+                builder.open_clique(sep, builder.clique_of[p])
         builder.add_vertex(builder.s, x)
         prev = label[x]
-        for y in h.adj[x]:
+        for y in adj[x]:
             if not numbered[y]:
+                follower[y] = x
                 buckets[label[y]].discard(y)
                 label[y] += 1
                 if label[y] == len(buckets):
@@ -548,9 +563,9 @@ class _Block:
 def _fast_lexbfs_clique_tree(h: Graph) -> CliqueTreeResult:
     require_connected(h)
     n = h.n
+    adj = h.adj
     labels: list[list[int]] = [[] for _ in range(n)]
     numbered = [False] * n
-    pos = [0] * n
     alpha: list[int] = [0] * (n + 1)
     head = _Block(set(range(n)))
     block_of: list[_Block] = [head] * n
@@ -562,16 +577,21 @@ def _fast_lexbfs_clique_tree(h: Graph) -> CliqueTreeResult:
         if not head.members:
             head = _unlink(head)
         numbered[x] = True
-        pos[x] = i
         alpha[i] = x
-        sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if i < n and labels[x] <= prev:
-            builder.open_clique(sep, builder.parent_of(sep, pos))
+        sep = frozenset(y for y in adj[x] if numbered[y])
+        if sep:
+            # a label's last entry is the smallest position among the
+            # processed neighbors; the follower check as in the mcs path
+            p = alpha[labels[x][-1]]
+            if len(sep - adj[p]) > 1:
+                raise _not_chordal(h, x)
+            if labels[x] <= prev:
+                builder.open_clique(sep, builder.clique_of[p])
         builder.add_vertex(builder.s, x)
         prev = labels[x]
         # refinement: touched vertices split off, placed ahead of their block
         twins: dict[int, _Block] = {}
-        for y in h.adj[x]:
+        for y in adj[x]:
             if numbered[y]:
                 continue
             labels[y].append(i)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Any, Iterable
 
@@ -38,7 +39,8 @@ class Tri(Enum):
 
 
 class LabelingStructure:
-    """Interface: initial(), inc(label, i), compare(a, b) -> Cmp.
+    """Interface: initial(), inc(label, i), compare(a, b) -> Cmp, and for
+    total structures sort_key(label).
 
     compare must behave as a partial order on the labels actually produced;
     Equal means value equality of labels. is_total promises Incomparable
@@ -64,8 +66,18 @@ class LabelingStructure:
         """JSON-friendly rendering of a label."""
         return repr(label)
 
+    def sort_key(self, label: Label):
+        """Key whose Python ordering agrees with compare: Less, Equal and
+        Greater labels give keys that compare <, == and >. Only meaningful
+        for total structures. The default wraps compare; built-ins return
+        native ints or tuples, which compare much faster."""
+        return cmp_to_key(lambda a, b: _SIGN[self.compare(a, b)])(label)
+
     def __repr__(self) -> str:
         return f"<structure {self.name}>"
+
+
+_SIGN = {Cmp.LESS: -1, Cmp.EQUAL: 0, Cmp.GREATER: 1}
 
 
 def _lex_compare(a: tuple[int, ...], b: tuple[int, ...], reverse_ints: bool) -> Cmp:
@@ -101,6 +113,9 @@ class _Mcs(LabelingStructure):
             return Cmp.EQUAL
         return Cmp.LESS if a < b else Cmp.GREATER
 
+    def sort_key(self, label: int) -> int:
+        return label
+
     def render(self, label: int) -> int:
         return label
 
@@ -120,6 +135,10 @@ class _LexBfs(LabelingStructure):
 
     def compare(self, a, b) -> Cmp:
         return _lex_compare(a, b, reverse_ints=False)
+
+    def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
+        # Python tuples already order element-wise, a prefix first
+        return label
 
     def render(self, label) -> str:
         return _render_list(label)
@@ -141,6 +160,9 @@ class _LexDfs(LabelingStructure):
     def compare(self, a, b) -> Cmp:
         # integer order reversed: larger numbers sort first, i.e. are "smaller"
         return _lex_compare(a, b, reverse_ints=True)
+
+    def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-x for x in label)
 
     def render(self, label) -> str:
         return _render_list(label)

@@ -237,3 +237,17 @@ def test_criterion_9_smoke_benchmark():
     print(f"\n[criterion 9] PASS: n={g.n}, m={g.m} (generated in {gen_elapsed:.1f}s); "
           f"clique tree in {timings['mcs']:.1f}s (count labels) / "
           f"{timings['lexbfs']:.1f}s (list labels), both under 10s")
+
+
+def test_triangulating_search_scale():
+    # one bottleneck reach search per step keeps the triangulating search
+    # near O(nm log n); a DFS per target grew about 8x per doubling of n
+    g = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))
+    assert g.n == 1000 and 2_500 <= g.m <= 3_500, g.m
+    start = time.perf_counter()
+    tri, _ = moplex_mlsm(g, mcs())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"moplex_mlsm took {elapsed:.1f}s"
+    assert len(tri.ordering) == g.n
+    print(f"\n[scale] PASS: moplex_mlsm (count labels) on n={g.n}, m={g.m} in {elapsed:.1f}s "
+          f"with {len(tri.fill_edges)} fill edges, under 10s")

@@ -15,14 +15,17 @@ from chordalkit.cliquetree import (
 )
 from chordalkit.errors import (
     ComplementDisconnectedError,
+    ComplementNotChordalError,
     NonDclStructureError,
     NotAPeoError,
+    NotChordalError,
     NotMCCompError,
 )
 from chordalkit.fixtures import fixture, graph
-from chordalkit.graph import from_edge_list, from_vertices, materialize_complement, ordering_from_names
+from chordalkit.graph import Graph, Ordering, from_edge_list, from_vertices, materialize_complement, ordering_from_names
 from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
-from chordalkit.oracle import maximal_cliques, minimal_separators, validate_clique_tree
+from chordalkit.oracle import GeneratorConfig, gen, is_peo, maximal_cliques, minimal_separators, validate_clique_tree
+from chordalkit.rng import SplitMix64
 from chordalkit.search import LowestIndex, ScriptedOrder, SeededRandom
 
 ALL = [mcs, lexbfs, lexdfs, mns]
@@ -31,6 +34,31 @@ DCL = [mcs, lexbfs, mns]
 
 def scripted(fx):
     return ScriptedOrder(reversed(fx.script))
+
+
+C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+
+def _with_pendant_hole(g: Graph, anchor: int) -> Graph:
+    """g plus an induced 4-cycle h0-h1-h2-h3 hung off the anchor vertex."""
+    n = g.n
+    hole = [(anchor, n), (n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n)]
+    return Graph(list(g.names) + ["h0", "h1", "h2", "h3"], list(g.edges()) + hole)
+
+
+def _pairwise_peo_error(h: Graph, alpha: Ordering) -> str | None:
+    """The first error clique_tree_from_peo must raise, found with a
+    pairwise clique test on every processed neighborhood."""
+    done: set[int] = set()
+    for i in range(h.n, 0, -1):
+        x = alpha.vertex_at(i)
+        sep = sorted(y for y in h.adj[x] if y in done)
+        if any(not h.adjacent(a, b) for a in sep for b in sep if a < b):
+            return f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
+        if i < h.n and not sep:
+            return f"vertex {h.names[x]!r} at position {i} has no later neighbor"
+        done.add(x)
+    return None
 
 
 class TestFromPeo:
@@ -72,6 +100,28 @@ class TestFromPeo:
         c4 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
         with pytest.raises(NotAPeoError):
             clique_tree_from_peo(c4, ordering_from_names(c4, ["a", "b", "c", "d"]))
+
+    def test_non_peo_sweep_matches_pairwise_reference(self):
+        # the follower check must reject at the same step, with the same
+        # message, as a pairwise test of every processed neighborhood
+        rng = SplitMix64(77)
+        rejected = 0
+        for g in chordal_corpus(60):
+            for _ in range(6):
+                seq = list(range(g.n))
+                for k in range(g.n - 1, 0, -1):
+                    j = rng.below(k + 1)
+                    seq[k], seq[j] = seq[j], seq[k]
+                alpha = Ordering(seq)
+                if is_peo(g, alpha):
+                    continue
+                want = _pairwise_peo_error(g, alpha)
+                assert want is not None
+                with pytest.raises(NotAPeoError) as err:
+                    clique_tree_from_peo(g, alpha)
+                assert str(err.value) == want
+                rejected += 1
+        assert rejected > 100
 
 
 class TestFromPmo:
@@ -212,6 +262,13 @@ class TestComplementCliqueTree:
         t = complement_mls_clique_tree(g, mcs())
         assert t.size == 1 and names_of(g, t.cliques[0]) == {"a", "b"}
 
+    def test_five_cycle_rejected(self):
+        # C5 is self-complementary: its complement is connected and not chordal
+        c5 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+        for f in DCL:
+            with pytest.raises(ComplementNotChordalError):
+                complement_mls_clique_tree(c5, f())
+
     def test_complete_graph_complement_disconnected(self):
         k3 = from_edge_list([("a", "b"), ("b", "c"), ("a", "c")])
         with pytest.raises(ComplementDisconnectedError):
@@ -298,6 +355,24 @@ class TestFastPaths:
     def test_unknown_token(self):
         with pytest.raises(ValueError):
             fast_clique_tree(graph("fig1_h"), "mns")
+
+    @pytest.mark.parametrize("token", ["mcs", "lexbfs"])
+    def test_four_cycle_rejected(self, token):
+        with pytest.raises(NotChordalError):
+            fast_clique_tree(from_edge_list(C4), token)
+
+    @pytest.mark.parametrize("token,factory", [("mcs", mcs), ("lexbfs", lexbfs)])
+    def test_pendant_hole_rejected_like_generic(self, token, factory):
+        # the hole's vertices come last, so the search reaches them only
+        # after the whole chordal part; the message names the same vertex
+        for seed in (11, 12, 13):
+            base = gen(GeneratorConfig(seed=seed, n=60, param=2.5, family="random-chordal"))
+            h = _with_pendant_hole(base, SplitMix64(seed).below(base.n))
+            with pytest.raises(NotChordalError) as fast:
+                fast_clique_tree(h, token)
+            with pytest.raises(NotChordalError) as generic:
+                dcl_mls_clique_tree(h, factory(), LowestIndex())
+            assert str(fast.value) == str(generic.value)
 
 
 class TestSerialization:

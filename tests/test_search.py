@@ -3,12 +3,14 @@ import pytest
 from conftest import chordal_corpus, cochordal_corpus, connected_corpus
 
 from chordalkit import serialize
+from chordalkit.decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
 from chordalkit.errors import DisconnectedGraphError, ScriptConflictError
-from chordalkit.fixtures import fixture, graph
+from chordalkit.fixtures import fixture, fixtures, graph
 from chordalkit.graph import complement_view, from_edge_list, from_vertices, ordering_from_names
-from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
-from chordalkit.oracle import is_chordal, is_minimal_triangulation, is_peo, is_pmo
+from chordalkit.labeling import Cmp, LabelingStructure, Tri, lexbfs, lexdfs, mcs, mns
+from chordalkit.oracle import GeneratorConfig, gen, is_chordal, is_minimal_triangulation, is_peo, is_pmo
 from chordalkit.search import (
+    LabelSearch,
     LowestIndex,
     ScriptedOrder,
     SeededRandom,
@@ -227,3 +229,133 @@ class TestEliminationGame:
         tri = triangulation_from_ordering(g, alpha)
         assert [(g.names[u], g.names[v]) for u, v in tri.fill_edges] == [("a", "c")]
         assert is_chordal(tri.graph)
+
+
+class _TupleCount(LabelingStructure):
+    """A custom total structure with no sort_key of its own: labels are
+    (count, positions) pairs, ordered by count and then lexicographically
+    by the descending position tuple. The engine has to fall back to the
+    compare-based key."""
+
+    name = "tuplecount"
+    is_total = True
+
+    def initial(self):
+        return (0, ())
+
+    def inc(self, label, i):
+        return (label[0] + 1, label[1] + (i,))
+
+    def compare(self, a, b):
+        if a == b:
+            return Cmp.EQUAL
+        return Cmp.LESS if a < b else Cmp.GREATER
+
+
+def _reference_inc_targets(run, x, i):
+    """The triangulating rule as stated, one target at a time: y is a target
+    iff the input graph has a path from x to y whose internal vertices are
+    all unnumbered and labeled strictly below y."""
+    g, labels, numbered = run.g, run.labels, run.numbered
+    cmp = run.structure.compare
+    targets = []
+    for y in range(g.n):
+        if numbered[y]:
+            continue
+        allowed = {w for w in range(g.n) if not numbered[w] and cmp(labels[w], labels[y]) is Cmp.LESS}
+        reached, frontier = {x}, [x]
+        while frontier and y not in reached:
+            u = frontier.pop()
+            for w in g.adj[u]:
+                if w not in reached and (w == y or w in allowed):
+                    reached.add(w)
+                    frontier.append(w)
+        if y in reached:
+            targets.append(y)
+    for y in targets:
+        labels[y] = run.structure.inc(labels[y], i)
+    return targets, [(min(x, y), max(x, y)) for y in targets if y not in g.adj[x]]
+
+
+def _triangulating_products(monkeypatch, fn, g, structure):
+    """Everything a triangulating driver hands back, plus the trace of its
+    LabelSearch (the fused builders do not return one)."""
+    runs = []
+    real = LabelSearch.__init__
+
+    def keep(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        runs.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(LabelSearch, "__init__", keep)
+        out = fn(g, structure)
+    (run,) = runs
+    if fn in (mlsm, moplex_mlsm):
+        tri = out[0]
+        extra = ()
+    elif fn is dcl_atom_tree:
+        tri = out.triangulation
+        extra = (out.atoms, out.tree_edges, out.atom_of, out.current_atom_history)
+    else:
+        tri = out.triangulation
+        extra = (out.clique_tree.cliques, out.clique_tree.tree_edges, out.clique_tree.clique_of)
+    return tri.ordering.seq, tri.fill_edges, run.trace.entries, extra
+
+
+def _reach_corpus():
+    graphs = [fx.graph() for fx in fixtures().values()]
+    for s in range(24):
+        n = 5 + (s * 7) % 36
+        graphs.append(gen(GeneratorConfig(seed=4000 + s, n=n, param=min(0.9, (2 + s % 4) / n), family="random-connected")))
+    return graphs
+
+
+class TestReachSearch:
+    """The bottleneck search against the per-target rule it replaced."""
+
+    @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, _TupleCount], ids=lambda f: f.__name__)
+    def test_matches_per_target_rule(self, factory, monkeypatch):
+        fns = [mlsm, moplex_mlsm]
+        if factory is not lexdfs:  # lexdfs cannot detect cliques with labels
+            fns += [dcl_atom_tree, dcl_mlsm_clique_tree]
+        structure = factory()
+        if factory is _TupleCount:
+            assert "sort_key" not in vars(_TupleCount)
+        for g in _reach_corpus():
+            for fn in fns:
+                got = _triangulating_products(monkeypatch, fn, g, structure)
+                with monkeypatch.context() as m:
+                    m.setattr(LabelSearch, "inc_targets", _reference_inc_targets)
+                    want = _triangulating_products(monkeypatch, fn, g, structure)
+                assert got == want, (fn.__name__, g)
+
+    @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, _TupleCount], ids=lambda f: f.__name__)
+    def test_sort_key_orders_like_compare(self, factory):
+        s = factory()
+        labels = [s.initial()]
+        for i in (9, 7, 4, 2):
+            labels.append(s.inc(labels[-1], i))
+        labels += [s.inc(s.initial(), 8), s.inc(s.inc(s.initial(), 8), 3), s.inc(s.initial(), 8)]
+        for a in labels:
+            for b in labels:
+                r = s.compare(a, b)
+                ka, kb = s.sort_key(a), s.sort_key(b)
+                assert (ka < kb, ka == kb, ka > kb) == (r is Cmp.LESS, r is Cmp.EQUAL, r is Cmp.GREATER)
+
+    def test_partial_orders_keep_the_scan(self, monkeypatch):
+        calls = []
+        real = LabelSearch._inc_targets_scan
+
+        def counted(self, x, i):
+            calls.append(self.structure.name)
+            return real(self, x, i)
+
+        monkeypatch.setattr(LabelSearch, "_inc_targets_scan", counted)
+        g = graph("fig4_g")
+        mlsm(g, mns())
+        assert calls == ["mns"] * g.n
+        calls.clear()
+        for factory in TOTAL:
+            moplex_mlsm(g, factory())
+        assert calls == []
