@@ -8,9 +8,12 @@ and once with list labels (partition refinement). The label test against the
 previous label costs at most the degree of the chosen vertex, which is what
 keeps both runs near-linear; the 10 s budget is the acceptance bar.
 
-It then runs the triangulating moplex search with count labels on a sparse
-random connected graph (n = 1,000, edge probability 6/n), under the same
-10 s budget.
+It then runs, each under the same 10 s budget: both clique trees of a star
+with n = 100,000 (the lowest-index tie-break must stay logarithmic in the
+size of a label class), the generic label-test clique tree with count labels
+on a chordal graph with n = 20,000 (selection through the structure's bucket
+queue), and the triangulating moplex search with count labels on a sparse
+random connected graph (n = 1,000, edge probability 6/n).
 
 Usage: python scripts/bench_smoke.py [n] [mean-attach]
 """
@@ -18,7 +21,8 @@ Usage: python scripts/bench_smoke.py [n] [mean-attach]
 import sys
 import time
 
-from chordalkit.cliquetree import fast_clique_tree
+from chordalkit.cliquetree import dcl_mls_clique_tree, fast_clique_tree
+from chordalkit.graph import from_edge_list
 from chordalkit.labeling import mcs
 from chordalkit.oracle import GeneratorConfig, gen
 from chordalkit.search import moplex_mlsm
@@ -43,6 +47,23 @@ def main() -> int:
             f"{token:7s}: {tree.size} cliques, {len(tree.separators)} distinct separators "
             f"in {dt:.2f}s [{status}]"
         )
+
+    star = from_edge_list([("c", f"v{i}") for i in range(100_000 - 1)])
+    for token in ("mcs", "lexbfs"):
+        t1 = time.perf_counter()
+        tree = fast_clique_tree(star, token)
+        dt = time.perf_counter() - t1
+        status = "ok" if dt < 10.0 else "OVER BUDGET"
+        ok &= dt < 10.0
+        print(f"star {token}: n={star.n}, {tree.size} cliques in {dt:.2f}s [{status}]")
+
+    mid = gen(GeneratorConfig(seed=42, n=20_000, param=8.0, family="random-chordal"))
+    t1 = time.perf_counter()
+    tree = dcl_mls_clique_tree(mid, mcs())
+    dt = time.perf_counter() - t1
+    status = "ok" if dt < 10.0 else "OVER BUDGET"
+    ok &= dt < 10.0
+    print(f"dcl_mls_clique_tree mcs: n={mid.n} m={mid.m}, {tree.size} cliques in {dt:.2f}s [{status}]")
 
     sparse = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))
     t1 = time.perf_counter()

@@ -43,6 +43,7 @@ from .labeling import (
     require_ic,
 )
 from .search import LabelSearch, SearchTrace, TieBreak
+from .selection import BucketQueue, OrderedPartition, SelectionQueue
 
 
 @dataclass(frozen=True)
@@ -487,44 +488,37 @@ def extract_generators(result: CliqueTreeResult) -> GeneratorsResult:
 
 
 # ---------------------------------------------------------------------------
-# fast paths for the two classic total-order structures
-
-# The label test against the previous label costs at most the degree of the
-# chosen vertex (an integer compare, or a list compare no longer than the
-# label), so these builders run in time linear-ish in n + m.
+# fast path for the two classic total-order structures
 
 
 def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
-    """Linear-time clique tree for 'mcs' (bucket queue) or 'lexbfs'
-    (partition refinement), using the label-based new-clique test and
-    lowest-index tie-breaking. Produces the same result as the generic
-    label-test builder with the matching structure."""
+    """Clique tree for 'mcs' or 'lexbfs' with lowest-index tie-breaking in
+    O((n + m) log n), without the engine's labels, trace, tie-break
+    policies or debug hooks. Selection goes through the engine's queues
+    (``chordalkit.selection``: a bucket queue for count labels, an ordered
+    partition for list labels), so inputs with large label classes, such
+    as stars, stay near-linear; the follower check and the set test for a
+    new clique cost O(|sep|) per step. Produces the same result as
+    ``dcl_mls_clique_tree`` with the matching structure, whose label test
+    opens a clique exactly when this set test does."""
     if token == "mcs":
-        return _fast_mcs_clique_tree(h)
-    if token == "lexbfs":
-        return _fast_lexbfs_clique_tree(h)
-    raise ValueError("fast path supports 'mcs' and 'lexbfs' only")
-
-
-def _fast_mcs_clique_tree(h: Graph) -> CliqueTreeResult:
+        queue: SelectionQueue = BucketQueue(h.n)
+    elif token == "lexbfs":
+        queue = OrderedPartition(h.n)
+    else:
+        raise ValueError("fast path supports 'mcs' and 'lexbfs' only")
     require_connected(h)
     n = h.n
     adj = h.adj
-    label = [0] * n
     numbered = [False] * n
     # follower[y]: the latest-numbered neighbor of y, i.e. the vertex of
     # y's processed neighborhood with the smallest position
     follower = [0] * n
     alpha: list[int] = [0] * (n + 1)
-    buckets: list[set[int]] = [set(range(n))]
-    top = 0
     builder = _TreeBuilder()
-    prev = 0
     for i in range(n, 0, -1):
-        while not buckets[top]:
-            top -= 1
-        x = min(buckets[top])
-        buckets[top].discard(x)
+        x = queue.lowest()
+        queue.remove(x)
         numbered[x] = True
         alpha[i] = x
         sep = frozenset(y for y in adj[x] if numbered[y])
@@ -534,94 +528,11 @@ def _fast_mcs_clique_tree(h: Graph) -> CliqueTreeResult:
             # in adj[p], so exactly one vertex may remain
             if len(sep - adj[p]) > 1:
                 raise _not_chordal(h, x)
-            if label[x] <= prev:
+            if builder.current() != sep:
                 builder.open_clique(sep, builder.clique_of[p])
         builder.add_vertex(builder.s, x)
-        prev = label[x]
-        for y in adj[x]:
-            if not numbered[y]:
-                follower[y] = x
-                buckets[label[y]].discard(y)
-                label[y] += 1
-                if label[y] == len(buckets):
-                    buckets.append(set())
-                buckets[label[y]].add(y)
-                if label[y] > top:
-                    top = label[y]
+        touched = [y for y in adj[x] if not numbered[y]]
+        for y in touched:
+            follower[y] = x
+        queue.bump(touched, i)
     return builder.result(Ordering(alpha[1:]))
-
-
-class _Block:
-    __slots__ = ("members", "prev", "next")
-
-    def __init__(self, members: set[int]):
-        self.members = members
-        self.prev: _Block | None = None
-        self.next: _Block | None = None
-
-
-def _fast_lexbfs_clique_tree(h: Graph) -> CliqueTreeResult:
-    require_connected(h)
-    n = h.n
-    adj = h.adj
-    labels: list[list[int]] = [[] for _ in range(n)]
-    numbered = [False] * n
-    alpha: list[int] = [0] * (n + 1)
-    head = _Block(set(range(n)))
-    block_of: list[_Block] = [head] * n
-    builder = _TreeBuilder()
-    prev: list[int] = []
-    for i in range(n, 0, -1):
-        x = min(head.members)
-        head.members.discard(x)
-        if not head.members:
-            head = _unlink(head)
-        numbered[x] = True
-        alpha[i] = x
-        sep = frozenset(y for y in adj[x] if numbered[y])
-        if sep:
-            # a label's last entry is the smallest position among the
-            # processed neighbors; the follower check as in the mcs path
-            p = alpha[labels[x][-1]]
-            if len(sep - adj[p]) > 1:
-                raise _not_chordal(h, x)
-            if labels[x] <= prev:
-                builder.open_clique(sep, builder.clique_of[p])
-        builder.add_vertex(builder.s, x)
-        prev = labels[x]
-        # refinement: touched vertices split off, placed ahead of their block
-        twins: dict[int, _Block] = {}
-        for y in adj[x]:
-            if numbered[y]:
-                continue
-            labels[y].append(i)
-            b = block_of[y]
-            twin = twins.get(id(b))
-            if twin is None:
-                twin = _Block(set())
-                twin.prev = b.prev
-                twin.next = b
-                if b.prev is not None:
-                    b.prev.next = twin
-                b.prev = twin
-                if b is head:
-                    head = twin
-                twins[id(b)] = twin
-            b.members.discard(y)
-            twin.members.add(y)
-            block_of[y] = twin
-            if not b.members:
-                _unlink(b)
-                twins.pop(id(b))
-    return builder.result(Ordering(alpha[1:]))
-
-
-def _unlink(b: _Block) -> _Block:
-    """Remove an empty block; returns the follower (new head when b led)."""
-    if b.prev is not None:
-        b.prev.next = b.next
-    if b.next is not None:
-        b.next.prev = b.prev
-    nxt = b.next
-    b.prev = b.next = None
-    return nxt if nxt is not None else b

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import IcViolationError, NonDclStructureError, NotComplementReversingError
+from .selection import BucketQueue, OrderedPartition, SelectionQueue
 
 Label = Any
 
@@ -73,6 +74,17 @@ class LabelingStructure:
         native ints or tuples, which compare much faster."""
         return cmp_to_key(lambda a, b: _SIGN[self.compare(a, b)])(label)
 
+    def selection_queue(self, n: int, minimize: bool) -> SelectionQueue | None:
+        """A queue that tracks the extreme label class of n unnumbered
+        vertices under this structure's increase, or None to have the
+        search scan every unnumbered label at every step (O(n) comparisons
+        per step). Only mcs and lexbfs have one: their increase moves a
+        vertex to the next bucket, or to a twin block next to its own. A
+        lexdfs increase lifts the bumped vertices above all others in the
+        order of the blocks they came from, and a heap over sort_key would
+        compare O(n)-long tuples; MNS is a partial order."""
+        return None
+
     def __repr__(self) -> str:
         return f"<structure {self.name}>"
 
@@ -116,6 +128,9 @@ class _Mcs(LabelingStructure):
     def sort_key(self, label: int) -> int:
         return label
 
+    def selection_queue(self, n: int, minimize: bool) -> BucketQueue:
+        return BucketQueue(n, minimize)
+
     def render(self, label: int) -> int:
         return label
 
@@ -139,6 +154,9 @@ class _LexBfs(LabelingStructure):
     def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
         # Python tuples already order element-wise, a prefix first
         return label
+
+    def selection_queue(self, n: int, minimize: bool) -> OrderedPartition:
+        return OrderedPartition(n, minimize)
 
     def render(self, label) -> str:
         return _render_list(label)

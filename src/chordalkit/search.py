@@ -10,12 +10,18 @@ perfect elimination orderings; the moplex variants additionally emit perfect
 moplex orderings; the triangulating variants emit minimal elimination /
 moplex orderings together with the filled graph.
 
-Costs: choosing a vertex scans every unnumbered label, O(n) comparisons per
-step. The triangulating label increase runs one bottleneck (minimax) search
-from the chosen vertex for total structures, O((n + m) log n) label
-comparisons per step and O(n (n + m) log n) for the whole search, a log
-factor above MCS-M and LEX M; partial orders (MNS) keep one search per
-candidate target, O(n (n + m)) per step.
+Costs: selection reads the structure's selection queue when it has one, a
+bucket queue for mcs and an ordered partition for lexbfs
+(``chordalkit.selection``): O(log n) amortized per step and per label
+increase, lowest-index ties included. Every other structure (lexdfs, mns,
+custom ones) scans the unnumbered labels, O(n) comparisons per step. A
+lexdfs increase prepends, which lifts every bumped label above all others in
+the order of the blocks they came from, so neither queue fits it. The
+triangulating label increase runs one bottleneck (minimax) search from the
+chosen vertex for total structures, O((n + m) log n) label comparisons per
+step and O(n (n + m) log n) for the whole search, a log factor above MCS-M
+and LEX M; partial orders (MNS) keep one search per candidate target,
+O(n (n + m)) per step.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .graph import (
 )
 from .labeling import Cmp, Label, LabelingStructure, require_ic
 from .rng import SplitMix64
+from .selection import SelectionQueue
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +60,11 @@ class _Picker:
     def pick(self, candidates: list[int]) -> int:
         raise NotImplementedError
 
+    def pick_queued(self, queue: SelectionQueue) -> int:
+        """Pick from a selection queue's extreme label class, which for a
+        total order is the whole candidate set."""
+        return self.pick(list(queue.extreme()))
+
 
 class LowestIndex(TieBreak):
     """Deterministic default: smallest vertex index wins."""
@@ -67,6 +79,9 @@ class LowestIndex(TieBreak):
 class _LowestPicker(_Picker):
     def pick(self, candidates):
         return min(candidates)
+
+    def pick_queued(self, queue):
+        return queue.lowest()
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,11 @@ class _ScriptedPicker(_Picker):
             )
         return wanted
 
+    def pick_queued(self, queue):
+        if self.at >= len(self.script):
+            return queue.lowest()
+        return self.pick(queue.extreme())
+
 
 # ---------------------------------------------------------------------------
 # traces and results
@@ -168,6 +188,9 @@ class LabelSearch:
     """Working state of one driver invocation: labels, the numbered set,
     candidate selection under a partial order, and the debug hooks.
 
+    Selection reads the structure's selection queue when it has one (mcs
+    and lexbfs) and otherwise scans the unnumbered labels.
+
     ``label_neighbors`` is the adjacency that drives label increases (the
     input graph by default; the base graph for complement runs). The same
     adjacency feeds the label-order debug hook, since label content always
@@ -190,6 +213,7 @@ class LabelSearch:
         n = g.n
         self.n = n
         self.labels: list[Label] = [structure.initial() for _ in range(n)]
+        self.queue: SelectionQueue | None = structure.selection_queue(n, minimize)
         self.numbered = [False] * n
         self.numbered_list: list[int] = []  # in pick order (positions n..1)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
@@ -232,7 +256,9 @@ class LabelSearch:
     def candidates(self, prefer: str | None = None) -> list[int]:
         """Extreme-label candidates, optionally narrowed to those comparing
         Greater than (or Equal to) the previous chosen label when that
-        narrowing leaves anything."""
+        narrowing leaves anything. This is the scan; queued structures are
+        total orders, so all their candidates carry one label, the narrowing
+        keeps them all, and the queue's extreme class is this same set."""
         cands = self._extreme_candidates()
         if prefer is not None:
             want = Cmp.GREATER if prefer == "greater" else Cmp.EQUAL
@@ -244,14 +270,19 @@ class LabelSearch:
     def choose(self, i: int, prefer: str | None = None) -> int:
         if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
             self._assert_label_order(i)
-        x = self.picker.pick(self.candidates(prefer))
-        return x
+            if self.queue is not None:
+                self._assert_queue_candidates(i, prefer)
+        if self.queue is not None:
+            return self.picker.pick_queued(self.queue)
+        return self.picker.pick(self.candidates(prefer))
 
     def assign(self, x: int, i: int) -> None:
         self.alpha[i] = x
         self.pos[x] = i
         self.numbered[x] = True
         self.numbered_list.append(x)
+        if self.queue is not None:
+            self.queue.remove(x)
 
     def finish_iteration(
         self,
@@ -382,6 +413,8 @@ class LabelSearch:
                     f"label of vertex {y} did not grow under inc at position {i}"
                 )
         self.labels[y] = new
+        if self.queue is not None:
+            self.queue.bump((y,), i)
 
     # -- results
 
@@ -389,6 +422,17 @@ class LabelSearch:
         return Ordering(self.alpha[1:])  # type: ignore[arg-type]
 
     # -- debug hooks
+
+    def _assert_queue_candidates(self, i: int, prefer: str | None) -> None:
+        """The queue's extreme class must be the candidate set the scan
+        builds, narrowed by prefer."""
+        got = set(self.queue.extreme())  # type: ignore[union-attr]
+        want = set(self.candidates(prefer))
+        if got != want:
+            raise DebugInvariantError(
+                f"iteration {i}: selection queue offers {sorted(got)} but the "
+                f"label scan finds {sorted(want)}"
+            )
 
     def _assert_label_order(self, i: int) -> None:
         """Processed-neighborhood inclusions must be reflected in the label

@@ -22,7 +22,7 @@ from chordalkit.cliquetree import (
 )
 from chordalkit.decomposition import atom_tree_from_clique_tree, dcl_atom_tree, dcl_mlsm_clique_tree
 from chordalkit.fixtures import fixture, graph
-from chordalkit.graph import materialize_complement
+from chordalkit.graph import from_edge_list, materialize_complement
 from chordalkit.labeling import check_dcl, lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import (
     GeneratorConfig,
@@ -251,3 +251,30 @@ def test_triangulating_search_scale():
     assert len(tri.ordering) == g.n
     print(f"\n[scale] PASS: moplex_mlsm (count labels) on n={g.n}, m={g.m} in {elapsed:.1f}s "
           f"with {len(tri.fill_edges)} fill edges, under 10s")
+
+
+def test_fast_path_star_scale():
+    # lowest-index ties come from a lazy heap per bucket or a sorted list per
+    # block; a min() over the whole bucket or block made stars quadratic
+    star = from_edge_list([("c", f"v{i}") for i in range(100_000 - 1)])
+    for token in ("mcs", "lexbfs"):
+        start = time.perf_counter()
+        tree = fast_clique_tree(star, token)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"{token} took {elapsed:.1f}s"
+        assert tree.size == star.n - 1
+        print(f"\n[scale] PASS: fast_clique_tree {token} on a star with n={star.n} "
+              f"in {elapsed:.1f}s, under 10s")
+
+
+def test_generic_label_test_builder_scale():
+    # the generic engine selects through the structure's queue for mcs, not
+    # by scanning every unnumbered label at every step
+    g = gen(GeneratorConfig(seed=42, n=20_000, param=8.0, family="random-chordal"))
+    start = time.perf_counter()
+    tree = dcl_mls_clique_tree(g, mcs())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"dcl_mls_clique_tree took {elapsed:.1f}s"
+    assert tree.size == len(tree.tree_edges) + 1
+    print(f"\n[scale] PASS: dcl_mls_clique_tree (count labels) on n={g.n}, m={g.m} "
+          f"in {elapsed:.1f}s, under 10s")

@@ -3,8 +3,14 @@ import pytest
 from conftest import chordal_corpus, cochordal_corpus, connected_corpus
 
 from chordalkit import serialize
+from chordalkit.cliquetree import (
+    complement_mls_clique_tree,
+    complement_mls_generators,
+    dcl_mls_clique_tree,
+    mls_clique_tree,
+)
 from chordalkit.decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
-from chordalkit.errors import DisconnectedGraphError, ScriptConflictError
+from chordalkit.errors import ChordalkitError, DebugInvariantError, DisconnectedGraphError, ScriptConflictError
 from chordalkit.fixtures import fixture, fixtures, graph
 from chordalkit.graph import complement_view, from_edge_list, from_vertices, ordering_from_names
 from chordalkit.labeling import Cmp, LabelingStructure, Tri, lexbfs, lexdfs, mcs, mns
@@ -20,6 +26,7 @@ from chordalkit.search import (
     moplex_mlsm,
     triangulation_from_ordering,
 )
+from chordalkit.selection import BucketQueue
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 TOTAL = [mcs, lexbfs, lexdfs]
@@ -273,7 +280,7 @@ def _reference_inc_targets(run, x, i):
         if y in reached:
             targets.append(y)
     for y in targets:
-        labels[y] = run.structure.inc(labels[y], i)
+        run._bump(y, i)
     return targets, [(min(x, y), max(x, y)) for y in targets if y not in g.adj[x]]
 
 
@@ -359,3 +366,123 @@ class TestReachSearch:
         for factory in TOTAL:
             moplex_mlsm(g, factory())
         assert calls == []
+
+
+def _recorded(monkeypatch, fn, g, structure, tiebreak, kwargs):
+    """The product (or the error it raised), the trace entries of every
+    LabelSearch it ran, and whether each of those runs had a queue."""
+    runs = []
+    real = LabelSearch.__init__
+
+    def keep(self, *args, **kw):
+        real(self, *args, **kw)
+        runs.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(LabelSearch, "__init__", keep)
+        try:
+            out = fn(g, structure, tiebreak, **kwargs)
+        except ChordalkitError as e:
+            out = (type(e), str(e))
+    return out, [r.trace.entries for r in runs], [r.queue is not None for r in runs]
+
+
+def _queue_corpus(kind):
+    graphs = [fx.graph() for fx in fixtures().values()]
+    if kind == "chordal":
+        graphs += chordal_corpus(24)
+        family = "random-chordal"
+    elif kind == "cochordal":
+        graphs += cochordal_corpus(24)
+        family = "random-co-chordal"
+    else:
+        graphs += connected_corpus(24)
+        family = "random-connected"
+    for s in range(6):
+        n = 12 + 5 * s
+        param = (1.0 + s % 3) if family != "random-connected" else 3 / n
+        graphs.append(gen(GeneratorConfig(seed=5000 + s, n=n, param=param, family=family)))
+    # label classes above the bucket queue's min() bound, which later
+    # arrivals join: a double star, or a co-chordal graph with n = 100
+    if kind == "cochordal":
+        graphs.append(gen(GeneratorConfig(seed=5100, n=100, param=1.0, family=family)))
+    else:
+        graphs.append(from_edge_list(
+            [("a", "b")] + [(hub, f"{hub}{j}") for hub in "ab" for j in range(70)]
+        ))
+    return graphs
+
+
+def _queue_tiebreaks(g, minimize):
+    # a partial script: the last vertex, then the highest-index vertex that
+    # ties at the second step (a neighbor, or a non-neighbor when minimizing)
+    first = g.n - 1
+    second = [v for v in range(first) if (v in g.adj[first]) != minimize]
+    picks = [first] + second[-1:]
+    tiebreaks = [LowestIndex(), SeededRandom(1), SeededRandom(2), SeededRandom(3),
+                 ScriptedOrder(g.names[v] for v in picks)]
+    # the scan side is quadratic: one seed suffices on the large graphs
+    return tiebreaks if g.n <= 64 else tiebreaks[:2]
+
+
+_QUEUE_PRODUCTS = [
+    ("mls", mls, "connected", {}),
+    ("mls-min", mls, "connected", {"minimize": True}),
+    ("moplex_mls", moplex_mls, "chordal", {}),
+    ("mlsm", mlsm, "connected", {}),
+    ("moplex_mlsm", moplex_mlsm, "connected", {}),
+    ("mls_clique_tree", mls_clique_tree, "chordal", {}),
+    ("dcl_mls_clique_tree", dcl_mls_clique_tree, "chordal", {}),
+    ("complement_mls_clique_tree", complement_mls_clique_tree, "cochordal", {}),
+    ("complement_mls_generators", complement_mls_generators, "cochordal", {}),
+    ("dcl_atom_tree", dcl_atom_tree, "connected", {}),
+    ("dcl_mlsm_clique_tree", dcl_mlsm_clique_tree, "connected", {}),
+]
+
+
+class TestSelectionQueue:
+    """Queue-backed selection (mcs, lexbfs) against the label scan."""
+
+    @pytest.mark.parametrize("factory", [mcs, lexbfs], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("name,fn,kind,kwargs", _QUEUE_PRODUCTS, ids=[p[0] for p in _QUEUE_PRODUCTS])
+    def test_matches_scan(self, factory, name, fn, kind, kwargs, monkeypatch):
+        structure = factory()
+        minimize = kwargs.get("minimize", False) or kind == "cochordal"
+        for g in _queue_corpus(kind):
+            for tb in _queue_tiebreaks(g, minimize):
+                got, got_trace, queued = _recorded(monkeypatch, fn, g, structure, tb, kwargs)
+                with monkeypatch.context() as m:
+                    m.setattr(type(structure), "selection_queue", lambda self, n, minimize: None)
+                    want, want_trace, scanned = _recorded(monkeypatch, fn, g, structure, tb, kwargs)
+                assert all(queued) and not any(scanned)
+                assert got == want, (name, g, tb)
+                assert got_trace == want_trace, (name, g, tb)
+
+    def test_other_structures_keep_the_scan(self, monkeypatch):
+        scans = []
+        real = LabelSearch._extreme_candidates
+
+        def counted(self):
+            scans.append(self.structure.name)
+            return real(self)
+
+        monkeypatch.setattr(LabelSearch, "_extreme_candidates", counted)
+        g = graph("fig1_h")
+        for factory in (lexdfs, mns, _TupleCount):
+            assert factory().selection_queue(g.n, False) is None
+            scans.clear()
+            mls(g, factory())
+            assert scans == [factory().name] * g.n
+        scans.clear()
+        for factory in (mcs, lexbfs):
+            mls(g, factory())
+            moplex_mlsm(g, factory())
+        assert scans == []
+
+    def test_debug_cross_check_catches_a_bad_queue(self, monkeypatch):
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = graph("fig1_h")
+        mls(g, mcs())
+        monkeypatch.setattr(BucketQueue, "extreme", lambda self: {0})
+        with pytest.raises(DebugInvariantError, match="selection queue"):
+            mls(g, mcs())
