@@ -74,15 +74,14 @@ class LabelingStructure:
         native ints or tuples, which compare much faster."""
         return cmp_to_key(lambda a, b: _SIGN[self.compare(a, b)])(label)
 
-    def selection_queue(self, n: int, minimize: bool) -> SelectionQueue | None:
-        """A queue that tracks the extreme label class of n unnumbered
-        vertices under this structure's increase, or None to have the
-        search scan every unnumbered label at every step (O(n) comparisons
-        per step). Only mcs and lexbfs have one: their increase moves a
-        vertex to the next bucket, or to a twin block next to its own. A
-        lexdfs increase lifts the bumped vertices above all others in the
-        order of the blocks they came from, and a heap over sort_key would
-        compare O(n)-long tuples; MNS is a partial order."""
+    def _selection_queue(self, n: int, minimize: bool) -> SelectionQueue | None:
+        """Internal: the selection queue (chordalkit.selection) that the
+        search reads instead of scanning the unnumbered labels, or None to
+        scan. Each queue hard-codes the increase of one built-in structure,
+        so only mcs (bucket queue) and lexbfs (ordered partition) return
+        one. A lexdfs increase lifts the bumped vertices above all others
+        in the order of the blocks they came from, and MNS is a partial
+        order, so they scan."""
         return None
 
     def __repr__(self) -> str:
@@ -128,7 +127,7 @@ class _Mcs(LabelingStructure):
     def sort_key(self, label: int) -> int:
         return label
 
-    def selection_queue(self, n: int, minimize: bool) -> BucketQueue:
+    def _selection_queue(self, n: int, minimize: bool) -> BucketQueue:
         return BucketQueue(n, minimize)
 
     def render(self, label: int) -> int:
@@ -155,7 +154,7 @@ class _LexBfs(LabelingStructure):
         # Python tuples already order element-wise, a prefix first
         return label
 
-    def selection_queue(self, n: int, minimize: bool) -> OrderedPartition:
+    def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition:
         return OrderedPartition(n, minimize)
 
     def render(self, label) -> str:

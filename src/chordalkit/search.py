@@ -13,7 +13,10 @@ moplex orderings together with the filled graph.
 Costs: selection reads the structure's selection queue when it has one, a
 bucket queue for mcs and an ordered partition for lexbfs
 (``chordalkit.selection``): O(log n) amortized per step and per label
-increase, lowest-index ties included. Every other structure (lexdfs, mns,
+increase, lowest-index ties included. The labels themselves are still
+stored: an mcs increase is O(1), but a lexbfs increase copies the tuple,
+O(|label|), so the increases of a search cost O(sum of deg(v)^2) with
+lexbfs. Every other structure (lexdfs, mns,
 custom ones) scans the unnumbered labels, O(n) comparisons per step. A
 lexdfs increase prepends, which lifts every bumped label above all others in
 the order of the blocks they came from, so neither queue fits it. The
@@ -213,7 +216,7 @@ class LabelSearch:
         n = g.n
         self.n = n
         self.labels: list[Label] = [structure.initial() for _ in range(n)]
-        self.queue: SelectionQueue | None = structure.selection_queue(n, minimize)
+        self.queue: SelectionQueue | None = structure._selection_queue(n, minimize)
         self.numbered = [False] * n
         self.numbered_list: list[int] = []  # in pick order (positions n..1)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions

