@@ -311,6 +311,7 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    saved_debug = os.environ.get("CHORDALKIT_DEBUG")
     try:
         args = parser.parse_args(argv)
         if getattr(args, "debug_invariants", False):
@@ -332,6 +333,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: IO: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved_debug is None:
+            os.environ.pop("CHORDALKIT_DEBUG", None)
+        else:
+            os.environ["CHORDALKIT_DEBUG"] = saved_debug
 
 
 if __name__ == "__main__":  # pragma: no cover

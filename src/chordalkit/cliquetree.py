@@ -105,36 +105,47 @@ def _not_chordal(h: Graph, x: int) -> NotChordalError:
 class _TreeBuilder:
     """Bookkeeping shared by every builder: the growing clique list, tree
     edges, separator store (canonical frozensets, so duplicates collapse),
-    and the vertex-to-clique map."""
+    the vertex-to-clique map, and the current node ``at``, which each
+    vertex joins unless its step opens a node. The peo walker and the
+    atom-tree builder (whose nodes are atoms) may move ``at`` back to an
+    earlier node."""
 
     def __init__(self) -> None:
         self.cliques: list[set[int]] = [set()]
         self.edges: list[tuple[int, int]] = []
         self.seps: set[VertexSet] = set()
         self.clique_of: dict[int, int] = {}
+        self.at = 1
 
     @property
     def s(self) -> int:
         return len(self.cliques)
 
     def current(self) -> set[int]:
-        return self.cliques[-1]
+        return self.cliques[self.at - 1]
 
     def parent_of(self, sep: VertexSet, pos) -> int:
         # the earliest-position vertex of the separator names the parent node
         k_vertex = min(sep, key=lambda v: pos[v])
         return self.clique_of[k_vertex]
 
-    def open_clique(self, sep: VertexSet, p: int) -> int:
+    def open_clique(self, sep: VertexSet, p: int) -> None:
         self.cliques.append(set(sep))
-        s = len(self.cliques)
-        self.edges.append((p, s))
+        self.at = len(self.cliques)
+        self.edges.append((p, self.at))
         self.seps.add(frozenset(sep))
-        return s
 
-    def add_vertex(self, j: int, x: int) -> None:
-        self.cliques[j - 1].add(x)
-        self.clique_of[x] = j
+    def add_vertex(self, x: int) -> None:
+        self.cliques[self.at - 1].add(x)
+        self.clique_of[x] = self.at
+
+    def step(self, x: int, sep: VertexSet, pos, new: bool) -> None:
+        """The clique-tree sink: x, with processed neighborhood sep, joins
+        the current node, after opening a node for sep under the node of
+        sep's earliest vertex when new."""
+        if new:
+            self.open_clique(sep, self.parent_of(sep, pos))
+        self.add_vertex(x)
 
     def result(self, ordering: Ordering, trace: SearchTrace | None = None) -> CliqueTreeResult:
         return CliqueTreeResult(
@@ -223,38 +234,7 @@ def clique_tree_from_peo(h: Graph, alpha: Ordering, *, verify: bool = True) -> C
     With verify on, a non-clique S (i.e. the ordering is not a peo, e.g. the
     graph is not chordal) raises.
     """
-    require_connected(h)
-    if len(alpha) != h.n:
-        raise ValueError("ordering length does not match the graph")
-    builder = _TreeBuilder()
-    numbered = [False] * h.n
-    numbered_list: list[int] = []
-    for i in range(h.n, 0, -1):
-        x = alpha.vertex_at(i)
-        sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if verify and not _follower_check(h.adjacent, sep, alpha.pos):
-            raise NotAPeoError(
-                f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
-            )
-        if i == h.n:
-            p = 1
-        else:
-            if not sep:
-                # a peo of a connected graph never strands a vertex
-                raise NotAPeoError(
-                    f"vertex {h.names[x]!r} at position {i} has no later neighbor"
-                )
-            p = builder.parent_of(sep, alpha.pos)
-        if builder.cliques[p - 1] == sep:
-            builder.add_vertex(p, x)
-        else:
-            s = builder.open_clique(sep, p)
-            builder.add_vertex(s, x)
-        numbered[x] = True
-        numbered_list.append(x)
-        if debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N:
-            _debug_check_partial(builder, h.adjacent, numbered_list, alpha.pos)
-    return builder.result(alpha)
+    return _walk_ordering(h, alpha, verify, join_parent=True)
 
 
 def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, validate: bool = False) -> CliqueTreeResult:
@@ -267,6 +247,20 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, vali
     maximal cliques and a mismatch raises (the ordering was not
     clique-completing); otherwise the precondition is trusted.
     """
+    result = _walk_ordering(h, alpha, verify, join_parent=False)
+    if validate:
+        from . import oracle
+
+        if set(result.cliques) != oracle.maximal_cliques(h):
+            raise NotMCCompError("ordering does not complete maximal cliques one by one")
+    return result
+
+
+def _walk_ordering(h: Graph, alpha: Ordering, verify: bool, join_parent: bool) -> CliqueTreeResult:
+    """The walk of both builders above, positions n down to 1. Each vertex
+    joins the current node, which with join_parent (an arbitrary peo) first
+    moves to the node of the earliest vertex of the processed neighborhood
+    S; when that node is not S, the vertex opens a new node for S."""
     require_connected(h)
     if len(alpha) != h.n:
         raise ValueError("ordering length does not match the graph")
@@ -280,23 +274,18 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, vali
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
-        if i < h.n and not sep:
-            raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
-        if builder.current() != sep:
-            p = builder.parent_of(sep, alpha.pos)
-            builder.open_clique(sep, p)
-        builder.add_vertex(builder.s, x)
+        if i < h.n:
+            if not sep:
+                # a peo of a connected graph never strands a vertex
+                raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
+            if join_parent:
+                builder.at = builder.parent_of(sep, alpha.pos)
+        builder.step(x, sep, alpha.pos, builder.current() != sep)
         numbered[x] = True
         numbered_list.append(x)
         if debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N:
             _debug_check_partial(builder, h.adjacent, numbered_list, alpha.pos)
-    result = builder.result(alpha)
-    if validate:
-        from . import oracle
-
-        if set(result.cliques) != oracle.maximal_cliques(h):
-            raise NotMCCompError("ordering does not complete maximal cliques one by one")
-    return result
+    return builder.result(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +306,11 @@ def mls_clique_tree(
     require_ic(structure)
     run = LabelSearch(h, structure, tiebreak)
     builder = _TreeBuilder()
-    for i in range(h.n, 0, -1):
-        x = run.choose(i, prefer="greater")
-        run.assign(x, i)
+    for _, x in run.steps("greater"):
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
         if verify and not _follower_check(h.adjacent, sep, run.pos):
             raise _not_chordal(h, x)
-        if builder.current() != sep:
-            builder.open_clique(sep, builder.parent_of(sep, run.pos))
-        builder.add_vertex(builder.s, x)
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased)
+        builder.step(x, sep, run.pos, builder.current() != sep)
         _maybe_debug(builder, h.adjacent, run)
     return builder.result(run.ordering(), run.trace)
 
@@ -352,21 +335,15 @@ def dcl_mls_clique_tree(
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
     builder = _TreeBuilder()
-    for i in range(h.n, 0, -1):
-        x = run.choose(i, prefer="greater")
-        run.assign(x, i)
+    for i, x in run.steps("greater"):
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
         if verify and not _follower_check(h.adjacent, sep, run.pos):
             raise _not_chordal(h, x)
-        if i < h.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.LESS:
-            builder.open_clique(sep, builder.parent_of(sep, run.pos))
-        builder.add_vertex(builder.s, x)
+        builder.step(x, sep, run.pos, run.boundary(x, Cmp.LESS))
         if enforce_dcl and run.debug and builder.current() != sep | {x}:
             raise DebugInvariantError(
                 f"label test and set test disagree at position {i}"
             )
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased)
         if enforce_dcl:
             _maybe_debug(builder, h.adjacent, run)
     return builder.result(run.ordering(), run.trace)
@@ -399,42 +376,37 @@ def complement_mls_clique_tree(
     view = ComplementView(g)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
     builder = _TreeBuilder()
-    for i in range(g.n, 0, -1):
+    for i, x in run.steps("equal"):
         if run.debug and i < g.n:
-            _debug_equal_label_boundary(run, view, builder)
-        prev_at_choice = run.prev_label
-        x = run.choose(i, prefer="equal")
-        run.assign(x, i)
+            _debug_equal_label_boundary(run, view, builder, x)
         sep = frozenset(v for v in run.numbered_list if view.adjacent(x, v))
         if verify and not _follower_check(view.adjacent, sep, run.pos):
             raise ComplementNotChordalError(
                 f"complement neighborhood of {g.names[x]!r} is not a complement clique"
             )
-        if i < g.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.EQUAL:
-            if not sep:
-                raise ComplementNotChordalError("empty boundary separator mid-run")
-            builder.open_clique(sep, builder.parent_of(sep, run.pos))
-            run.prev_label = run.labels[x]
-        builder.add_vertex(builder.s, x)
+        new = run.boundary(x, Cmp.EQUAL)
+        if new and not sep:
+            raise ComplementNotChordalError("empty boundary separator mid-run")
+        builder.step(x, sep, run.pos, new)
         if run.debug and builder.current() != sep | {x}:
             raise DebugInvariantError(
                 f"equal-label test and set test disagree at position {i}"
             )
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased, prev_at_choice=prev_at_choice, update_prev=False)
         _maybe_debug(builder, view.adjacent, run)
     return builder.result(run.ordering(), run.trace)
 
 
-def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder) -> None:
-    """Debug hook for the complement path: an unnumbered vertex has the
-    previous minimal label exactly when its processed complement
-    neighborhood equals the current clique."""
+def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder, x: int) -> None:
+    """Debug hook for the complement path, run as x is chosen: a vertex
+    unnumbered before x (x included) has the previous minimal label exactly
+    when its complement neighborhood among the vertices numbered before x
+    equals the current clique."""
     current = builder.current()
+    before = run.numbered_list[:-1]
     for y in range(run.n):
-        if run.numbered[y]:
+        if run.numbered[y] and y != x:
             continue
-        hood = {v for v in run.numbered_list if view.adjacent(y, v)}
+        hood = {v for v in before if view.adjacent(y, v)}
         label_hit = run.structure.compare(run.labels[y], run.prev_label) is Cmp.EQUAL
         if label_hit != (hood == current):
             raise DebugInvariantError(
@@ -459,16 +431,10 @@ def complement_mls_generators(
     run = LabelSearch(g, structure, tiebreak, minimize=True)
     gen_cli: list[int] = []
     gen_sep: list[int] = []
-    for i in range(g.n, 0, -1):
-        prev_at_choice = run.prev_label
-        x = run.choose(i, prefer="equal")
-        run.assign(x, i)
-        if i < g.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.EQUAL:
+    for i, x in run.steps("equal"):
+        if run.boundary(x, Cmp.EQUAL):
             gen_cli.append(run.alpha[i + 1])  # type: ignore[arg-type]
             gen_sep.append(x)
-            run.prev_label = run.labels[x]
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased, prev_at_choice=prev_at_choice, update_prev=False)
     gen_cli.append(run.alpha[1])  # type: ignore[arg-type]
     return GeneratorsResult(run.ordering(), tuple(gen_cli), tuple(gen_sep), run.trace)
 
@@ -530,7 +496,7 @@ def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
                 raise _not_chordal(h, x)
             if builder.current() != sep:
                 builder.open_clique(sep, builder.clique_of[p])
-        builder.add_vertex(builder.s, x)
+        builder.add_vertex(x)
         touched = [y for y in adj[x] if not numbered[y]]
         for y in touched:
             follower[y] = x

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .cliquetree import CliqueTreeResult, _TreeBuilder, _maybe_debug
 from .errors import DebugInvariantError, InputMismatchError
-from .graph import Graph, Ordering, VertexSet, add_edges, require_connected
+from .graph import Graph, Ordering, VertexSet, require_connected
 from .labeling import Cmp, LabelingStructure, require_dcl, require_ic
 from .search import LabelSearch, TieBreak, TriangulationResult
 
@@ -83,29 +83,17 @@ def dcl_mlsm_clique_tree(
     require_connected(g)
     require_ic(structure)
     require_dcl(structure)
-    overlay = [set(s) for s in g.adj]
-    run = LabelSearch(g, structure, tiebreak, label_neighbors=lambda v: overlay[v])
+    run = LabelSearch(g, structure, tiebreak, triangulate=True)
+    overlay = run.overlay
     builder = _TreeBuilder()
-    fill_all: list[tuple[int, int]] = []
-    for i in range(g.n, 0, -1):
-        x = run.choose(i, prefer="greater")
-        run.assign(x, i)
+    for i, x in run.steps("greater"):
         sep = frozenset(y for y in overlay[x] if run.numbered[y])
-        if i < g.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.LESS:
-            builder.open_clique(sep, builder.parent_of(sep, run.pos))
-        builder.add_vertex(builder.s, x)
+        builder.step(x, sep, run.pos, run.boundary(x, Cmp.LESS))
         if run.debug and builder.current() != sep | {x}:
             raise DebugInvariantError(f"label test and set test disagree at position {i}")
-        targets, fill = run.inc_targets(x, i)
-        for a, b in fill:
-            overlay[a].add(b)
-            overlay[b].add(a)
-        fill_all.extend(fill)
-        run.finish_iteration(i, x, targets, fill)
         _maybe_debug(builder, lambda a, b: b in overlay[a], run)
-    ordering = run.ordering()
-    tri = TriangulationResult(ordering, add_edges(g, fill_all), tuple(fill_all))
-    return MlsmCliqueTreeResult(ordering, tri, builder.result(ordering))
+    tri = run.triangulation()
+    return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
 
 
 def atom_tree_from_clique_tree(g: Graph, h: Graph, t: CliqueTreeResult) -> AtomTreeResult:
@@ -173,45 +161,23 @@ def dcl_atom_tree(
     require_connected(g)
     require_ic(structure)
     require_dcl(structure)
-    overlay = [set(s) for s in g.adj]
-    run = LabelSearch(g, structure, tiebreak, label_neighbors=lambda v: overlay[v])
-    atoms: list[set[int]] = [set()]
-    edges: list[tuple[int, int]] = []
-    clique_seps: set[VertexSet] = set()
-    atom_of: dict[int, int] = {}
-    q = 1
+    run = LabelSearch(g, structure, tiebreak, triangulate=True)
+    builder = _TreeBuilder()
     history: list[int] = []
-    fill_all: list[tuple[int, int]] = []
-    for i in range(g.n, 0, -1):
-        x = run.choose(i, prefer="greater")
-        run.assign(x, i)
-        sep = frozenset(y for y in overlay[x] if run.numbered[y])
-        if i < g.n and structure.compare(run.prev_label, run.labels[x]) is not Cmp.LESS:
-            anchor = min(sep, key=lambda v: run.pos[v])
-            p = atom_of[anchor]
-            if is_clique_in(g, sep):
-                atoms.append(set(sep))
-                edges.append((p, len(atoms)))
-                clique_seps.add(sep)
-                q = len(atoms)
-            else:
-                q = p
-        atoms[q - 1].add(x)
-        atom_of[x] = q
-        history.append(q)
-        targets, fill = run.inc_targets(x, i)
-        for a, b in fill:
-            overlay[a].add(b)
-            overlay[b].add(a)
-        fill_all.extend(fill)
-        run.finish_iteration(i, x, targets, fill)
-    ordering = run.ordering()
-    tri = TriangulationResult(ordering, add_edges(g, fill_all), tuple(fill_all))
+    for _, x in run.steps("greater"):
+        sep = frozenset(y for y in run.overlay[x] if run.numbered[y])
+        new = False
+        if run.boundary(x, Cmp.LESS):
+            new = is_clique_in(g, sep)
+            if not new:
+                builder.at = builder.parent_of(sep, run.pos)
+        builder.step(x, sep, run.pos, new)
+        history.append(builder.at)
     return AtomTreeResult(
-        atoms=tuple(frozenset(a) for a in atoms),
-        tree_edges=tuple(edges),
-        clique_separators=frozenset(clique_seps),
-        atom_of=atom_of,
-        triangulation=tri,
+        atoms=tuple(frozenset(a) for a in builder.cliques),
+        tree_edges=tuple(builder.edges),
+        clique_separators=frozenset(builder.seps),
+        atom_of=builder.clique_of,
+        triangulation=run.triangulation(),
         current_atom_history=tuple(history),
     )

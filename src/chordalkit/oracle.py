@@ -205,7 +205,6 @@ def validate_clique_tree(h: Graph, t) -> list[str]:
     separators, and the stored separator set agrees."""
     violations: list[str] = []
     cliques = list(t.cliques)
-    s = len(cliques)
     for K in cliques:
         if not is_clique_in(h, K):
             violations.append(f"node {sorted(h.names[v] for v in K)} is not a clique")
@@ -215,51 +214,8 @@ def validate_clique_tree(h: Graph, t) -> list[str]:
             f"node set differs from the maximal cliques "
             f"(got {len(set(cliques))}, want {len(want_nodes)})"
         )
-    if len(set(cliques)) != s:
-        violations.append("duplicate nodes")
-    if len(t.tree_edges) != s - 1:
-        violations.append(f"edge count {len(t.tree_edges)} is not node count - 1")
-    parent = list(range(s + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p, q in t.tree_edges:
-        if not (1 <= p <= s and 1 <= q <= s):
-            violations.append(f"edge ({p},{q}) out of range")
-            continue
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            violations.append(f"edge ({p},{q}) closes a cycle")
-        else:
-            parent[rp] = rq
-    for v in range(h.n):
-        holding = [j for j in range(1, s + 1) if v in cliques[j - 1]]
-        if not holding:
-            violations.append(f"vertex {h.names[v]!r} is in no node")
-            continue
-        reach = {holding[0]}
-        grew = True
-        while grew:
-            grew = False
-            for p, q in t.tree_edges:
-                if p in reach and q in holding and q not in reach:
-                    reach.add(q)
-                    grew = True
-                if q in reach and p in holding and p not in reach:
-                    reach.add(p)
-                    grew = True
-        if set(holding) != reach:
-            violations.append(f"nodes containing {h.names[v]!r} do not induce a subtree")
-    intersections = {cliques[p - 1] & cliques[q - 1] for p, q in t.tree_edges if 1 <= p <= s and 1 <= q <= s}
-    want_seps = minimal_separators(h)
-    if intersections != want_seps:
-        violations.append("edge intersections differ from the minimal separators")
-    if frozenset(t.separators) != frozenset(want_seps):
-        violations.append("stored separator set differs from the minimal separators")
+    violations += _tree_violations(h, cliques, t.tree_edges, "node", t.separators,
+                                   minimal_separators(h), "minimal separators")
     return violations
 
 
@@ -269,17 +225,31 @@ def validate_atom_tree(g: Graph, t) -> list[str]:
     are exactly the clique minimal separators."""
     violations: list[str] = []
     atoms = list(t.atoms)
-    s = len(atoms)
     want_atoms = atoms_brute(g)
     if set(atoms) != want_atoms:
         violations.append(
             f"atom set differs from the decomposition atoms "
             f"(got {sorted(map(sorted, atoms))}, want {sorted(map(sorted, want_atoms))})"
         )
-    if len(set(atoms)) != s:
-        violations.append("duplicate atoms")
-    if len(t.tree_edges) != s - 1:
-        violations.append(f"edge count {len(t.tree_edges)} is not atom count - 1")
+    want_seps = {s_ for s_ in minimal_separators(g) if is_clique_in(g, s_)}
+    violations += _tree_violations(g, atoms, t.tree_edges, "atom", t.clique_separators,
+                                   want_seps, "clique minimal separators")
+    return violations
+
+
+def _tree_violations(g: Graph, nodes: list[VertexSet], tree_edges, noun: str,
+                     stored_seps, want_seps: set[VertexSet], seps_name: str) -> list[str]:
+    """The checks both validators share, with the nodes called ``noun``: no
+    duplicate nodes, the edges form a tree on them, the nodes holding each
+    vertex induce a subtree, and both the edge intersections and the stored
+    separator set are exactly ``want_seps``, the separators ``seps_name``
+    names."""
+    violations: list[str] = []
+    s = len(nodes)
+    if len(set(nodes)) != s:
+        violations.append(f"duplicate {noun}s")
+    if len(tree_edges) != s - 1:
+        violations.append(f"edge count {len(tree_edges)} is not {noun} count - 1")
     parent = list(range(s + 1))
 
     def find(a: int) -> int:
@@ -288,7 +258,7 @@ def validate_atom_tree(g: Graph, t) -> list[str]:
             a = parent[a]
         return a
 
-    for p, q in t.tree_edges:
+    for p, q in tree_edges:
         if not (1 <= p <= s and 1 <= q <= s):
             violations.append(f"edge ({p},{q}) out of range")
             continue
@@ -298,15 +268,15 @@ def validate_atom_tree(g: Graph, t) -> list[str]:
         else:
             parent[rp] = rq
     for v in range(g.n):
-        holding = [j for j in range(1, s + 1) if v in atoms[j - 1]]
+        holding = [j for j in range(1, s + 1) if v in nodes[j - 1]]
         if not holding:
-            violations.append(f"vertex {g.names[v]!r} is in no atom")
+            violations.append(f"vertex {g.names[v]!r} is in no {noun}")
             continue
         reach = {holding[0]}
         grew = True
         while grew:
             grew = False
-            for p, q in t.tree_edges:
+            for p, q in tree_edges:
                 if p in reach and q in holding and q not in reach:
                     reach.add(q)
                     grew = True
@@ -314,13 +284,12 @@ def validate_atom_tree(g: Graph, t) -> list[str]:
                     reach.add(p)
                     grew = True
         if set(holding) != reach:
-            violations.append(f"atoms containing {g.names[v]!r} do not induce a subtree")
-    intersections = {atoms[p - 1] & atoms[q - 1] for p, q in t.tree_edges if 1 <= p <= s and 1 <= q <= s}
-    want_seps = {s_ for s_ in minimal_separators(g) if is_clique_in(g, s_)}
+            violations.append(f"{noun}s containing {g.names[v]!r} do not induce a subtree")
+    intersections = {nodes[p - 1] & nodes[q - 1] for p, q in tree_edges if 1 <= p <= s and 1 <= q <= s}
     if intersections != want_seps:
-        violations.append("edge intersections differ from the clique minimal separators")
-    if frozenset(t.clique_separators) != frozenset(want_seps):
-        violations.append("stored separator set differs from the clique minimal separators")
+        violations.append(f"edge intersections differ from the {seps_name}")
+    if frozenset(stored_seps) != frozenset(want_seps):
+        violations.append(f"stored separator set differs from the {seps_name}")
     return violations
 
 

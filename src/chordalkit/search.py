@@ -1,14 +1,16 @@
-"""The label-search drivers: plain and moplex-refined searches, and their
+"""The label-search engine: plain and moplex-refined searches, and their
 triangulating counterparts that add fill edges on the fly.
 
-All drivers number vertices from position n down to 1, at each step choosing
-an unnumbered vertex with maximal label (no other unnumbered label compares
-strictly greater) and increasing the labels of affected unnumbered vertices
-with the current position. They are generic over any labeling structure that
-satisfies the inclusion condition. On chordal inputs the plain searches emit
-perfect elimination orderings; the moplex variants additionally emit perfect
-moplex orderings; the triangulating variants emit minimal elimination /
-moplex orderings together with the filled graph.
+One loop, ``LabelSearch.steps``, runs every search. It numbers vertices from
+position n down to 1, at each step choosing an unnumbered vertex with maximal
+label (no other unnumbered label compares strictly greater), handing the step
+to the caller's loop body (the per-step sink: clique tree, generators, atom
+tree, or nothing for a bare ordering), then increasing the labels of affected
+unnumbered vertices with the current position. It is generic over any
+labeling structure that satisfies the inclusion condition. On chordal inputs
+the plain searches emit perfect elimination orderings; the moplex variants
+additionally emit perfect moplex orderings; the triangulating variants emit
+minimal elimination / moplex orderings together with the filled graph.
 
 Costs: selection reads the structure's selection queue when it has one, a
 bucket queue for mcs and an ordered partition for lexbfs
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator
 
 from . import debug
 from .errors import DebugInvariantError, ScriptConflictError
@@ -188,16 +190,18 @@ class TriangulationResult:
 
 
 class LabelSearch:
-    """Working state of one driver invocation: labels, the numbered set,
-    candidate selection under a partial order, and the debug hooks.
+    """One label search on g: labels, the numbered set, candidate selection
+    under a partial order, the debug hooks, and the loop ``steps`` that
+    every driver runs, adding its per-step rule as the loop body.
 
     Selection reads the structure's selection queue when it has one (mcs
     and lexbfs) and otherwise scans the unnumbered labels.
 
-    ``label_neighbors`` is the adjacency that drives label increases (the
-    input graph by default; the base graph for complement runs). The same
-    adjacency feeds the label-order debug hook, since label content always
-    mirrors it.
+    Labels mirror the processed neighborhoods in g (for complement runs, g
+    is the base graph), or, in a triangulating run, in the filled graph,
+    which the run keeps as ``overlay`` (g's adjacency plus the fill so far)
+    next to the fill edges in insertion order. The label-order debug hook
+    reads the same adjacency.
     """
 
     def __init__(
@@ -207,7 +211,7 @@ class LabelSearch:
         tiebreak: TieBreak | None = None,
         *,
         minimize: bool = False,
-        label_neighbors: Callable[[int], Iterable[int]] | None = None,
+        triangulate: bool = False,
     ):
         self.g = g
         self.structure = structure
@@ -223,10 +227,41 @@ class LabelSearch:
         self.pos = [0] * n
         self.prev_label: Label = structure.initial()
         self.trace = SearchTrace(structure.name)
-        if label_neighbors is None:
-            label_neighbors = lambda v: g.neighbors(v)
-        self.label_neighbors = label_neighbors
+        self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
+        self.fill: list[tuple[int, int]] = []
         self.debug = debug.enabled()
+
+    # -- the search loop
+
+    def steps(self, prefer: str | None = None) -> Iterator[tuple[int, int]]:
+        """Run the search, yielding (i, x) once x is chosen and numbered i
+        and before the labels grow; the caller's loop body is the per-step
+        sink. Then the step increases the labels, plainly or (triangulating)
+        along ``inc_targets``, adding its fill to the overlay, and records
+        the trace entry. ``prev_label`` is the previous vertex's label
+        throughout the body."""
+        for i in range(self.n, 0, -1):
+            x = self.choose(i, prefer)
+            self.assign(x, i)
+            yield i, x
+            if self.overlay is None:
+                increased, fill = self.inc_plain(x, i), ()
+            else:
+                increased, fill = self.inc_targets(x, i)
+                for a, b in fill:
+                    self.overlay[a].add(b)
+                    self.overlay[b].add(a)
+                self.fill.extend(fill)
+            self.trace.entries.append(
+                TraceEntry(i, x, self.labels[x], self.prev_label, tuple(increased), tuple(fill))
+            )
+            self.prev_label = self.labels[x]
+
+    def boundary(self, x: int, want: Cmp) -> bool:
+        """The builders' label test: x, just chosen, starts a new clique
+        unless it is the first vertex or the previous label compares ``want``
+        (LESS with dcl structures, EQUAL in complement runs) to x's label."""
+        return self.pos[x] < self.n and self.structure.compare(self.prev_label, self.labels[x]) is not want
 
     # -- candidate selection
 
@@ -287,29 +322,12 @@ class LabelSearch:
         if self.queue is not None:
             self.queue.remove(x)
 
-    def finish_iteration(
-        self,
-        i: int,
-        x: int,
-        increased: Sequence[int],
-        fill: Sequence[tuple[int, int]] = (),
-        *,
-        prev_at_choice: Label | None = None,
-        update_prev: bool = True,
-    ) -> None:
-        recorded_prev = self.prev_label if prev_at_choice is None else prev_at_choice
-        self.trace.entries.append(
-            TraceEntry(i, x, self.labels[x], recorded_prev, tuple(increased), tuple(fill))
-        )
-        if update_prev:
-            self.prev_label = self.labels[x]
-
     # -- label updates
 
     def inc_plain(self, x: int, i: int) -> list[int]:
-        """Increase the labels of unnumbered label-adjacency neighbors of x."""
+        """Increase the labels of the unnumbered neighbors of x in g."""
         out = []
-        for y in sorted(self.label_neighbors(x)):
+        for y in sorted(self.g.neighbors(x)):
             if not self.numbered[y]:
                 self._bump(y, i)
                 out.append(y)
@@ -424,6 +442,10 @@ class LabelSearch:
     def ordering(self) -> Ordering:
         return Ordering(self.alpha[1:])  # type: ignore[arg-type]
 
+    def triangulation(self) -> TriangulationResult:
+        """The finished triangulating run: its ordering and filled graph."""
+        return TriangulationResult(self.ordering(), add_edges(self.g, self.fill), tuple(self.fill))
+
     # -- debug hooks
 
     def _assert_queue_candidates(self, i: int, prefer: str | None) -> None:
@@ -442,8 +464,9 @@ class LabelSearch:
         order: strict inclusion forces strictly smaller, equality forces
         equal labels."""
         unnumbered = [v for v in range(self.n) if not self.numbered[v]]
+        hood = self.g.neighbors if self.overlay is None else self.overlay.__getitem__
         hoods = {
-            y: frozenset(z for z in self.label_neighbors(y) if self.numbered[z])
+            y: frozenset(z for z in hood(y) if self.numbered[z])
             for y in unnumbered
         }
         for y in unnumbered:
@@ -476,14 +499,7 @@ def mls(
 ) -> tuple[Ordering, SearchTrace]:
     """Plain maximal-label search (minimal with minimize=True, which runs the
     search under the dual label order)."""
-    require_connected(g)
-    require_ic(structure)
-    run = LabelSearch(g, structure, tiebreak, minimize=minimize)
-    for i in range(g.n, 0, -1):
-        x = run.choose(i)
-        run.assign(x, i)
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased)
+    run = _run(g, structure, tiebreak, None, minimize=minimize)
     return run.ordering(), run.trace
 
 
@@ -495,35 +511,26 @@ def moplex_mls(
     """Maximal-label search preferring, among maximal labels, one strictly
     greater than the previously chosen label whenever possible. On a chordal
     input the result is a perfect moplex ordering."""
-    require_connected(g)
-    require_ic(structure)
-    run = LabelSearch(g, structure, tiebreak)
-    for i in range(g.n, 0, -1):
-        x = run.choose(i, prefer="greater")
-        run.assign(x, i)
-        increased = run.inc_plain(x, i)
-        run.finish_iteration(i, x, increased)
+    run = _run(g, structure, tiebreak, "greater")
     return run.ordering(), run.trace
 
 
-def _triangulating(
+def _run(
     g: Graph,
     structure: LabelingStructure,
     tiebreak: TieBreak | None,
     prefer: str | None,
-) -> tuple[TriangulationResult, SearchTrace]:
+    *,
+    minimize: bool = False,
+    triangulate: bool = False,
+) -> LabelSearch:
+    """A whole search with no per-step sink."""
     require_connected(g)
     require_ic(structure)
-    run = LabelSearch(g, structure, tiebreak)
-    fill_all: list[tuple[int, int]] = []
-    for i in range(g.n, 0, -1):
-        x = run.choose(i, prefer=prefer)
-        run.assign(x, i)
-        targets, fill = run.inc_targets(x, i)
-        fill_all.extend(fill)
-        run.finish_iteration(i, x, targets, fill)
-    h = add_edges(g, fill_all)
-    return TriangulationResult(run.ordering(), h, tuple(fill_all)), run.trace
+    run = LabelSearch(g, structure, tiebreak, minimize=minimize, triangulate=triangulate)
+    for _ in run.steps(prefer):
+        pass
+    return run
 
 
 def mlsm(
@@ -533,7 +540,8 @@ def mlsm(
 ) -> tuple[TriangulationResult, SearchTrace]:
     """Triangulating search: the ordering is a minimal elimination ordering
     and the returned graph is the associated minimal triangulation."""
-    return _triangulating(g, structure, tiebreak, prefer=None)
+    run = _run(g, structure, tiebreak, None, triangulate=True)
+    return run.triangulation(), run.trace
 
 
 def moplex_mlsm(
@@ -543,7 +551,8 @@ def moplex_mlsm(
 ) -> tuple[TriangulationResult, SearchTrace]:
     """Triangulating search with the moplex preference rule: the ordering is
     additionally a perfect moplex ordering of the output triangulation."""
-    return _triangulating(g, structure, tiebreak, prefer="greater")
+    run = _run(g, structure, tiebreak, "greater", triangulate=True)
+    return run.triangulation(), run.trace
 
 
 def triangulation_from_ordering(g: Graph, alpha: Ordering) -> TriangulationResult:

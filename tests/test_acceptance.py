@@ -39,6 +39,7 @@ from chordalkit.search import (
     ScriptedOrder,
     SeededRandom,
     mls,
+    mlsm,
     moplex_mls,
     moplex_mlsm,
     triangulation_from_ordering,
@@ -215,6 +216,9 @@ def test_criterion_8_debug_hooks_clean(monkeypatch):
     for g in connected_corpus(40):
         dcl_mlsm_clique_tree(g, mcs())
         dcl_atom_tree(g, mns())
+        for factory in (mcs, mns):
+            mlsm(g, factory())
+            moplex_mlsm(g, factory())
     print("\n[criterion 8] PASS: zero invariant violations with debug hooks armed")
 
 

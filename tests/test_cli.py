@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -21,6 +22,9 @@ def files(tmp_path):
     c5 = tmp_path / "c5.txt"
     c5.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n", encoding="utf-8")
     paths["c5"] = str(c5)
+    c5_pendant = tmp_path / "c5_pendant.txt"
+    c5_pendant.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n1 6\n", encoding="utf-8")
+    paths["c5_pendant"] = str(c5_pendant)
     k3 = tmp_path / "k3.txt"
     k3.write_text("a b\nb c\na c\n", encoding="utf-8")
     paths["k3"] = str(k3)
@@ -108,11 +112,20 @@ class TestCliquetree:
         assert out1 == out2
 
     def test_debug_invariants_flag(self, files, capsys, monkeypatch):
-        # monkeypatch restores the pre-test value even though main() sets it
+        # the flag arms the hooks even where the environment disarms them
         monkeypatch.setenv("CHORDALKIT_DEBUG", "0")
         code, out, err = run(capsys, "cliquetree", files["fig1_h"], "--structure", "mns",
                              "--debug-invariants", "--validate")
         assert code == 0, err
+
+    def test_debug_invariants_leave_the_environment(self, files, capsys, monkeypatch):
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
+        run(capsys, "atoms", files["fig4_g"], "--debug-invariants")
+        assert "CHORDALKIT_DEBUG" not in os.environ
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "0")
+        code, _, err = run(capsys, "cliquetree", files["c4"], "--debug-invariants")
+        assert code == 1, err
+        assert os.environ["CHORDALKIT_DEBUG"] == "0"
 
     def test_out_file(self, files, tmp_path, capsys):
         target = tmp_path / "result.json"
@@ -122,6 +135,12 @@ class TestCliquetree:
 
 
 class TestTriangulate:
+    def test_debug_invariants_on_a_filled_graph(self, files, capsys):
+        # a C5 with a pendant vertex: the label order follows the fill edges
+        code, out, err = run(capsys, "triangulate", files["c5_pendant"], "--debug-invariants", "--validate")
+        assert code == 0, err
+        assert len(json.loads(out)["fill_edges"]) == 2
+
     def test_c4_one_fill(self, files, capsys):
         code, out, err = run(capsys, "triangulate", files["c4"], "--structure", "mcs", "--validate")
         assert code == 0, err

@@ -134,7 +134,9 @@ class TestFromPmo:
         assert t1.tree_edges == t2.tree_edges
         assert t1.separators == t2.separators
 
-    def test_fig1_beta_not_clique_completing(self):
+    def test_fig1_beta_not_clique_completing(self, monkeypatch):
+        # armed, the partial-tree debug check rejects beta before validate can
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         g = graph("fig1_h")
         beta = ordering_from_names(g, list("acdbef"))
         t = clique_tree_from_pmo(g, beta)
@@ -262,7 +264,9 @@ class TestComplementCliqueTree:
         t = complement_mls_clique_tree(g, mcs())
         assert t.size == 1 and names_of(g, t.cliques[0]) == {"a", "b"}
 
-    def test_five_cycle_rejected(self):
+    def test_five_cycle_rejected(self, monkeypatch):
+        # armed, the equal-label debug hook raises before the chordality check
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         # C5 is self-complementary: its complement is connected and not chordal
         c5 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
         for f in DCL:

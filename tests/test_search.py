@@ -449,6 +449,8 @@ class TestSelectionQueue:
                 assert got_trace == want_trace, (name, g, tb)
 
     def test_other_structures_keep_the_scan(self, monkeypatch):
+        # armed, the debug cross-check scans next to every queued step
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         scans = []
         real = LabelSearch._extreme_candidates
 
