@@ -28,6 +28,20 @@ from chordalkit.oracle import GeneratorConfig, gen
 from chordalkit.search import moplex_mlsm
 
 
+BUDGET_S = 10.0
+
+
+def timed(describe, fn, *args) -> bool:
+    """Run fn(*args), print describe(result, seconds) with the budget
+    verdict, and return whether the run stayed within the budget."""
+    t1 = time.perf_counter()
+    result = fn(*args)
+    dt = time.perf_counter() - t1
+    status = "ok" if dt < BUDGET_S else "OVER BUDGET"
+    print(f"{describe(result, dt)} [{status}]")
+    return dt < BUDGET_S
+
+
 def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     attach = float(sys.argv[2]) if len(sys.argv) > 2 else 16.0
@@ -38,42 +52,31 @@ def main() -> int:
 
     ok = True
     for token in ("mcs", "lexbfs"):
-        t1 = time.perf_counter()
-        tree = fast_clique_tree(g, token)
-        dt = time.perf_counter() - t1
-        status = "ok" if dt < 10.0 else "OVER BUDGET"
-        ok &= dt < 10.0
-        print(
-            f"{token:7s}: {tree.size} cliques, {len(tree.separators)} distinct separators "
-            f"in {dt:.2f}s [{status}]"
+        ok &= timed(
+            lambda tree, dt: f"{token:7s}: {tree.size} cliques, {len(tree.separators)} "
+                             f"distinct separators in {dt:.2f}s",
+            fast_clique_tree, g, token,
         )
 
     star = from_edge_list([("c", f"v{i}") for i in range(100_000 - 1)])
     for token in ("mcs", "lexbfs"):
-        t1 = time.perf_counter()
-        tree = fast_clique_tree(star, token)
-        dt = time.perf_counter() - t1
-        status = "ok" if dt < 10.0 else "OVER BUDGET"
-        ok &= dt < 10.0
-        print(f"star {token}: n={star.n}, {tree.size} cliques in {dt:.2f}s [{status}]")
+        ok &= timed(
+            lambda tree, dt: f"star {token}: n={star.n}, {tree.size} cliques in {dt:.2f}s",
+            fast_clique_tree, star, token,
+        )
 
     mid = gen(GeneratorConfig(seed=42, n=20_000, param=8.0, family="random-chordal"))
-    t1 = time.perf_counter()
-    tree = dcl_mls_clique_tree(mid, mcs())
-    dt = time.perf_counter() - t1
-    status = "ok" if dt < 10.0 else "OVER BUDGET"
-    ok &= dt < 10.0
-    print(f"dcl_mls_clique_tree mcs: n={mid.n} m={mid.m}, {tree.size} cliques in {dt:.2f}s [{status}]")
+    ok &= timed(
+        lambda tree, dt: f"dcl_mls_clique_tree mcs: n={mid.n} m={mid.m}, {tree.size} cliques "
+                         f"in {dt:.2f}s",
+        dcl_mls_clique_tree, mid, mcs(),
+    )
 
     sparse = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))
-    t1 = time.perf_counter()
-    tri, _ = moplex_mlsm(sparse, mcs())
-    dt = time.perf_counter() - t1
-    status = "ok" if dt < 10.0 else "OVER BUDGET"
-    ok &= dt < 10.0
-    print(
-        f"moplex_mlsm mcs: n={sparse.n} m={sparse.m}, {len(tri.fill_edges)} fill edges "
-        f"in {dt:.2f}s [{status}]"
+    ok &= timed(
+        lambda res, dt: f"moplex_mlsm mcs: n={sparse.n} m={sparse.m}, "
+                        f"{len(res[0].fill_edges)} fill edges in {dt:.2f}s",
+        moplex_mlsm, sparse, mcs(),
     )
     return 0 if ok else 1
 

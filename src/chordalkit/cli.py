@@ -271,10 +271,29 @@ def _cmd_checkstructure(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    g = load_graph(args.graph)
+    try:
+        host, t = _read_result(g, args.result)
+    except KeyError as exc:
+        raise ParseError(f"result JSON has no field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        # json.JSONDecodeError is a ValueError too
+        raise ParseError(f"malformed result JSON: {exc}") from None
+    if hasattr(t, "atoms"):
+        violations = oracle.validate_atom_tree(g, t)
+    else:
+        violations = oracle.validate_clique_tree(host, t)
+    text = "".join(f"violation: {v}\n" for v in violations) or "ok\n"
+    _emit(args, text)
+    return 2 if violations else 0
+
+
+def _read_result(g: Graph, path: str):
+    """The tree in a result JSON, and the graph to check a clique tree
+    against: g plus the fill edges for triangulate --tree output."""
     import json
 
-    g = load_graph(args.graph)
-    with open(args.result, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
 
     def to_sets(lists):
@@ -293,20 +312,15 @@ def _cmd_check(args) -> int:
             tree_edges=tuple((int(p), int(q)) for p, q in data["edges"]),
             clique_separators=frozenset(to_sets(data["clique_separators"])),
         )
-        violations = oracle.validate_atom_tree(g, t)
-    elif "cliques" in data:
+        return host, t
+    if "cliques" in data:
         t = SimpleNamespace(
             cliques=to_sets(data["cliques"]),
             tree_edges=tuple((int(p), int(q)) for p, q in data["edges"]),
             separators=frozenset(to_sets(data["separators"])),
         )
-        violations = oracle.validate_clique_tree(host, t)
-    else:
-        raise ParseError("result JSON has neither 'cliques' nor 'atoms'")
-
-    text = "".join(f"violation: {v}\n" for v in violations) or "ok\n"
-    _emit(args, text)
-    return 2 if violations else 0
+        return host, t
+    raise ParseError("result JSON has neither 'cliques' nor 'atoms'")
 
 
 def main(argv=None) -> int:

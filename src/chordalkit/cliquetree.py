@@ -16,6 +16,7 @@ separator of the (possibly complement) chordal graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 from . import debug
@@ -83,23 +84,27 @@ class GeneratorsResult:
     trace: SearchTrace | None = field(default=None, compare=False, repr=False)
 
 
-def _follower_check(adjacent: Callable[[int, int], bool], sep: VertexSet, pos) -> bool:
-    """Step check of Tarjan & Yannakakis, O(|sep|): with p the vertex of sep
-    with the smallest position, every other vertex of sep must be adjacent
-    to p. Run at every step in decreasing position order, it first fails at
-    the same step as a pairwise clique test: if sep(x) is the first
-    non-clique but sep(x) - {p} lies in N(p), its non-adjacent pair lies in
-    sep(p), and p was processed earlier."""
-    if not sep:
-        return True
-    p = min(sep, key=pos.__getitem__)
-    return all(adjacent(p, v) for v in sep if v != p)
+def _anchor(sep: VertexSet, pos, x: int) -> int:
+    """The anchor of x's step: the vertex p of x's processed neighborhood
+    sep with the smallest position (x itself when sep is empty, where the
+    step has nothing to check or open). A node opened for sep hangs off
+    p's node, and p is the pivot of the follower check of Tarjan &
+    Yannakakis: sep - {p} must lie in N(p), i.e. ``len(sep - N(p)) <= 1``
+    since p is not in N(p), which is O(|sep|); in a complement run, where
+    N is the complement's, it reads ``sep.isdisjoint(g.adj[p])``. Run at
+    every step in decreasing position order, it first fails at the same
+    step as a pairwise clique test: if sep(x) is the first non-clique but
+    sep(x) - {p} lies in N(p), its non-adjacent pair lies in sep(p), and
+    p was processed earlier."""
+    return min(sep, key=pos.__getitem__, default=x)
 
 
-def _not_chordal(h: Graph, x: int) -> NotChordalError:
-    return NotChordalError(
-        f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
-    )
+def _follower_check(h: Graph, x: int, sep: VertexSet, p: int) -> None:
+    """The follower check of x's step, anchored at p (see ``_anchor``)."""
+    if len(sep - h.adj[p]) > 1:
+        raise NotChordalError(
+            f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
+        )
 
 
 class _TreeBuilder:
@@ -117,35 +122,20 @@ class _TreeBuilder:
         self.clique_of: dict[int, int] = {}
         self.at = 1
 
-    @property
-    def s(self) -> int:
-        return len(self.cliques)
-
     def current(self) -> set[int]:
         return self.cliques[self.at - 1]
 
-    def parent_of(self, sep: VertexSet, pos) -> int:
-        # the earliest-position vertex of the separator names the parent node
-        k_vertex = min(sep, key=lambda v: pos[v])
-        return self.clique_of[k_vertex]
-
-    def open_clique(self, sep: VertexSet, p: int) -> None:
-        self.cliques.append(set(sep))
-        self.at = len(self.cliques)
-        self.edges.append((p, self.at))
-        self.seps.add(frozenset(sep))
-
-    def add_vertex(self, x: int) -> None:
+    def step(self, x: int, sep: VertexSet, p: int, new: bool) -> None:
+        """The one clique-tree step: x, with processed neighborhood sep
+        anchored at p (see ``_anchor``), joins the current node, after
+        opening a node for sep under p's node when new."""
+        if new:
+            self.cliques.append(set(sep))
+            self.at = len(self.cliques)
+            self.edges.append((self.clique_of[p], self.at))
+            self.seps.add(sep)
         self.cliques[self.at - 1].add(x)
         self.clique_of[x] = self.at
-
-    def step(self, x: int, sep: VertexSet, pos, new: bool) -> None:
-        """The clique-tree sink: x, with processed neighborhood sep, joins
-        the current node, after opening a node for sep under the node of
-        sep's earliest vertex when new."""
-        if new:
-            self.open_clique(sep, self.parent_of(sep, pos))
-        self.add_vertex(x)
 
     def result(self, ordering: Ordering, trace: SearchTrace | None = None) -> CliqueTreeResult:
         return CliqueTreeResult(
@@ -164,10 +154,10 @@ def _debug_check_partial(
     numbered: list[int],
     pos,
 ) -> None:
-    """Oracle-backed mid-run check (debug mode, small n only): the nodes so
-    far are the maximal cliques of the processed subgraph, the separator
-    store matches its minimal separators, the edges form a tree, and every
-    processed vertex's closed higher neighborhood sits inside its clique."""
+    """Oracle-backed mid-run check (debug mode, small n only): the tree so
+    far passes ``oracle.validate_clique_tree`` on the processed subgraph,
+    and every processed vertex's closed higher neighborhood sits inside its
+    clique."""
     from . import oracle
 
     verts = sorted(numbered)
@@ -181,32 +171,14 @@ def _debug_check_partial(
             if adjacent(a, b)
         ],
     )
-    want_cliques = {frozenset(verts[i] for i in c) for c in oracle.maximal_cliques(sub)}
-    have_cliques = {frozenset(c) for c in builder.cliques}
-    if want_cliques != have_cliques:
-        raise DebugInvariantError(
-            f"partial clique set {sorted(map(sorted, have_cliques))} is not the maximal "
-            f"clique set of the processed subgraph"
-        )
-    want_seps = {frozenset(verts[i] for i in s) for s in oracle.minimal_separators(sub)}
-    if want_seps != builder.seps:
-        raise DebugInvariantError("partial separator store mismatches the processed subgraph")
-    if len(builder.edges) != builder.s - 1:
-        raise DebugInvariantError("partial tree edge count is off")
-    # acyclicity via union-find
-    parent = list(range(builder.s + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p, q in builder.edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            raise DebugInvariantError("partial tree has a cycle")
-        parent[rp] = rq
+    tree = SimpleNamespace(
+        cliques=tuple(frozenset(remap[v] for v in c) for c in builder.cliques),
+        tree_edges=tuple(builder.edges),
+        separators=frozenset(frozenset(remap[v] for v in s) for s in builder.seps),
+    )
+    violations = oracle.validate_clique_tree(sub, tree)
+    if violations:
+        raise DebugInvariantError(f"partial clique tree: {'; '.join(violations)}")
     for y in numbered:
         hood = {z for z in numbered if adjacent(y, z) and pos[z] > pos[y]} | {y}
         if not hood <= builder.cliques[builder.clique_of[y] - 1]:
@@ -215,8 +187,16 @@ def _debug_check_partial(
             )
 
 
-def _maybe_debug(builder, adjacent, run) -> None:
-    if run.debug and run.n <= debug.ORACLE_CHECK_MAX_N:
+def _maybe_debug(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet,
+                 test: str = "label") -> None:
+    """The engine builders' debug hooks after x's step: the label ``test``
+    that chose the step agrees with the set test (x's node is sep plus x),
+    and the partial tree passes ``_debug_check_partial``."""
+    if not run.debug:
+        return
+    if builder.current() != sep | {x}:
+        raise DebugInvariantError(f"{test} test and set test disagree at position {run.pos[x]}")
+    if run.n <= debug.ORACLE_CHECK_MAX_N:
         _debug_check_partial(builder, adjacent, run.numbered_list, run.pos)
 
 
@@ -224,20 +204,20 @@ def _maybe_debug(builder, adjacent, run) -> None:
 # builders from a given ordering
 
 
-def clique_tree_from_peo(h: Graph, alpha: Ordering, *, verify: bool = True) -> CliqueTreeResult:
+def clique_tree_from_peo(h: Graph, alpha: Ordering) -> CliqueTreeResult:
     """Clique tree and minimal separators of a connected chordal graph from
     an arbitrary perfect elimination ordering.
 
     Walks positions n down to 1; the processed neighborhood S of each vertex
     either equals an existing node (the vertex joins it) or opens a new node
     hanging off the node of S's earliest vertex, recording S as a separator.
-    With verify on, a non-clique S (i.e. the ordering is not a peo, e.g. the
-    graph is not chordal) raises.
+    A non-clique S (i.e. the ordering is not a peo, e.g. the graph is not
+    chordal) raises.
     """
-    return _walk_ordering(h, alpha, verify, join_parent=True)
+    return _walk_ordering(h, alpha, join_parent=True)
 
 
-def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, validate: bool = False) -> CliqueTreeResult:
+def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, validate: bool = False) -> CliqueTreeResult:
     """Clique tree from a clique-completing peo (equivalently, a perfect
     moplex ordering): the simplified new-node test compares the processed
     neighborhood against the current node only. Cliques other than the
@@ -247,7 +227,7 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, vali
     maximal cliques and a mismatch raises (the ordering was not
     clique-completing); otherwise the precondition is trusted.
     """
-    result = _walk_ordering(h, alpha, verify, join_parent=False)
+    result = _walk_ordering(h, alpha, join_parent=False)
     if validate:
         from . import oracle
 
@@ -256,7 +236,7 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, verify: bool = True, vali
     return result
 
 
-def _walk_ordering(h: Graph, alpha: Ordering, verify: bool, join_parent: bool) -> CliqueTreeResult:
+def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeResult:
     """The walk of both builders above, positions n down to 1. Each vertex
     joins the current node, which with join_parent (an arbitrary peo) first
     moves to the node of the earliest vertex of the processed neighborhood
@@ -267,10 +247,12 @@ def _walk_ordering(h: Graph, alpha: Ordering, verify: bool, join_parent: bool) -
     builder = _TreeBuilder()
     numbered = [False] * h.n
     numbered_list: list[int] = []
+    checking = debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N
     for i in range(h.n, 0, -1):
         x = alpha.vertex_at(i)
         sep = frozenset(y for y in h.adj[x] if numbered[y])
-        if verify and not _follower_check(h.adjacent, sep, alpha.pos):
+        p = _anchor(sep, alpha.pos, x)
+        if len(sep - h.adj[p]) > 1:
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
@@ -279,11 +261,11 @@ def _walk_ordering(h: Graph, alpha: Ordering, verify: bool, join_parent: bool) -
                 # a peo of a connected graph never strands a vertex
                 raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
             if join_parent:
-                builder.at = builder.parent_of(sep, alpha.pos)
-        builder.step(x, sep, alpha.pos, builder.current() != sep)
+                builder.at = builder.clique_of[p]
+        builder.step(x, sep, p, builder.current() != sep)
         numbered[x] = True
         numbered_list.append(x)
-        if debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N:
+        if checking:
             _debug_check_partial(builder, h.adjacent, numbered_list, alpha.pos)
     return builder.result(alpha)
 
@@ -296,8 +278,6 @@ def mls_clique_tree(
     h: Graph,
     structure: LabelingStructure,
     tiebreak: TieBreak | None = None,
-    *,
-    verify: bool = True,
 ) -> CliqueTreeResult:
     """Run the moplex-refined label search and build the clique tree on the
     fly with the set-based new-node test. Works for every labeling structure
@@ -308,10 +288,10 @@ def mls_clique_tree(
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
-        if verify and not _follower_check(h.adjacent, sep, run.pos):
-            raise _not_chordal(h, x)
-        builder.step(x, sep, run.pos, builder.current() != sep)
-        _maybe_debug(builder, h.adjacent, run)
+        p = _anchor(sep, run.pos, x)
+        _follower_check(h, x, sep, p)
+        builder.step(x, sep, p, builder.current() != sep)
+        _maybe_debug(builder, h.adjacent, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -321,7 +301,6 @@ def dcl_mls_clique_tree(
     tiebreak: TieBreak | None = None,
     *,
     enforce_dcl: bool = True,
-    verify: bool = True,
 ) -> CliqueTreeResult:
     """Like mls_clique_tree but the new-node test is purely on labels: a new
     clique starts exactly when the chosen label does not exceed the previous
@@ -335,17 +314,13 @@ def dcl_mls_clique_tree(
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
     builder = _TreeBuilder()
-    for i, x in run.steps("greater"):
+    for _, x in run.steps("greater"):
         sep = frozenset(y for y in h.adj[x] if run.numbered[y])
-        if verify and not _follower_check(h.adjacent, sep, run.pos):
-            raise _not_chordal(h, x)
-        builder.step(x, sep, run.pos, run.boundary(x, Cmp.LESS))
-        if enforce_dcl and run.debug and builder.current() != sep | {x}:
-            raise DebugInvariantError(
-                f"label test and set test disagree at position {i}"
-            )
+        p = _anchor(sep, run.pos, x)
+        _follower_check(h, x, sep, p)
+        builder.step(x, sep, p, run.boundary(x, Cmp.LESS))
         if enforce_dcl:
-            _maybe_debug(builder, h.adjacent, run)
+            _maybe_debug(builder, h.adjacent, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -357,8 +332,6 @@ def complement_mls_clique_tree(
     g: Graph,
     structure: LabelingStructure,
     tiebreak: TieBreak | None = None,
-    *,
-    verify: bool = True,
 ) -> CliqueTreeResult:
     """Clique tree and minimal separators of the complement of g, computed by
     choosing label-minimal vertices (preferring a label equal to the previous
@@ -380,19 +353,16 @@ def complement_mls_clique_tree(
         if run.debug and i < g.n:
             _debug_equal_label_boundary(run, view, builder, x)
         sep = frozenset(v for v in run.numbered_list if view.adjacent(x, v))
-        if verify and not _follower_check(view.adjacent, sep, run.pos):
+        p = _anchor(sep, run.pos, x)
+        if not sep.isdisjoint(g.adj[p]):
             raise ComplementNotChordalError(
                 f"complement neighborhood of {g.names[x]!r} is not a complement clique"
             )
         new = run.boundary(x, Cmp.EQUAL)
         if new and not sep:
             raise ComplementNotChordalError("empty boundary separator mid-run")
-        builder.step(x, sep, run.pos, new)
-        if run.debug and builder.current() != sep | {x}:
-            raise DebugInvariantError(
-                f"equal-label test and set test disagree at position {i}"
-            )
-        _maybe_debug(builder, view.adjacent, run)
+        builder.step(x, sep, p, new)
+        _maybe_debug(builder, view.adjacent, run, x, sep, "equal-label")
     return builder.result(run.ordering(), run.trace)
 
 
@@ -488,15 +458,11 @@ def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
         numbered[x] = True
         alpha[i] = x
         sep = frozenset(y for y in adj[x] if numbered[y])
-        if sep:
-            p = follower[x]
-            # the follower check: sep - {p} inside N(p); p itself is never
-            # in adj[p], so exactly one vertex may remain
-            if len(sep - adj[p]) > 1:
-                raise _not_chordal(h, x)
-            if builder.current() != sep:
-                builder.open_clique(sep, builder.clique_of[p])
-        builder.add_vertex(x)
+        # the anchor of the step (see _anchor); for the first vertex sep is
+        # empty, so the check passes and the step opens nothing whatever p is
+        p = follower[x]
+        _follower_check(h, x, sep, p)
+        builder.step(x, sep, p, builder.current() != sep)
         touched = [y for y in adj[x] if not numbered[y]]
         for y in touched:
             follower[y] = x

@@ -12,11 +12,10 @@ separator is a clique in the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .cliquetree import CliqueTreeResult, _TreeBuilder, _maybe_debug
-from .errors import DebugInvariantError, InputMismatchError
-from .graph import Graph, Ordering, VertexSet, require_connected
+from .cliquetree import CliqueTreeResult, _anchor, _maybe_debug, _TreeBuilder
+from .errors import InputMismatchError
+from .graph import Graph, Ordering, VertexSet, is_clique_in, require_connected
 from .labeling import Cmp, LabelingStructure, require_dcl, require_ic
 from .search import LabelSearch, TieBreak, TriangulationResult
 
@@ -60,17 +59,6 @@ class AtomTreeResult:
         return self.atom(p) & self.atom(q)
 
 
-def is_clique_in(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff the vertices are pairwise adjacent in g (empty and singleton
-    sets count as cliques)."""
-    vs = list(vertices)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not g.adjacent(vs[a], vs[b]):
-                return False
-    return True
-
-
 def dcl_mlsm_clique_tree(
     g: Graph,
     structure: LabelingStructure,
@@ -86,12 +74,10 @@ def dcl_mlsm_clique_tree(
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
     overlay = run.overlay
     builder = _TreeBuilder()
-    for i, x in run.steps("greater"):
+    for _, x in run.steps("greater"):
         sep = frozenset(y for y in overlay[x] if run.numbered[y])
-        builder.step(x, sep, run.pos, run.boundary(x, Cmp.LESS))
-        if run.debug and builder.current() != sep | {x}:
-            raise DebugInvariantError(f"label test and set test disagree at position {i}")
-        _maybe_debug(builder, lambda a, b: b in overlay[a], run)
+        builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x, Cmp.LESS))
+        _maybe_debug(builder, lambda a, b: b in overlay[a], run, x, sep)
     tri = run.triangulation()
     return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
 
@@ -166,12 +152,13 @@ def dcl_atom_tree(
     history: list[int] = []
     for _, x in run.steps("greater"):
         sep = frozenset(y for y in run.overlay[x] if run.numbered[y])
+        p = _anchor(sep, run.pos, x)
         new = False
         if run.boundary(x, Cmp.LESS):
             new = is_clique_in(g, sep)
             if not new:
-                builder.at = builder.parent_of(sep, run.pos)
-        builder.step(x, sep, run.pos, new)
+                builder.at = builder.clique_of[p]
+        builder.step(x, sep, p, new)
         history.append(builder.at)
     return AtomTreeResult(
         atoms=tuple(frozenset(a) for a in builder.cliques),

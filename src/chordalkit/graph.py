@@ -110,9 +110,7 @@ def from_edge_list(pairs: Iterable[tuple[str, str]]) -> Graph:
 def from_vertices(names: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> Graph:
     """Build a graph from an explicit vertex list (allows isolated vertices)."""
     g = Graph(names, [])
-    index = {name: i for i, name in enumerate(names)}
-    edges = [(index[a], index[b]) for a, b in pairs]
-    return Graph(names, edges)
+    return Graph(names, [(g.index(a), g.index(b)) for a, b in pairs])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -228,6 +226,17 @@ def ordering_from_names(g: Graph | ComplementView, names: Sequence[str]) -> Orde
     if len(names) != g.n:
         raise ParseError(f"ordering names {len(names)} vertices, graph has {g.n}")
     return Ordering([g.index(name) for name in names])
+
+
+def is_clique_in(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff the vertices are pairwise adjacent in g (empty and singleton
+    sets count as cliques)."""
+    vs = list(vertices)
+    for a in range(len(vs)):
+        for b in range(a + 1, len(vs)):
+            if not g.adjacent(vs[a], vs[b]):
+                return False
+    return True
 
 
 def higher_neighborhood(

@@ -397,16 +397,24 @@ def check_complement_reversing(structure: LabelingStructure, n_max: int) -> Prop
     return None
 
 
+# property -> (bounded check, the structure's hard-coded Tri flag, error,
+# message when the flag says NO, the check's name when it fails)
+_GATES = {
+    "ic": (check_ic, "ic_known", IcViolationError,
+           "does not satisfy the inclusion condition", "inclusion-condition"),
+    "dcl": (check_dcl, "dcl_known", NonDclStructureError,
+            "cannot detect new cliques with labels", "clique-detection"),
+    "complement-reversing": (check_complement_reversing, "complement_reversing_known",
+                             NotComplementReversingError,
+                             "is not complement-reversing", "complement-reversing"),
+}
+
+
 def check_report(structure: LabelingStructure, prop: str, n_max: int) -> dict:
     """JSON report for a bounded property check: {property, bound, result, witness?}."""
-    checkers = {
-        "ic": check_ic,
-        "dcl": check_dcl,
-        "complement-reversing": check_complement_reversing,
-    }
-    if prop not in checkers:
+    if prop not in _GATES:
         raise ValueError(f"unknown property {prop!r}")
-    witness = checkers[prop](structure, n_max)
+    witness = _GATES[prop][0](structure, n_max)
     report = {
         "property": prop,
         "structure": structure.name,
@@ -418,57 +426,35 @@ def check_report(structure: LabelingStructure, prop: str, n_max: int) -> dict:
     return report
 
 
-def require_ic(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    """Gate for the search engine: built-ins pass on their flag, unknown
-    structures get one bounded exhaustive check (cached on the instance)."""
-    if structure.ic_known is Tri.YES:
+def _require(prop: str, structure: LabelingStructure, bound: int) -> None:
+    """Gate for the search engine: built-ins pass or fail on their flag,
+    unknown structures get one bounded exhaustive check of prop (cached on
+    the instance)."""
+    check, flag, error, known_no, noun = _GATES[prop]
+    known = getattr(structure, flag)
+    if known is Tri.YES:
         return
-    if structure.ic_known is Tri.NO:
-        raise IcViolationError(f"{structure.name} does not satisfy the inclusion condition")
-    cached = getattr(structure, "_ic_checked", None)
-    if cached is None:
-        cached = check_ic(structure, bound) is None
+    if known is Tri.NO:
+        raise error(f"{structure.name} {known_no}")
+    cache = f"_{flag}_checked"
+    passed = getattr(structure, cache, None)
+    if passed is None:
+        passed = check(structure, bound) is None
         try:
-            structure._ic_checked = cached  # type: ignore[attr-defined]
+            setattr(structure, cache, passed)
         except AttributeError:
             pass
-    if not cached:
-        raise IcViolationError(
-            f"{structure.name} failed the bounded inclusion-condition check (n_max={bound})"
-        )
+    if not passed:
+        raise error(f"{structure.name} failed the bounded {noun} check (n_max={bound})")
+
+
+def require_ic(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
+    _require("ic", structure, bound)
 
 
 def require_dcl(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    if structure.dcl_known is Tri.YES:
-        return
-    if structure.dcl_known is Tri.NO:
-        raise NonDclStructureError(f"{structure.name} cannot detect new cliques with labels")
-    cached = getattr(structure, "_dcl_checked", None)
-    if cached is None:
-        cached = check_dcl(structure, bound) is None
-        try:
-            structure._dcl_checked = cached  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-    if not cached:
-        raise NonDclStructureError(
-            f"{structure.name} failed the bounded clique-detection check (n_max={bound})"
-        )
+    _require("dcl", structure, bound)
 
 
 def require_complement_reversing(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    if structure.complement_reversing_known is Tri.YES:
-        return
-    if structure.complement_reversing_known is Tri.NO:
-        raise NotComplementReversingError(f"{structure.name} is not complement-reversing")
-    cached = getattr(structure, "_crev_checked", None)
-    if cached is None:
-        cached = check_complement_reversing(structure, bound) is None
-        try:
-            structure._crev_checked = cached  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-    if not cached:
-        raise NotComplementReversingError(
-            f"{structure.name} failed the bounded complement-reversing check (n_max={bound})"
-        )
+    _require("complement-reversing", structure, bound)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decomposition import is_clique_in
 from .errors import OracleCapError
 from .graph import (
     Graph,
@@ -19,6 +18,7 @@ from .graph import (
     VertexSet,
     higher_neighborhood,
     induced_subgraph,
+    is_clique_in,
     is_connected,
     materialize_complement,
 )

@@ -258,6 +258,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", files["c4"], str(result))
         assert code == 0 and out == "ok\n"
 
+    @pytest.mark.parametrize("text", [
+        "not json at all",
+        '{"cliques": [["a"]], "edges": [["x", "y"]], "separators": []}',
+        '{"cliques": [["a", "b"]], "separators": []}',
+    ], ids=["not-json", "non-integer-edge", "missing-edges"])
+    def test_malformed_result_json(self, files, tmp_path, capsys, text):
+        result = tmp_path / "bad.json"
+        result.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", files["fig1_h"], str(result))
+        assert code == 1 and out == ""
+        assert err.startswith("error: Parse: ") and err.count("\n") == 1
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

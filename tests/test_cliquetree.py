@@ -16,6 +16,7 @@ from chordalkit.cliquetree import (
 from chordalkit.errors import (
     ComplementDisconnectedError,
     ComplementNotChordalError,
+    DebugInvariantError,
     NonDclStructureError,
     NotAPeoError,
     NotChordalError,
@@ -143,6 +144,15 @@ class TestFromPmo:
         assert validate_clique_tree(g, t)  # invalid clique set
         with pytest.raises(NotMCCompError):
             clique_tree_from_pmo(g, beta, validate=True)
+
+    def test_fig1_beta_fails_the_armed_partial_tree_check(self, monkeypatch):
+        # beta opens a node that stops being maximal; the partial-tree check
+        # compares the nodes with the oracle after every step
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = graph("fig1_h")
+        beta = ordering_from_names(g, list("acdbef"))
+        with pytest.raises(DebugInvariantError, match="partial clique tree: node set differs"):
+            clique_tree_from_pmo(g, beta)
 
     def test_star_center_last(self):
         g = from_vertices(["c", "x", "y", "z"], [("c", "x"), ("c", "y"), ("c", "z")])

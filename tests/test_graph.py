@@ -62,6 +62,10 @@ class TestConstruction:
         with pytest.raises(ParseError):
             g.index("z")
 
+    def test_from_vertices_unknown_edge_end(self):
+        with pytest.raises(ParseError, match="'zz'"):
+            from_vertices(["a", "b"], [("a", "zz")])
+
 
 class TestEdgeListFormat:
     def test_comments_and_blanks(self):
