@@ -12,8 +12,10 @@ It then runs, each under the same 10 s budget: both clique trees of a star
 with n = 100,000 (the lowest-index tie-break must stay logarithmic in the
 size of a label class), the generic label-test clique tree with count labels
 on a chordal graph with n = 20,000 (selection through the structure's bucket
-queue), and the triangulating moplex search with count labels on a sparse
-random connected graph (n = 1,000, edge probability 6/n).
+queue), the generic set-test clique tree with lexdfs labels on the same graph
+(selection through the stack partition), and the triangulating moplex search
+with count labels on a sparse random connected graph (n = 1,000, edge
+probability 6/n).
 
 Usage: python scripts/bench_smoke.py [n] [mean-attach]
 """
@@ -21,9 +23,9 @@ Usage: python scripts/bench_smoke.py [n] [mean-attach]
 import sys
 import time
 
-from chordalkit.cliquetree import dcl_mls_clique_tree, fast_clique_tree
+from chordalkit.cliquetree import dcl_mls_clique_tree, fast_clique_tree, mls_clique_tree
 from chordalkit.graph import from_edge_list
-from chordalkit.labeling import mcs
+from chordalkit.labeling import lexdfs, mcs
 from chordalkit.oracle import GeneratorConfig, gen
 from chordalkit.search import moplex_mlsm
 
@@ -70,6 +72,11 @@ def main() -> int:
         lambda tree, dt: f"dcl_mls_clique_tree mcs: n={mid.n} m={mid.m}, {tree.size} cliques "
                          f"in {dt:.2f}s",
         dcl_mls_clique_tree, mid, mcs(),
+    )
+    ok &= timed(
+        lambda tree, dt: f"mls_clique_tree lexdfs: n={mid.n} m={mid.m}, {tree.size} cliques "
+                         f"in {dt:.2f}s",
+        mls_clique_tree, mid, lexdfs(),
     )
 
     sparse = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))

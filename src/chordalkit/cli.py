@@ -148,13 +148,13 @@ def _cmd_cliquetree(args) -> int:
     tb = _parse_tiebreak(args.tiebreak)
     if args.generators and (args.from_peo or args.mls or args.dcl):
         raise ParseError("--generators goes with --complement")
+    if args.generators and args.format == "dot":
+        raise ParseError("generators have no dot rendering; use --format json")
     violations: list[str] = []
 
     if args.generators or args.complement:
         if args.generators:
             res = complement_mls_generators(g, structure_by_token(args.structure), tb)
-            if args.format == "dot":
-                raise ParseError("generators have no dot rendering; use --format json")
             _emit(args, serialize.dumps(serialize.generators_json(g, res)))
             if args.validate:
                 violations = _validate_generators(g, args, res)
@@ -209,6 +209,10 @@ def _validate_generators(g: Graph, args, res) -> list[str]:
 def _cmd_triangulate(args) -> int:
     g = load_graph(args.input)
     tb = _parse_tiebreak(args.tiebreak)
+    if args.tree and (args.from_ordering or args.elim_game or args.basic):
+        raise ParseError("--tree is only available with the default --moplex mode")
+    if args.format == "dot" and not args.tree:
+        raise ParseError("dot output needs --tree")
     structure = structure_by_token(args.structure)
     tree = None
     minimal_expected = True
@@ -228,12 +232,8 @@ def _cmd_triangulate(args) -> int:
             tri, tree = res.triangulation, res.clique_tree
         else:
             tri, _ = moplex_mlsm(g, structure, tb)
-    if args.tree and tree is None:
-        raise ParseError("--tree is only available with the default --moplex mode")
 
     if args.format == "dot":
-        if tree is None:
-            raise ParseError("dot output needs --tree")
         _emit(args, serialize.clique_tree_dot(g, tree))
     else:
         _emit(args, serialize.dumps(serialize.triangulation_json(g, tri, tree)))

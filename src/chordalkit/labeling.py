@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import IcViolationError, NonDclStructureError, NotComplementReversingError
-from .selection import BucketQueue, OrderedPartition, SelectionQueue
+from .selection import BucketQueue, OrderedPartition, SelectionQueue, StackPartition
 
 Label = Any
 
@@ -78,10 +78,11 @@ class LabelingStructure:
         """Internal: the selection queue (chordalkit.selection) that the
         search reads instead of scanning the unnumbered labels, or None to
         scan. Each queue hard-codes the increase of one built-in structure,
-        so only mcs (bucket queue) and lexbfs (ordered partition) return
-        one. A lexdfs increase lifts the bumped vertices above all others
-        in the order of the blocks they came from, and MNS is a partial
-        order, so they scan."""
+        so only mcs (bucket queue), lexbfs (ordered partition, twins just
+        above their blocks) and lexdfs (stack partition: a lexdfs increase
+        lifts the bumped vertices above all others, in the order of the
+        blocks they came from, so twins go on top) return one. MNS is a
+        partial order, so it scans, as do custom structures."""
         return None
 
     def __repr__(self) -> str:
@@ -180,6 +181,9 @@ class _LexDfs(LabelingStructure):
 
     def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-x for x in label)
+
+    def _selection_queue(self, n: int, minimize: bool) -> StackPartition:
+        return StackPartition(n, minimize)
 
     def render(self, label) -> str:
         return _render_list(label)

@@ -13,15 +13,15 @@ additionally emit perfect moplex orderings; the triangulating variants emit
 minimal elimination / moplex orderings together with the filled graph.
 
 Costs: selection reads the structure's selection queue when it has one, a
-bucket queue for mcs and an ordered partition for lexbfs
-(``chordalkit.selection``): O(log n) amortized per step and per label
-increase, lowest-index ties included. The labels themselves are still
-stored: an mcs increase is O(1), but a lexbfs increase copies the tuple,
-O(|label|), so the increases of a search cost O(sum of deg(v)^2) with
-lexbfs. Every other structure (lexdfs, mns,
-custom ones) scans the unnumbered labels, O(n) comparisons per step. A
-lexdfs increase prepends, which lifts every bumped label above all others in
-the order of the blocks they came from, so neither queue fits it. The
+bucket queue for mcs, an ordered partition for lexbfs and a stack partition
+for lexdfs (``chordalkit.selection``): O(log n) amortized per step and per
+label increase, lowest-index ties included. A lexdfs increase prepends,
+which lifts every bumped label above all others in the order of the blocks
+they came from, so its twin blocks go on top. The labels themselves are
+still stored: an mcs increase is O(1), but a lexbfs or lexdfs increase
+copies the tuple, O(|label|), so the increases of a search cost
+O(sum of deg(v)^2) with them. MNS, a partial order, and custom structures
+scan the unnumbered labels, O(n) comparisons per step. The
 triangulating label increase runs one bottleneck (minimax) search from the
 chosen vertex for total structures, O((n + m) log n) label comparisons per
 step and O(n (n + m) log n) for the whole search, a log factor above MCS-M
@@ -194,8 +194,8 @@ class LabelSearch:
     under a partial order, the debug hooks, and the loop ``steps`` that
     every driver runs, adding its per-step rule as the loop body.
 
-    Selection reads the structure's selection queue when it has one (mcs
-    and lexbfs) and otherwise scans the unnumbered labels.
+    Selection reads the structure's selection queue when it has one (mcs,
+    lexbfs and lexdfs) and otherwise scans the unnumbered labels.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -326,11 +326,9 @@ class LabelSearch:
 
     def inc_plain(self, x: int, i: int) -> list[int]:
         """Increase the labels of the unnumbered neighbors of x in g."""
-        out = []
-        for y in sorted(self.g.neighbors(x)):
-            if not self.numbered[y]:
-                self._bump(y, i)
-                out.append(y)
+        numbered = self.numbered
+        out = [y for y in sorted(self.g.neighbors(x)) if not numbered[y]]
+        self._bump_all(out, i)
         return out
 
     def inc_targets(self, x: int, i: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -386,8 +384,7 @@ class LabelSearch:
                     heappush(heap, (d, z))
         targets.sort()
         fill = [(min(x, y), max(x, y)) for y in targets if y not in adj[x]]
-        for y in targets:
-            self._bump(y, i)
+        self._bump_all(targets, i)
         return targets, fill
 
     def _inc_targets_scan(self, x: int, i: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -420,22 +417,25 @@ class LabelSearch:
                 targets.append(y)
                 if not g.adjacent(x, y):
                     fill.append((min(x, y), max(x, y)))
-        for y in targets:
-            self._bump(y, i)
+        self._bump_all(targets, i)
         return targets, fill
 
-    def _bump(self, y: int, i: int) -> None:
-        old = self.labels[y]
-        new = self.structure.inc(old, i)
-        if self.debug:
-            r = self.structure.compare(old, new)
-            if r not in (Cmp.LESS, Cmp.EQUAL):
+    def _bump_all(self, ys: list[int], i: int) -> None:
+        """Increase the labels of ys at position i, then hand them to the
+        queue in one call."""
+        labels, inc = self.labels, self.structure.inc
+        for y in ys:
+            old = labels[y]
+            new = labels[y] = inc(old, i)
+            if self.debug and self.structure.compare(old, new) not in (Cmp.LESS, Cmp.EQUAL):
                 raise DebugInvariantError(
                     f"label of vertex {y} did not grow under inc at position {i}"
                 )
-        self.labels[y] = new
         if self.queue is not None:
-            self.queue.bump((y,), i)
+            self.queue.bump(ys, i)
+
+    def _bump(self, y: int, i: int) -> None:
+        self._bump_all([y], i)
 
     # -- results
 

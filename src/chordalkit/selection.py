@@ -2,11 +2,15 @@
 order as labels grow, so a search reads its extreme label class and that
 class's lowest index without comparing labels.
 
-Two built-in structures have one: count labels (mcs) use a bucket queue
-(Tarjan & Yannakakis 1984) and list labels (lexbfs) an ordered partition
-refined at each step (Rose, Tarjan & Lueker 1976). Both are driven by the
-same calls: ``remove`` when a vertex is numbered, ``bump`` when the labels
-of some vertices are increased at position i, and ``lowest`` (or
+Three built-in structures have one: count labels (mcs) use a bucket queue
+(Tarjan & Yannakakis 1984), list labels (lexbfs) an ordered partition
+refined at each step (Rose, Tarjan & Lueker 1976), and prepended list
+labels (lexdfs) the same partition with each step's twins stacked on top,
+since a lexdfs increase lifts every bumped label above all the others
+(Corneil & Krueger 2008). MNS labels are sets under inclusion, a partial
+order, so MNS and custom structures scan instead. All queues are driven by
+the same calls: ``remove`` when a vertex is numbered, ``bump`` when the
+labels of some vertices are increased at position i, and ``lowest`` (or
 ``extreme``) to select. With ``minimize`` they read the least class instead
 of the greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
@@ -130,7 +134,7 @@ class OrderedPartition:
             b = block_of[v]
             t = twins.get(b)
             if t is None:
-                t = twins[b] = self._twin(b)
+                t = twins[b] = self._new_block(b)
             old = members[b]
             old.discard(v)
             members[t].add(v)
@@ -138,23 +142,24 @@ class OrderedPartition:
             if not old:
                 self._unlink(b)
 
-    def _twin(self, b: int) -> int:
-        above = self.up[b]
+    def _new_block(self, below: int) -> int:
+        """A new empty block, linked just above ``below``."""
+        above = self.up[below]
         if self.free:
             t = self.free.pop()
             self.members[t] = set()
             self.order[t] = None
             self.cursor[t] = 0
             self.up[t] = above
-            self.down[t] = b
+            self.down[t] = below
         else:
             t = len(self.members)
             self.members.append(set())
             self.order.append(None)
             self.cursor.append(0)
             self.up.append(above)
-            self.down.append(b)
-        self.up[b] = t
+            self.down.append(below)
+        self.up[below] = t
         if above == -1:
             self.top = t
         else:
@@ -191,6 +196,75 @@ class OrderedPartition:
             c += 1
         self.cursor[b] = c
         return order[c]
+
+
+class StackPartition(OrderedPartition):
+    """Lexdfs labels: an ordered partition whose twins go on top.
+
+    Bumping y at position i prepends i to its label. Every live label holds
+    only positions above i, and lexdfs ranks a smaller leading position
+    higher, so each bumped label rises above every label not bumped at this
+    step, while two bumped labels keep their order. The twins of a step's
+    source blocks are therefore linked above the top block, in the order of
+    their sources. Blocks only ever enter at the top, so the block order is
+    creation order and a creation counter ranks the blocks. A step may bump
+    one vertex per call, so ``bump`` only gathers the vertices; the next
+    ``lowest`` or ``extreme`` groups them by block, sorts the k source
+    blocks by rank and places their twins, O(k log k). Removal, emptied
+    blocks and the lowest-index cursor are the ordered partition's."""
+
+    __slots__ = ("rank", "created", "pending")
+
+    def __init__(self, n: int, minimize: bool = False):
+        super().__init__(n, minimize)
+        self.rank = [0]  # by block id, parallel to members
+        self.created = 1
+        self.pending: list[int] = []
+
+    def bump(self, vs: Iterable[int], i: int) -> None:
+        self.pending.extend(vs)
+
+    def _new_block(self, below: int) -> int:
+        t = super()._new_block(below)
+        if t == len(self.rank):
+            self.rank.append(self.created)
+        else:
+            self.rank[t] = self.created
+        self.created += 1
+        return t
+
+    def _place(self) -> None:
+        """Move the gathered vertices into twins of their blocks, linked on
+        top in ascending rank of the source blocks."""
+        members, block_of = self.members, self.block_of
+        groups: dict[int, list[int]] = {}
+        for v in self.pending:
+            b = block_of[v]
+            if b in groups:
+                groups[b].append(v)
+            else:
+                groups[b] = [v]
+        self.pending.clear()
+        # sources are all ranked before the first twin reuses a freed id
+        for b in sorted(groups, key=self.rank.__getitem__):
+            t = self._new_block(self.top)
+            old, moved = members[b], groups[b]
+            old.difference_update(moved)
+            members[t].update(moved)
+            for v in moved:
+                block_of[v] = t
+            if not old:
+                self._unlink(b)
+
+    def extreme(self) -> set[int]:
+        if self.pending:
+            self._place()
+        return OrderedPartition.extreme(self)
+
+    def lowest(self) -> int:
+        if self.pending:
+            self._place()
+        return OrderedPartition.lowest(self)
 
 
 SelectionQueue = BucketQueue | OrderedPartition

@@ -282,3 +282,16 @@ def test_generic_label_test_builder_scale():
     assert tree.size == len(tree.tree_edges) + 1
     print(f"\n[scale] PASS: dcl_mls_clique_tree (count labels) on n={g.n}, m={g.m} "
           f"in {elapsed:.1f}s, under 10s")
+
+
+def test_lexdfs_search_scale():
+    # lexdfs selects through its stack partition; the label scan it replaced
+    # took more than 9 s at n = 4000
+    g = gen(GeneratorConfig(seed=42, n=20_000, param=8.0, family="random-chordal"))
+    start = time.perf_counter()
+    tree = mls_clique_tree(g, lexdfs())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"mls_clique_tree lexdfs took {elapsed:.1f}s"
+    assert tree.size == len(tree.tree_edges) + 1
+    print(f"\n[scale] PASS: mls_clique_tree (lexdfs) on n={g.n}, m={g.m} "
+          f"in {elapsed:.1f}s, under 10s")

@@ -306,6 +306,28 @@ class TestErrors:
         code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--mls", "--generators")
         assert code == 1
 
+    # flag combinations are rejected before the search, so an input the
+    # search would reject cannot hide the flag error
+    def test_generators_dot_rejected_before_the_search(self, files, capsys):
+        code, out, err = run(capsys, "cliquetree", files["c4"], "--complement", "--generators",
+                             "--format", "dot")
+        assert (code, out) == (1, "")
+        assert err == "error: Parse: generators have no dot rendering; use --format json\n"
+
+    def test_tree_outside_moplex_rejected_before_the_search(self, tmp_path, capsys):
+        p = tmp_path / "disc.txt"
+        p.write_text("a b\nc d\n", encoding="utf-8")
+        code, out, err = run(capsys, "triangulate", str(p), "--basic", "--tree")
+        assert (code, out) == (1, "")
+        assert err == "error: Parse: --tree is only available with the default --moplex mode\n"
+
+    def test_dot_without_tree_rejected_before_the_search(self, tmp_path, capsys):
+        p = tmp_path / "disc.txt"
+        p.write_text("a b\nc d\n", encoding="utf-8")
+        code, out, err = run(capsys, "triangulate", str(p), "--format", "dot")
+        assert (code, out) == (1, "")
+        assert err == "error: Parse: dot output needs --tree\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

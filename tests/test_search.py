@@ -26,7 +26,7 @@ from chordalkit.search import (
     moplex_mlsm,
     triangulation_from_ordering,
 )
-from chordalkit.selection import BucketQueue
+from chordalkit.selection import BucketQueue, OrderedPartition, StackPartition
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 TOTAL = [mcs, lexbfs, lexdfs]
@@ -431,9 +431,9 @@ _QUEUE_PRODUCTS = [
 
 
 class TestSelectionQueue:
-    """Queue-backed selection (mcs, lexbfs) against the label scan."""
+    """Queue-backed selection (mcs, lexbfs, lexdfs) against the label scan."""
 
-    @pytest.mark.parametrize("factory", [mcs, lexbfs], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", TOTAL, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("name,fn,kind,kwargs", _QUEUE_PRODUCTS, ids=[p[0] for p in _QUEUE_PRODUCTS])
     def test_matches_scan(self, factory, name, fn, kind, kwargs, monkeypatch):
         structure = factory()
@@ -460,13 +460,13 @@ class TestSelectionQueue:
 
         monkeypatch.setattr(LabelSearch, "_extreme_candidates", counted)
         g = graph("fig1_h")
-        for factory in (lexdfs, mns, _TupleCount):
+        for factory in (mns, _TupleCount):
             assert factory()._selection_queue(g.n, False) is None
             scans.clear()
             mls(g, factory())
             assert scans == [factory().name] * g.n
         scans.clear()
-        for factory in (mcs, lexbfs):
+        for factory in (mcs, lexbfs, lexdfs):
             mls(g, factory())
             moplex_mlsm(g, factory())
         assert scans == []
@@ -478,3 +478,13 @@ class TestSelectionQueue:
         monkeypatch.setattr(BucketQueue, "extreme", lambda self: {0})
         with pytest.raises(DebugInvariantError, match="selection queue"):
             mls(g, mcs())
+
+    def test_debug_cross_check_catches_unplaced_lexdfs_twins(self, monkeypatch):
+        # an extreme() that reads the partition before the step's bumped
+        # vertices reach their twins offers last step's top block
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = graph("fig1_h")
+        mls(g, lexdfs())
+        monkeypatch.setattr(StackPartition, "extreme", OrderedPartition.extreme)
+        with pytest.raises(DebugInvariantError, match="selection queue"):
+            mls(g, lexdfs())
