@@ -13,9 +13,10 @@ with n = 100,000 (the lowest-index tie-break must stay logarithmic in the
 size of a label class), the generic label-test clique tree with count labels
 on a chordal graph with n = 20,000 (selection through the structure's bucket
 queue), the generic set-test clique tree with lexdfs labels on the same graph
-(selection through the stack partition), and the triangulating moplex search
-with count labels on a sparse random connected graph (n = 1,000, edge
-probability 6/n).
+(selection through the stack partition), the generic set-test clique tree
+with mns labels on a chordal graph with n = 2,000 (selection through the
+inclusion partition), and the triangulating moplex search with count labels
+on a sparse random connected graph (n = 1,000, edge probability 6/n).
 
 Usage: python scripts/bench_smoke.py [n] [mean-attach]
 """
@@ -25,7 +26,7 @@ import time
 
 from chordalkit.cliquetree import dcl_mls_clique_tree, fast_clique_tree, mls_clique_tree
 from chordalkit.graph import from_edge_list
-from chordalkit.labeling import lexdfs, mcs
+from chordalkit.labeling import lexdfs, mcs, mns
 from chordalkit.oracle import GeneratorConfig, gen
 from chordalkit.search import moplex_mlsm
 
@@ -77,6 +78,13 @@ def main() -> int:
         lambda tree, dt: f"mls_clique_tree lexdfs: n={mid.n} m={mid.m}, {tree.size} cliques "
                          f"in {dt:.2f}s",
         mls_clique_tree, mid, lexdfs(),
+    )
+
+    small = gen(GeneratorConfig(seed=42, n=2_000, param=8.0, family="random-chordal"))
+    ok &= timed(
+        lambda tree, dt: f"mls_clique_tree mns: n={small.n} m={small.m}, {tree.size} cliques "
+                         f"in {dt:.2f}s",
+        mls_clique_tree, small, mns(),
     )
 
     sparse = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))

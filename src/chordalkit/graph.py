@@ -37,10 +37,10 @@ class Graph:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         m = 0
         for u, v in edges:
-            if u == v:
-                raise SelfLoopError(f"self-loop at {self.names[u]!r}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ParseError(f"edge ({u},{v}) out of range")
+            if u == v:
+                raise SelfLoopError(f"self-loop at {self.names[u]!r}")
             if v not in adj[u]:
                 adj[u].add(v)
                 adj[v].add(u)

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import IcViolationError, NonDclStructureError, NotComplementReversingError
-from .selection import BucketQueue, OrderedPartition, SelectionQueue, StackPartition
+from .selection import BucketQueue, InclusionPartition, OrderedPartition, SelectionQueue, StackPartition
 
 Label = Any
 
@@ -79,10 +79,13 @@ class LabelingStructure:
         search reads instead of scanning the unnumbered labels, or None to
         scan. Each queue hard-codes the increase of one built-in structure,
         so only mcs (bucket queue), lexbfs (ordered partition, twins just
-        above their blocks) and lexdfs (stack partition: a lexdfs increase
+        above their blocks), lexdfs (stack partition: a lexdfs increase
         lifts the bumped vertices above all others, in the order of the
-        blocks they came from, so twins go on top) return one. MNS is a
-        partial order, so it scans, as do custom structures."""
+        blocks they came from, so twins go on top) and mns (inclusion
+        partition: the lexbfs blocks are its equal-label classes, in an
+        order that extends inclusion, so one walk over the classes finds
+        the extreme ones, O(classes x extreme classes) mask tests per step)
+        return one. Custom structures scan."""
         return None
 
     def __repr__(self) -> str:
@@ -210,6 +213,9 @@ class _Mns(LabelingStructure):
         if a > b:
             return Cmp.GREATER
         return Cmp.INCOMPARABLE
+
+    def _selection_queue(self, n: int, minimize: bool) -> InclusionPartition:
+        return InclusionPartition(n, minimize)
 
     def render(self, label) -> str:
         return "{" + ",".join(str(x) for x in sorted(label)) + "}"

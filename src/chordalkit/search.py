@@ -13,15 +13,18 @@ additionally emit perfect moplex orderings; the triangulating variants emit
 minimal elimination / moplex orderings together with the filled graph.
 
 Costs: selection reads the structure's selection queue when it has one, a
-bucket queue for mcs, an ordered partition for lexbfs and a stack partition
-for lexdfs (``chordalkit.selection``): O(log n) amortized per step and per
+bucket queue for mcs, an ordered partition for lexbfs, a stack partition
+for lexdfs and an inclusion partition for mns (``chordalkit.selection``).
+For the three total orders that is O(log n) amortized per step and per
 label increase, lowest-index ties included. A lexdfs increase prepends,
 which lifts every bumped label above all others in the order of the blocks
-they came from, so its twin blocks go on top. The labels themselves are
+they came from, so its twin blocks go on top. MNS, a partial order, keeps
+one int bitmask per equal-label class and walks the classes once per step,
+O(classes x maximal classes) mask tests. The labels themselves are
 still stored: an mcs increase is O(1), but a lexbfs or lexdfs increase
 copies the tuple, O(|label|), so the increases of a search cost
-O(sum of deg(v)^2) with them. MNS, a partial order, and custom structures
-scan the unnumbered labels, O(n) comparisons per step. The
+O(sum of deg(v)^2) with them. Custom structures scan the unnumbered labels,
+O(n) comparisons per step. The
 triangulating label increase runs one bottleneck (minimax) search from the
 chosen vertex for total structures, O((n + m) log n) label comparisons per
 step and O(n (n + m) log n) for the whole search, a log factor above MCS-M
@@ -46,7 +49,7 @@ from .graph import (
 )
 from .labeling import Cmp, Label, LabelingStructure, require_ic
 from .rng import SplitMix64
-from .selection import SelectionQueue
+from .selection import InclusionPartition, SelectionQueue
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +69,9 @@ class _Picker:
         raise NotImplementedError
 
     def pick_queued(self, queue: SelectionQueue) -> int:
-        """Pick from a selection queue's extreme label class, which for a
-        total order is the whole candidate set."""
+        """Pick from a selection queue's extreme label class (for mns, the
+        union of its extreme classes narrowed by prefer): the whole
+        candidate set."""
         return self.pick(list(queue.extreme()))
 
 
@@ -195,7 +199,8 @@ class LabelSearch:
     every driver runs, adding its per-step rule as the loop body.
 
     Selection reads the structure's selection queue when it has one (mcs,
-    lexbfs and lexdfs) and otherwise scans the unnumbered labels.
+    lexbfs, lexdfs and mns; mns's queue also applies the ``prefer``
+    narrowing) and otherwise scans the unnumbered labels.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -240,6 +245,8 @@ class LabelSearch:
         along ``inc_targets``, adding its fill to the overlay, and records
         the trace entry. ``prev_label`` is the previous vertex's label
         throughout the body."""
+        if isinstance(self.queue, InclusionPartition):
+            self.queue.prefer = prefer
         for i in range(self.n, 0, -1):
             x = self.choose(i, prefer)
             self.assign(x, i)
@@ -294,9 +301,10 @@ class LabelSearch:
     def candidates(self, prefer: str | None = None) -> list[int]:
         """Extreme-label candidates, optionally narrowed to those comparing
         Greater than (or Equal to) the previous chosen label when that
-        narrowing leaves anything. This is the scan; queued structures are
-        total orders, so all their candidates carry one label, the narrowing
-        keeps them all, and the queue's extreme class is this same set."""
+        narrowing leaves anything. This is the scan. A queue offers this
+        same set: for a total order all candidates carry one label and the
+        narrowing keeps them all; the mns queue narrows its classes
+        itself."""
         cands = self._extreme_candidates()
         if prefer is not None:
             want = Cmp.GREATER if prefer == "greater" else Cmp.EQUAL

@@ -2,17 +2,20 @@
 order as labels grow, so a search reads its extreme label class and that
 class's lowest index without comparing labels.
 
-Three built-in structures have one: count labels (mcs) use a bucket queue
+Each built-in structure has one: count labels (mcs) use a bucket queue
 (Tarjan & Yannakakis 1984), list labels (lexbfs) an ordered partition
-refined at each step (Rose, Tarjan & Lueker 1976), and prepended list
-labels (lexdfs) the same partition with each step's twins stacked on top,
-since a lexdfs increase lifts every bumped label above all the others
-(Corneil & Krueger 2008). MNS labels are sets under inclusion, a partial
-order, so MNS and custom structures scan instead. All queues are driven by
-the same calls: ``remove`` when a vertex is numbered, ``bump`` when the
-labels of some vertices are increased at position i, and ``lowest`` (or
-``extreme``) to select. With ``minimize`` they read the least class instead
-of the greatest. The generic engine (through
+refined at each step (Rose, Tarjan & Lueker 1976), prepended list labels
+(lexdfs) the same partition with each step's twins stacked on top, since a
+lexdfs increase lifts every bumped label above all the others (Corneil &
+Krueger 2008), and set labels (mns) the lexbfs partition with an int
+bitmask per block. Set labels are a partial order, so the mns queue finds
+its maximal blocks by one walk over the blocks, O(blocks x maximal blocks)
+mask tests per step, and applies the search's ``prefer`` rule itself.
+Custom structures scan instead. All queues are driven by the same calls:
+``remove`` when a vertex is numbered, ``bump`` when the labels of some
+vertices are increased at position i, and ``lowest`` (or ``extreme``) to
+select. With ``minimize`` they read the least class instead of the
+greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
 """
 
@@ -186,7 +189,9 @@ class OrderedPartition:
 
     def lowest(self) -> int:
         """The lowest index in the extreme label class."""
-        b = self.bottom if self.minimize else self.top
+        return self._lowest_of(self.bottom if self.minimize else self.top)
+
+    def _lowest_of(self, b: int) -> int:
         members = self.members[b]
         order = self.order[b]
         if order is None:
@@ -265,6 +270,99 @@ class StackPartition(OrderedPartition):
         if self.pending:
             self._place()
         return OrderedPartition.lowest(self)
+
+
+class InclusionPartition(OrderedPartition):
+    """Set labels (mns): the ordered partition, with each block's label kept
+    as an int bitmask of its positions.
+
+    Two sets of positions are equal exactly when the list labels built from
+    them are, so the blocks are the equal-label classes of mns, and the
+    partition's order is a linear extension of inclusion (Rose, Tarjan &
+    Lueker 1976): every strict superset of a block's label lies above it.
+    A twin's mask is its source's mask plus bit i. Selection walks the
+    blocks once, from the top down (from the bottom up with ``minimize``),
+    and tests each block against the maximal (minimal) blocks found so far
+    with one int AND: if a block has a strict superset (subset), one of
+    them is maximal (minimal) and already found. ``prefer``, set by the
+    search, then keeps the found blocks whose label strictly contains
+    ("greater") or equals ("equal") the label of the last removed vertex,
+    when that leaves any. A step costs O(blocks x extreme blocks) mask
+    tests."""
+
+    __slots__ = ("mask", "prefer", "prev")
+
+    def __init__(self, n: int, minimize: bool = False):
+        super().__init__(n, minimize)
+        self.mask = [0]  # by block id, parallel to members
+        self.prefer: str | None = None
+        self.prev = 0  # the last removed vertex's mask
+
+    def remove(self, v: int) -> None:
+        self.prev = self.mask[self.block_of[v]]
+        super().remove(v)
+
+    def _new_block(self, below: int) -> int:
+        m = self.mask[below] | 1 << self.step
+        t = super()._new_block(below)
+        if t == len(self.mask):
+            self.mask.append(m)
+        else:
+            self.mask[t] = m
+        return t
+
+    def _extreme_classes(self) -> list[int]:
+        """The maximal blocks (minimal with minimize)."""
+        mask = self.mask
+        found: list[int] = []
+        kept: list[int] = []  # their masks
+        if self.minimize:
+            b, step = self.bottom, self.up
+            while b != -1:
+                m = mask[b]
+                for k in kept:
+                    if k & m == k:
+                        break
+                else:
+                    found.append(b)
+                    kept.append(m)
+                b = step[b]
+        else:
+            b, step = self.top, self.down
+            while b != -1:
+                m = mask[b]
+                for k in kept:
+                    if k & m == m:
+                        break
+                else:
+                    found.append(b)
+                    kept.append(m)
+                b = step[b]
+        return found
+
+    def _classes(self) -> list[int]:
+        """The extreme blocks, narrowed by ``prefer``."""
+        found = self._extreme_classes()
+        if self.prefer is not None:
+            mask, prev = self.mask, self.prev
+            if self.prefer == "greater":
+                narrowed = [b for b in found if mask[b] & prev == prev and mask[b] != prev]
+            else:
+                narrowed = [b for b in found if mask[b] == prev]
+            if narrowed:
+                return narrowed
+        return found
+
+    def extreme(self) -> set[int]:
+        """The union of the extreme label classes, narrowed by ``prefer``
+        (do not mutate)."""
+        classes = self._classes()
+        if len(classes) == 1:
+            return self.members[classes[0]]
+        return set().union(*(self.members[b] for b in classes))
+
+    def lowest(self) -> int:
+        return min(self._lowest_of(b) for b in self._classes())
 
 
 SelectionQueue = BucketQueue | OrderedPartition

@@ -295,3 +295,16 @@ def test_lexdfs_search_scale():
     assert tree.size == len(tree.tree_edges) + 1
     print(f"\n[scale] PASS: mls_clique_tree (lexdfs) on n={g.n}, m={g.m} "
           f"in {elapsed:.1f}s, under 10s")
+
+
+def test_mns_search_scale():
+    # mns selects through its inclusion partition, one mask walk over the
+    # label classes per step; the label scan it replaced took over 20 s here
+    g = gen(GeneratorConfig(seed=42, n=2000, param=8.0, family="random-chordal"))
+    start = time.perf_counter()
+    tree = mls_clique_tree(g, mns())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"mls_clique_tree mns took {elapsed:.1f}s"
+    assert tree.size == len(tree.tree_edges) + 1
+    print(f"\n[scale] PASS: mls_clique_tree (mns) on n={g.n}, m={g.m} "
+          f"in {elapsed:.1f}s, under 10s")

@@ -45,6 +45,17 @@ class TestConstruction:
         with pytest.raises(SelfLoopError):
             from_edge_list([("a", "a")])
 
+    @pytest.mark.parametrize("edge,error,message", [
+        ((1, 1), SelfLoopError, "self-loop at 'b'"),
+        ((5, 5), ParseError, r"edge \(5,5\) out of range"),
+        ((-1, -1), ParseError, r"edge \(-1,-1\) out of range"),
+    ], ids=["in-range", "past-end", "negative"])
+    def test_loop_range_checked_first(self, edge, error, message):
+        # no IndexError past the end, no loop at a wrapped negative index
+        with pytest.raises(error, match=message) as caught:
+            Graph(["a", "b"], [edge])
+        assert type(caught.value) is error
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             from_edge_list([])

@@ -26,7 +26,7 @@ from chordalkit.search import (
     moplex_mlsm,
     triangulation_from_ordering,
 )
-from chordalkit.selection import BucketQueue, OrderedPartition, StackPartition
+from chordalkit.selection import BucketQueue, InclusionPartition, OrderedPartition, StackPartition
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 TOTAL = [mcs, lexbfs, lexdfs]
@@ -431,9 +431,10 @@ _QUEUE_PRODUCTS = [
 
 
 class TestSelectionQueue:
-    """Queue-backed selection (mcs, lexbfs, lexdfs) against the label scan."""
+    """Queue-backed selection (mcs, lexbfs, lexdfs, mns) against the label
+    scan; for mns the products with a prefer rule also cover its narrowing."""
 
-    @pytest.mark.parametrize("factory", TOTAL, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("name,fn,kind,kwargs", _QUEUE_PRODUCTS, ids=[p[0] for p in _QUEUE_PRODUCTS])
     def test_matches_scan(self, factory, name, fn, kind, kwargs, monkeypatch):
         structure = factory()
@@ -460,13 +461,11 @@ class TestSelectionQueue:
 
         monkeypatch.setattr(LabelSearch, "_extreme_candidates", counted)
         g = graph("fig1_h")
-        for factory in (mns, _TupleCount):
-            assert factory()._selection_queue(g.n, False) is None
-            scans.clear()
-            mls(g, factory())
-            assert scans == [factory().name] * g.n
+        assert _TupleCount()._selection_queue(g.n, False) is None
+        mls(g, _TupleCount())
+        assert scans == [_TupleCount().name] * g.n
         scans.clear()
-        for factory in (mcs, lexbfs, lexdfs):
+        for factory in (mcs, lexbfs, lexdfs, mns):
             mls(g, factory())
             moplex_mlsm(g, factory())
         assert scans == []
@@ -488,3 +487,21 @@ class TestSelectionQueue:
         monkeypatch.setattr(StackPartition, "extreme", OrderedPartition.extreme)
         with pytest.raises(DebugInvariantError, match="selection queue"):
             mls(g, lexdfs())
+
+    def test_debug_cross_check_catches_a_bad_mns_queue(self, monkeypatch):
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = graph("fig3_g")
+        mls(g, mns())
+        with monkeypatch.context() as m:
+            # fig3_g has two incomparable maximal labels at position 4
+            m.setattr(InclusionPartition, "extreme", lambda self: self.members[self.top])
+            with pytest.raises(DebugInvariantError, match="selection queue"):
+                mls(g, mns())
+        # after a, b: the labels {5} of c, d and {4} of e are maximal, and
+        # after c only d's {5, 3} strictly contains c's {5}
+        g = from_edge_list([("a", "b"), ("a", "c"), ("a", "d"), ("b", "e"), ("c", "d")])
+        moplex_mls(g, mns())
+        unnarrowed = lambda self: set().union(*(self.members[b] for b in self._extreme_classes()))
+        monkeypatch.setattr(InclusionPartition, "extreme", unnarrowed)
+        with pytest.raises(DebugInvariantError, match="selection queue"):
+            moplex_mls(g, mns())
