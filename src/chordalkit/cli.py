@@ -296,11 +296,23 @@ def _read_result(g: Graph, path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
 
+    def listed(value, kind, what, length=None):
+        # a JSON string or object would iterate as names; a bool is no int
+        if (not isinstance(value, list) or length not in (None, len(value))
+                or not all(type(x) is kind for x in value)):
+            raise TypeError(f"expected a list of {what}, got {json.dumps(value)}")
+        return value
+
     def to_sets(lists):
-        return tuple(frozenset(g.index(name) for name in names) for names in lists)
+        return tuple(frozenset(g.index(name) for name in listed(names, str, "vertex names"))
+                     for names in listed(lists, list, "lists"))
+
+    def to_edges(pairs):
+        return tuple(tuple(listed(pair, int, "two integers", 2)) for pair in listed(pairs, list, "lists"))
 
     if "clique_tree" in data:  # triangulate --tree output: validate against the filled graph
-        fill = [(g.index(a), g.index(b)) for a, b in data.get("fill_edges", [])]
+        fill = [tuple(g.index(name) for name in listed(pair, str, "two vertex names", 2))
+                for pair in listed(data.get("fill_edges", []), list, "lists")]
         host = add_edges(g, fill)
         data = data["clique_tree"]
     else:
@@ -309,14 +321,14 @@ def _read_result(g: Graph, path: str):
     if "atoms" in data:
         t = SimpleNamespace(
             atoms=to_sets(data["atoms"]),
-            tree_edges=tuple((int(p), int(q)) for p, q in data["edges"]),
+            tree_edges=to_edges(data["edges"]),
             clique_separators=frozenset(to_sets(data["clique_separators"])),
         )
         return host, t
     if "cliques" in data:
         t = SimpleNamespace(
             cliques=to_sets(data["cliques"]),
-            tree_edges=tuple((int(p), int(q)) for p, q in data["edges"]),
+            tree_edges=to_edges(data["edges"]),
             separators=frozenset(to_sets(data["separators"])),
         )
         return host, t

@@ -42,9 +42,9 @@ from .labeling import (
     require_complement_reversing,
     require_dcl,
     require_ic,
+    structure_by_token,
 )
 from .search import LabelSearch, SearchTrace, TieBreak
-from .selection import BucketQueue, OrderedPartition, SelectionQueue
 
 
 @dataclass(frozen=True)
@@ -430,19 +430,14 @@ def extract_generators(result: CliqueTreeResult) -> GeneratorsResult:
 def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
     """Clique tree for 'mcs' or 'lexbfs' with lowest-index tie-breaking in
     O((n + m) log n), without the engine's labels, trace, tie-break
-    policies or debug hooks. Selection goes through the engine's queues
-    (``chordalkit.selection``: a bucket queue for count labels, an ordered
-    partition for list labels), so inputs with large label classes, such
-    as stars, stay near-linear; the follower check and the set test for a
-    new clique cost O(|sep|) per step. Produces the same result as
-    ``dcl_mls_clique_tree`` with the matching structure, whose label test
-    opens a clique exactly when this set test does."""
-    if token == "mcs":
-        queue: SelectionQueue = BucketQueue(h.n)
-    elif token == "lexbfs":
-        queue = OrderedPartition(h.n)
-    else:
+    policies or debug hooks. Selection goes through the engine's queue for
+    the structure (``chordalkit.selection``); the follower check and the
+    set test for a new clique cost O(|sep|) per step. Produces the same
+    result as ``dcl_mls_clique_tree`` with the matching structure, whose
+    label test opens a clique exactly when this set test does."""
+    if token not in ("mcs", "lexbfs"):
         raise ValueError("fast path supports 'mcs' and 'lexbfs' only")
+    queue = structure_by_token(token)._selection_queue(h.n, False)
     require_connected(h)
     n = h.n
     adj = h.adj

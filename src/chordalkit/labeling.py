@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import IcViolationError, NonDclStructureError, NotComplementReversingError
-from .selection import BucketQueue, InclusionPartition, OrderedPartition, SelectionQueue, StackPartition
+from .selection import BucketQueue, InclusionPartition, OrderedPartition, StackPartition
 
 Label = Any
 
@@ -74,18 +74,11 @@ class LabelingStructure:
         native ints or tuples, which compare much faster."""
         return cmp_to_key(lambda a, b: _SIGN[self.compare(a, b)])(label)
 
-    def _selection_queue(self, n: int, minimize: bool) -> SelectionQueue | None:
-        """Internal: the selection queue (chordalkit.selection) that the
-        search reads instead of scanning the unnumbered labels, or None to
-        scan. Each queue hard-codes the increase of one built-in structure,
-        so only mcs (bucket queue), lexbfs (ordered partition, twins just
-        above their blocks), lexdfs (stack partition: a lexdfs increase
-        lifts the bumped vertices above all others, in the order of the
-        blocks they came from, so twins go on top) and mns (inclusion
-        partition: the lexbfs blocks are its equal-label classes, in an
-        order that extends inclusion, so one walk over the classes finds
-        the extreme ones, O(classes x extreme classes) mask tests per step)
-        return one. Custom structures scan."""
+    def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
+        """Internal: the selection queue that the search reads instead of
+        scanning the unnumbered labels, or None to scan; each queue
+        hard-codes one built-in structure's increase (see
+        ``chordalkit.selection``), so custom structures scan."""
         return None
 
     def __repr__(self) -> str:

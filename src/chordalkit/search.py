@@ -12,23 +12,16 @@ the plain searches emit perfect elimination orderings; the moplex variants
 additionally emit perfect moplex orderings; the triangulating variants emit
 minimal elimination / moplex orderings together with the filled graph.
 
-Costs: selection reads the structure's selection queue when it has one, a
-bucket queue for mcs, an ordered partition for lexbfs, a stack partition
-for lexdfs and an inclusion partition for mns (``chordalkit.selection``).
-For the three total orders that is O(log n) amortized per step and per
-label increase, lowest-index ties included. A lexdfs increase prepends,
-which lifts every bumped label above all others in the order of the blocks
-they came from, so its twin blocks go on top. MNS, a partial order, keeps
-one int bitmask per equal-label class and walks the classes once per step,
-O(classes x maximal classes) mask tests. The labels themselves are
-still stored: an mcs increase is O(1), but a lexbfs or lexdfs increase
-copies the tuple, O(|label|), so the increases of a search cost
-O(sum of deg(v)^2) with them. Custom structures scan the unnumbered labels,
-O(n) comparisons per step. The
-triangulating label increase runs one bottleneck (minimax) search from the
-chosen vertex for total structures, O((n + m) log n) label comparisons per
-step and O(n (n + m) log n) for the whole search, a log factor above MCS-M
-and LEX M; partial orders (MNS) keep one search per candidate target,
+Costs: the four built-in structures select through their selection queues,
+whose design and costs ``chordalkit.selection`` states. The labels
+themselves are still stored: an mcs increase is O(1), but a lexbfs or
+lexdfs increase copies the tuple, O(|label|), so the increases of a search
+cost O(sum of deg(v)^2) with them. Custom structures scan the unnumbered
+labels, O(n) comparisons per step. The triangulating label increase runs
+one bottleneck (minimax) search from the chosen vertex for total
+structures, O((n + m) log n) label comparisons per step and
+O(n (n + m) log n) for the whole search, a log factor above MCS-M and
+LEX M; partial orders (MNS) keep one search per candidate target,
 O(n (n + m)) per step.
 """
 
@@ -49,7 +42,7 @@ from .graph import (
 )
 from .labeling import Cmp, Label, LabelingStructure, require_ic
 from .rng import SplitMix64
-from .selection import InclusionPartition, SelectionQueue
+from .selection import OrderedPartition
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +61,7 @@ class _Picker:
     def pick(self, candidates: list[int]) -> int:
         raise NotImplementedError
 
-    def pick_queued(self, queue: SelectionQueue) -> int:
+    def pick_queued(self, queue: OrderedPartition) -> int:
         """Pick from a selection queue's extreme label class (for mns, the
         union of its extreme classes narrowed by prefer): the whole
         candidate set."""
@@ -198,9 +191,8 @@ class LabelSearch:
     under a partial order, the debug hooks, and the loop ``steps`` that
     every driver runs, adding its per-step rule as the loop body.
 
-    Selection reads the structure's selection queue when it has one (mcs,
-    lexbfs, lexdfs and mns; mns's queue also applies the ``prefer``
-    narrowing) and otherwise scans the unnumbered labels.
+    Selection reads the structure's selection queue when it has one
+    (``chordalkit.selection``) and otherwise scans the unnumbered labels.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -225,7 +217,7 @@ class LabelSearch:
         n = g.n
         self.n = n
         self.labels: list[Label] = [structure.initial() for _ in range(n)]
-        self.queue: SelectionQueue | None = structure._selection_queue(n, minimize)
+        self.queue: OrderedPartition | None = structure._selection_queue(n, minimize)
         self.numbered = [False] * n
         self.numbered_list: list[int] = []  # in pick order (positions n..1)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
@@ -245,7 +237,7 @@ class LabelSearch:
         along ``inc_targets``, adding its fill to the overlay, and records
         the trace entry. ``prev_label`` is the previous vertex's label
         throughout the body."""
-        if isinstance(self.queue, InclusionPartition):
+        if self.queue is not None:
             self.queue.prefer = prefer
         for i in range(self.n, 0, -1):
             x = self.choose(i, prefer)

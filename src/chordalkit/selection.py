@@ -2,19 +2,23 @@
 order as labels grow, so a search reads its extreme label class and that
 class's lowest index without comparing labels.
 
-Each built-in structure has one: count labels (mcs) use a bucket queue
-(Tarjan & Yannakakis 1984), list labels (lexbfs) an ordered partition
-refined at each step (Rose, Tarjan & Lueker 1976), prepended list labels
-(lexdfs) the same partition with each step's twins stacked on top, since a
+Every built-in structure has one, and all four are one ordered partition:
+blocks of equal labels, linked in label order, each finding its lowest
+index with a lazy min-heap (Habib, McConnell, Paul & Viennot 2000). Count
+labels (mcs) keep one block per count in use, the buckets of Tarjan &
+Yannakakis (1984); list labels (lexbfs) refine the partition at each step,
+each bumped block's twin linked just above it (Rose, Tarjan & Lueker 1976);
+prepended list labels (lexdfs) stack each step's twins on top, since a
 lexdfs increase lifts every bumped label above all the others (Corneil &
-Krueger 2008), and set labels (mns) the lexbfs partition with an int
-bitmask per block. Set labels are a partial order, so the mns queue finds
-its maximal blocks by one walk over the blocks, O(blocks x maximal blocks)
-mask tests per step, and applies the search's ``prefer`` rule itself.
-Custom structures scan instead. All queues are driven by the same calls:
-``remove`` when a vertex is numbered, ``bump`` when the labels of some
-vertices are increased at position i, and ``lowest`` (or ``extreme``) to
-select. With ``minimize`` they read the least class instead of the
+Krueger 2008); and set labels (mns) keep the lexbfs partition with an int
+bitmask per block. For the three total orders selection and label increase
+cost O(log n) amortized. Set labels are a partial order, so the mns queue
+finds its maximal blocks by one walk over the blocks, O(blocks x maximal
+blocks) mask tests per step, and applies the search's ``prefer`` rule
+itself. Custom structures scan instead. All queues are driven by the same
+calls: ``remove`` when a vertex is numbered, ``bump`` when the labels of
+some vertices are increased at position i, and ``lowest`` (or ``extreme``)
+to select. With ``minimize`` they read the least class instead of the
 greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
 """
@@ -25,101 +29,40 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 
-class BucketQueue:
-    """Count labels: bucket k holds the unnumbered vertices labeled k.
-
-    ``label`` is read by callers; bump ignores the position. A bump moves a
-    vertex up one bucket, so no vertex ever re-enters a bucket it left. Each
-    bucket therefore finds its lowest index with a lazy min-heap that every
-    arrival is pushed onto: an entry is live iff its vertex is still in the
-    bucket's set. Selection costs O(log n) amortized per step and label
-    increase."""
-
-    __slots__ = ("label", "members", "heaps", "top", "bottom", "minimize")
-
-    def __init__(self, n: int, minimize: bool = False):
-        self.label = [0] * n
-        self.members: list[set[int]] = [set(range(n))]
-        self.heaps: list[list[int]] = [list(range(n))]  # sorted, so a heap
-        self.top = 0
-        self.bottom = 0
-        self.minimize = minimize
-
-    def remove(self, v: int) -> None:
-        self.members[self.label[v]].discard(v)
-
-    def bump(self, vs: Iterable[int], i: int) -> None:
-        label, members, heaps = self.label, self.members, self.heaps
-        top = self.top
-        for v in vs:
-            k = label[v]
-            members[k].discard(v)
-            k += 1
-            label[v] = k
-            if k == len(members):
-                members.append({v})
-                heaps.append([v])
-            else:
-                members[k].add(v)
-                heappush(heaps[k], v)
-            if k > top:
-                top = k
-        self.top = top
-
-    def extreme(self) -> set[int]:
-        """The extreme label class (do not mutate)."""
-        return self.members[self.label[self.lowest()]]
-
-    def lowest(self) -> int:
-        """The lowest index in the extreme label class."""
-        # vertices only move up, so the least non-empty bucket never moves
-        # down; the greatest moves up only through bump, which raises top
-        members = self.members
-        if self.minimize:
-            k = self.bottom
-            while not members[k]:
-                k += 1
-            self.bottom = k
-        else:
-            k = self.top
-            while not members[k]:
-                k -= 1
-            self.top = k
-        bucket, heap = members[k], self.heaps[k]
-        while heap[0] not in bucket:
-            heappop(heap)
-        return heap[0]
-
-
 class OrderedPartition:
     """List labels: blocks of equal labels, linked in label order.
 
-    Bumping y at position i moves it into a twin of its block, linked just
-    above that block: every live label holds only positions above i, so
-    label + (i,) is the immediate successor of label among them. A block
-    gains members only during the step that created it, so its lowest index
-    comes from its members sorted once, at its first query, and a cursor
-    that skips the members that have left. Block ids index flat lists and
-    emptied ids are reused, so no object cycles are built and the lists
-    stay at most as long as the most blocks alive at once. Selection and
-    label increase cost O(log n) amortized."""
+    Bumping y at position i moves it into the block ``_target`` names for
+    its block, cached for the step in ``twins``. Here that is a twin linked
+    just above the block: every live label holds only positions above i, so
+    label + (i,) is the immediate successor of label among them. No vertex
+    ever re-enters a block it left, so each block finds its lowest index
+    with a lazy min-heap that every arrival is pushed onto: an entry is
+    live iff its vertex is still in the block. Block ids index flat lists
+    and emptied ids are reused, so no object cycles are built and the lists
+    stay at most as long as the most blocks alive at once. ``prefer`` is
+    set by the search; only the mns queue reads it. Selection and label
+    increase cost O(log n) amortized."""
 
-    __slots__ = ("members", "up", "down", "order", "cursor", "block_of", "top", "bottom",
-                 "minimize", "free", "twins", "step")
+    __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
+                 "minimize", "free", "twins", "step", "prefer")
 
     def __init__(self, n: int, minimize: bool = False):
         self.members: list[set[int]] = [set(range(n))]
+        self.heaps: list[list[int] | None] = [list(range(n))]  # sorted, so a heap
         self.up = [-1]  # next greater block, -1 above the greatest
         self.down = [-1]  # next smaller block, -1 below the least
-        self.order: list[list[int] | None] = [None]
-        self.cursor = [0]
         self.block_of = [0] * n
         self.top = 0
         self.bottom = 0
         self.minimize = minimize
         self.free: list[int] = []
-        self.twins: dict[int, int] = {}  # block -> its twin at this step
+        # block -> its target at this step. A block freed during the step
+        # keeps its entry, unread: a vertex is bumped at most once a step,
+        # and a reused id holds only vertices bumped already
+        self.twins: dict[int, int] = {}
         self.step = 0
+        self.prefer: str | None = None
 
     def remove(self, v: int) -> None:
         b = self.block_of[v]
@@ -132,18 +75,23 @@ class OrderedPartition:
         if i != self.step:
             self.step = i
             self.twins.clear()
-        members, block_of, twins = self.members, self.block_of, self.twins
+        members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
         for v in vs:
             b = block_of[v]
             t = twins.get(b)
             if t is None:
-                t = twins[b] = self._new_block(b)
+                t = twins[b] = self._target(b)
             old = members[b]
             old.discard(v)
             members[t].add(v)
+            heappush(heaps[t], v)
             block_of[v] = t
             if not old:
                 self._unlink(b)
+
+    def _target(self, b: int) -> int:
+        """The block that b's bumped vertices move to at this step."""
+        return self._new_block(b)
 
     def _new_block(self, below: int) -> int:
         """A new empty block, linked just above ``below``."""
@@ -151,15 +99,13 @@ class OrderedPartition:
         if self.free:
             t = self.free.pop()
             self.members[t] = set()
-            self.order[t] = None
-            self.cursor[t] = 0
+            self.heaps[t] = []
             self.up[t] = above
             self.down[t] = below
         else:
             t = len(self.members)
             self.members.append(set())
-            self.order.append(None)
-            self.cursor.append(0)
+            self.heaps.append([])
             self.up.append(above)
             self.down.append(below)
         self.up[below] = t
@@ -179,8 +125,7 @@ class OrderedPartition:
             self.top = below
         else:
             self.down[above] = below
-        self.order[b] = None
-        self.twins.pop(b, None)
+        self.heaps[b] = None
         self.free.append(b)
 
     def extreme(self) -> set[int]:
@@ -192,15 +137,37 @@ class OrderedPartition:
         return self._lowest_of(self.bottom if self.minimize else self.top)
 
     def _lowest_of(self, b: int) -> int:
-        members = self.members[b]
-        order = self.order[b]
-        if order is None:
-            order = self.order[b] = sorted(members)
-        c = self.cursor[b]
-        while order[c] not in members:
-            c += 1
-        self.cursor[b] = c
-        return order[c]
+        members, heap = self.members[b], self.heaps[b]
+        while heap[0] not in members:
+            heappop(heap)
+        return heap[0]
+
+
+class BucketQueue(OrderedPartition):
+    """Count labels (mcs): the ordered partition with one block per count
+    in use, linked in count order, so its blocks are the buckets of Tarjan
+    & Yannakakis (1984). A bumped vertex moves to the block just above its
+    own when that block counts one more, and otherwise to a new block
+    linked between the two. A block may gain members over many steps; the
+    lazy heaps need only that no vertex comes back to a block it left."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, n: int, minimize: bool = False):
+        super().__init__(n, minimize)
+        self.count = [0]  # by block id, parallel to members
+
+    def _target(self, b: int) -> int:
+        above, count = self.up[b], self.count
+        c = count[b] + 1
+        if above != -1 and count[above] == c:
+            return above
+        t = self._new_block(b)
+        if t == len(count):
+            count.append(c)
+        else:
+            count[t] = c
+        return t
 
 
 class StackPartition(OrderedPartition):
@@ -216,7 +183,8 @@ class StackPartition(OrderedPartition):
     one vertex per call, so ``bump`` only gathers the vertices; the next
     ``lowest`` or ``extreme`` groups them by block, sorts the k source
     blocks by rank and places their twins, O(k log k). Removal, emptied
-    blocks and the lowest-index cursor are the ordered partition's."""
+    blocks and the lazy heaps are the ordered partition's; a twin's heap is
+    seeded with its members sorted."""
 
     __slots__ = ("rank", "created", "pending")
 
@@ -241,7 +209,7 @@ class StackPartition(OrderedPartition):
     def _place(self) -> None:
         """Move the gathered vertices into twins of their blocks, linked on
         top in ascending rank of the source blocks."""
-        members, block_of = self.members, self.block_of
+        members, heaps, block_of = self.members, self.heaps, self.block_of
         groups: dict[int, list[int]] = {}
         for v in self.pending:
             b = block_of[v]
@@ -256,6 +224,7 @@ class StackPartition(OrderedPartition):
             old, moved = members[b], groups[b]
             old.difference_update(moved)
             members[t].update(moved)
+            heaps[t] = sorted(moved)
             for v in moved:
                 block_of[v] = t
             if not old:
@@ -290,12 +259,11 @@ class InclusionPartition(OrderedPartition):
     when that leaves any. A step costs O(blocks x extreme blocks) mask
     tests."""
 
-    __slots__ = ("mask", "prefer", "prev")
+    __slots__ = ("mask", "prev")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
         self.mask = [0]  # by block id, parallel to members
-        self.prefer: str | None = None
         self.prev = 0  # the last removed vertex's mask
 
     def remove(self, v: int) -> None:
@@ -363,6 +331,3 @@ class InclusionPartition(OrderedPartition):
 
     def lowest(self) -> int:
         return min(self._lowest_of(b) for b in self._classes())
-
-
-SelectionQueue = BucketQueue | OrderedPartition

@@ -262,7 +262,9 @@ class TestCheck:
         "not json at all",
         '{"cliques": [["a"]], "edges": [["x", "y"]], "separators": []}',
         '{"cliques": [["a", "b"]], "separators": []}',
-    ], ids=["not-json", "non-integer-edge", "missing-edges"])
+        '{"cliques": ["ab"], "edges": [], "separators": []}',
+        '{"cliques": [["a", "b"], ["b", "c"]], "edges": [[1.7, 2]], "separators": [["b"]]}',
+    ], ids=["not-json", "non-integer-edge", "missing-edges", "string-as-names", "float-edge-end"])
     def test_malformed_result_json(self, files, tmp_path, capsys, text):
         result = tmp_path / "bad.json"
         result.write_text(text, encoding="utf-8")
