@@ -15,8 +15,10 @@ on a chordal graph with n = 20,000 (selection through the structure's bucket
 queue), the generic set-test clique tree with lexdfs labels on the same graph
 (selection through the stack partition), the generic set-test clique tree
 with mns labels on a chordal graph with n = 2,000 (selection through the
-inclusion partition), and the triangulating moplex search with count labels
-on a sparse random connected graph (n = 1,000, edge probability 6/n).
+inclusion partition), the moplex search with mns labels on a chordal graph
+with n = 8,000 (the same partition, narrowed to the step's twins), and the
+triangulating moplex search with count labels on a sparse random connected
+graph (n = 1,000, edge probability 6/n).
 
 Usage: python scripts/bench_smoke.py [n] [mean-attach]
 """
@@ -28,7 +30,7 @@ from chordalkit.cliquetree import dcl_mls_clique_tree, fast_clique_tree, mls_cli
 from chordalkit.graph import from_edge_list
 from chordalkit.labeling import lexdfs, mcs, mns
 from chordalkit.oracle import GeneratorConfig, gen
-from chordalkit.search import moplex_mlsm
+from chordalkit.search import moplex_mls, moplex_mlsm
 
 
 BUDGET_S = 10.0
@@ -85,6 +87,12 @@ def main() -> int:
         lambda tree, dt: f"mls_clique_tree mns: n={small.n} m={small.m}, {tree.size} cliques "
                          f"in {dt:.2f}s",
         mls_clique_tree, small, mns(),
+    )
+
+    chordal8 = gen(GeneratorConfig(seed=42, n=8_000, param=8.0, family="random-chordal"))
+    ok &= timed(
+        lambda res, dt: f"moplex_mls mns: n={chordal8.n} m={chordal8.m} in {dt:.2f}s",
+        moplex_mls, chordal8, mns(),
     )
 
     sparse = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))

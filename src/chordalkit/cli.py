@@ -51,10 +51,13 @@ def _parse_tiebreak(spec: str):
     if spec == "lowest":
         return LowestIndex()
     if spec.startswith("seed:"):
-        try:
-            return SeededRandom(int(spec[5:]))
-        except ValueError:
-            raise ParseError(f"bad seed in tie-break spec {spec!r}") from None
+        digits = spec[5:]
+        value = digits.lstrip("0") or "0"
+        # a u64 in ASCII digits: int() alone would also take a sign,
+        # underscores, other scripts' digits and any length
+        if digits.isascii() and digits.isdigit() and len(value) <= 20 and int(value) < 1 << 64:
+            return SeededRandom(int(value))
+        raise ParseError(f"bad seed in tie-break spec {spec!r}")
     if spec.startswith("script:"):
         names = [t for t in spec[7:].split(",") if t]
         if not names:

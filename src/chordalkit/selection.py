@@ -13,19 +13,20 @@ lexdfs increase lifts every bumped label above all the others (Corneil &
 Krueger 2008); and set labels (mns) keep the lexbfs partition with an int
 bitmask per block. For the three total orders selection and label increase
 cost O(log n) amortized. Set labels are a partial order, so the mns queue
-finds its maximal blocks by one walk over the blocks, O(blocks x maximal
-blocks) mask tests per step, and applies the search's ``prefer`` rule
-itself. Custom structures scan instead. All queues are driven by the same
-calls: ``remove`` when a vertex is numbered, ``bump`` when the labels of
-some vertices are increased at position i, and ``lowest`` (or ``extreme``)
-to select. With ``minimize`` they read the least class instead of the
-greatest. The generic engine (through
+keeps its maximal blocks between steps, each other block holding a witness
+that dominates it: a step costs O(twins) mask tests, plus O(maximal
+blocks) per block whose witness empties. It applies the search's
+``prefer`` rule itself. Custom structures scan instead. All queues are
+driven by the same calls: ``remove`` when a vertex is numbered, ``bump``
+when the labels of some vertices are increased at position i, and
+``lowest`` (or ``extreme``) to select. With ``minimize`` they read the
+least class instead of the greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Iterable
 
 
@@ -45,7 +46,7 @@ class OrderedPartition:
     increase cost O(log n) amortized."""
 
     __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
-                 "minimize", "free", "twins", "step", "prefer")
+                 "minimize", "free", "freed", "twins", "step", "prefer")
 
     def __init__(self, n: int, minimize: bool = False):
         self.members: list[set[int]] = [set(range(n))]
@@ -57,9 +58,10 @@ class OrderedPartition:
         self.bottom = 0
         self.minimize = minimize
         self.free: list[int] = []
+        self.freed = self.free  # where emptied ids go; the mns queue holds them back
         # block -> its target at this step. A block freed during the step
-        # keeps its entry, unread: a vertex is bumped at most once a step,
-        # and a reused id holds only vertices bumped already
+        # keeps its entry, unread by bump: a vertex is bumped at most once a
+        # step, and a reused id holds only vertices bumped already
         self.twins: dict[int, int] = {}
         self.step = 0
         self.prefer: str | None = None
@@ -126,7 +128,7 @@ class OrderedPartition:
         else:
             self.down[above] = below
         self.heaps[b] = None
-        self.free.append(b)
+        self.freed.append(b)
 
     def extreme(self) -> set[int]:
         """The extreme label class (do not mutate)."""
@@ -241,33 +243,66 @@ class StackPartition(OrderedPartition):
         return OrderedPartition.lowest(self)
 
 
+class _Witnessed(set):
+    """The blocks that one block, its owner, witnesses."""
+
+    __slots__ = ("owner",)
+
+
 class InclusionPartition(OrderedPartition):
     """Set labels (mns): the ordered partition, with each block's label kept
-    as an int bitmask of its positions.
+    as an int bitmask of its positions and its extreme blocks (maximal, or
+    minimal with ``minimize``) kept between steps.
 
-    Two sets of positions are equal exactly when the list labels built from
-    them are, so the blocks are the equal-label classes of mns, and the
-    partition's order is a linear extension of inclusion (Rose, Tarjan &
-    Lueker 1976): every strict superset of a block's label lies above it.
-    A twin's mask is its source's mask plus bit i. Selection walks the
-    blocks once, from the top down (from the bottom up with ``minimize``),
-    and tests each block against the maximal (minimal) blocks found so far
-    with one int AND: if a block has a strict superset (subset), one of
-    them is maximal (minimal) and already found. ``prefer``, set by the
-    search, then keeps the found blocks whose label strictly contains
-    ("greater") or equals ("equal") the label of the last removed vertex,
-    when that leaves any. A step costs O(blocks x extreme blocks) mask
-    tests."""
+    Equal position sets are equal list labels, so the blocks are the
+    equal-label classes of mns and no two live blocks share a mask. A
+    twin's mask is its source's plus bit i, which no other block holds, so
+    a twin never dominates an older block, and dominates a twin exactly
+    when its source dominates that twin's source. Each live non-extreme
+    block keeps a witness, a live block that strictly dominates it. The
+    next query settles the step:
 
-    __slots__ = ("mask", "prev")
+    - the twin of an extreme source is extreme, unless (minimizing) the
+      source survives and witnesses it; maximizing, a surviving extreme
+      source leaves the extreme set, witnessed by its twin;
+    - another twin is witnessed by the twin of its source's witness or
+      (minimizing) by that witness, else tested against the step's
+      extreme twins (all extreme blocks, minimizing);
+    - an emptied block hands the blocks it witnesses to its twin
+      (maximizing) or its own witness, else they are re-tested against the
+      extreme set, in popcount order (descending when maximizing) so that
+      dominators are settled first.
+
+    Emptied ids are reused only after the step is settled. ``lowest`` reads
+    a lazy heap of (lowest index, block) over the extreme set; an entry
+    whose vertex has left moves up to the block's new lowest, as no vertex
+    enters an older block. ``prefer`` keeps the extreme blocks whose label
+    strictly contains ("greater") or equals ("equal") the last removed
+    vertex's, when that leaves any; maximizing, only the step's extreme
+    twins can strictly contain the block it left. A step costs O(twins)
+    mask tests, plus O(extreme blocks) per block re-tested."""
+
+    __slots__ = ("mask", "prev", "last", "ext", "order", "entered", "held", "home",
+                 "grown", "dirty")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
+        self.freed = []  # this step's emptied blocks
         self.mask = [0]  # by block id, parallel to members
         self.prev = 0  # the last removed vertex's mask
+        self.last = 0  # and its block
+        self.ext = {0: 0}  # extreme block -> its mask
+        self.order: list[tuple[int, int]] = []  # the lazy heap
+        self.entered = [0]  # extreme blocks not yet pushed on the heap
+        # by block id: the blocks it witnesses; if not extreme, the set holding it
+        self.held: list[_Witnessed | None] = [None]
+        self.home: list[_Witnessed | None] = [None]
+        self.grown: dict[int, int] = {}  # this step's extreme twins -> mask
+        self.dirty = False
 
     def remove(self, v: int) -> None:
-        self.prev = self.mask[self.block_of[v]]
+        b = self.block_of[v]
+        self.prev, self.last, self.dirty = self.mask[b], b, True
         super().remove(v)
 
     def _new_block(self, below: int) -> int:
@@ -275,59 +310,131 @@ class InclusionPartition(OrderedPartition):
         t = super()._new_block(below)
         if t == len(self.mask):
             self.mask.append(m)
+            self.held.append(None)
+            self.home.append(None)
         else:
             self.mask[t] = m
         return t
 
+    def _witness(self, b: int, w: int) -> None:
+        """Record that w strictly dominates b."""
+        s = self.held[w]
+        if s is None:
+            s = self.held[w] = _Witnessed()
+            s.owner = w
+        s.add(b)
+        self.home[b] = s
+
+    def _give(self, w: _Witnessed, t: int) -> None:
+        """Hand the blocks in w to t, relinking the smaller of w and t's own."""
+        into = self.held[t]
+        if into is None or len(into) < len(w):
+            w, into = into, w  # type: ignore[assignment]
+            into.owner, self.held[t] = t, into
+        if w:
+            for b in w:
+                self.home[b] = into
+            into |= w
+
+    def _settle(self) -> None:
+        """Apply the step's removal and bumps by the rules above."""
+        self.dirty = False
+        mask, members, ext, minimize = self.mask, self.members, self.ext, self.minimize
+        held, home, entered, grown = self.held, self.home, self.entered, {}
+        fresh = self.twins  # this step's source -> twin, cleared once read
+        tested: list[int] = []
+        orphans: list[int] = []
+        # emptied blocks leave ext only in the loop after this one
+        for s, t in fresh.items():
+            if minimize and members[s]:
+                self._witness(t, s)
+            elif s in ext:
+                ext[t] = grown[t] = mask[t]
+                entered.append(t)
+                if members[s]:
+                    del ext[s]
+                    self._witness(s, t)
+            else:
+                w = home[s].owner  # type: ignore[union-attr]
+                if minimize and members[w]:
+                    self._witness(t, w)
+                elif w in fresh:
+                    self._witness(t, fresh[w])
+                else:
+                    (orphans if minimize else tested).append(t)
+        for d in self.freed:
+            h = home[d] if ext.pop(d, None) is None else None
+            if h is not None:
+                h.discard(d)
+            w, held[d] = held[d], None
+            if not w:
+                continue
+            if not minimize and d in fresh:
+                self._give(w, fresh[d])
+            elif h is not None and members[h.owner]:
+                self._give(w, h.owner)
+            else:
+                orphans += w
+        for pool, group in ((grown, tested), (ext, orphans)):
+            group = [b for b in group if members[b]]
+            group.sort(key=lambda b: mask[b].bit_count(), reverse=not minimize)
+            for b in group:
+                m = mask[b]
+                for e, k in reversed(pool.items()):  # newest first
+                    if k & m == (k if minimize else m):
+                        self._witness(b, e)
+                        break
+                else:
+                    ext[b] = pool[b] = m
+                    entered.append(b)
+        if len(entered) > len(ext):  # rebuilding the heap costs less
+            self.order.clear()
+            entered[:] = ext
+        self.grown = grown
+        self.free += self.freed
+        self.freed.clear()
+        fresh.clear()
+
+    def _narrowed(self) -> list[int]:
+        """The extreme blocks that ``prefer`` keeps."""
+        if self.dirty:
+            self._settle()
+        mask, prev = self.mask, self.prev
+        if self.prefer == "equal":
+            return [self.last] if self.last in self.ext and mask[self.last] == prev else []
+        if self.prefer == "greater":
+            pool = self.ext if self.minimize else self.grown
+            return [b for b in pool if mask[b] & prev == prev and mask[b] != prev]
+        return []
+
     def _extreme_classes(self) -> list[int]:
         """The maximal blocks (minimal with minimize)."""
-        mask = self.mask
-        found: list[int] = []
-        kept: list[int] = []  # their masks
-        if self.minimize:
-            b, step = self.bottom, self.up
-            while b != -1:
-                m = mask[b]
-                for k in kept:
-                    if k & m == k:
-                        break
-                else:
-                    found.append(b)
-                    kept.append(m)
-                b = step[b]
-        else:
-            b, step = self.top, self.down
-            while b != -1:
-                m = mask[b]
-                for k in kept:
-                    if k & m == m:
-                        break
-                else:
-                    found.append(b)
-                    kept.append(m)
-                b = step[b]
-        return found
-
-    def _classes(self) -> list[int]:
-        """The extreme blocks, narrowed by ``prefer``."""
-        found = self._extreme_classes()
-        if self.prefer is not None:
-            mask, prev = self.mask, self.prev
-            if self.prefer == "greater":
-                narrowed = [b for b in found if mask[b] & prev == prev and mask[b] != prev]
-            else:
-                narrowed = [b for b in found if mask[b] == prev]
-            if narrowed:
-                return narrowed
-        return found
+        if self.dirty:
+            self._settle()
+        return list(self.ext)
 
     def extreme(self) -> set[int]:
         """The union of the extreme label classes, narrowed by ``prefer``
         (do not mutate)."""
-        classes = self._classes()
+        classes = self._narrowed() or self._extreme_classes()
         if len(classes) == 1:
             return self.members[classes[0]]
         return set().union(*(self.members[b] for b in classes))
 
     def lowest(self) -> int:
-        return min(self._lowest_of(b) for b in self._classes())
+        narrowed = self._narrowed()
+        if narrowed:
+            return min(map(self._lowest_of, narrowed))
+        order, ext, members = self.order, self.ext, self.members
+        for b in self.entered:
+            if b in ext:
+                heappush(order, (self._lowest_of(b), b))
+        self.entered.clear()
+        while True:
+            v, b = order[0]
+            if b not in ext:
+                heappop(order)
+            elif v in members[b]:
+                return v
+            else:  # v has left b: b's entry moves up to its new lowest
+                heapreplace(order, (self._lowest_of(b), b))

@@ -31,6 +31,7 @@ from chordalkit.oracle import (
     is_chordal,
     is_mccomp_peo,
     is_minimal_triangulation,
+    is_peo,
     is_pmo,
     minimal_separators,
     validate_clique_tree,
@@ -298,8 +299,8 @@ def test_lexdfs_search_scale():
 
 
 def test_mns_search_scale():
-    # mns selects through its inclusion partition, one mask walk over the
-    # label classes per step; the label scan it replaced took over 20 s here
+    # mns selects through its inclusion partition, which keeps its maximal
+    # label classes between steps; the label scan it replaced took over 20 s here
     g = gen(GeneratorConfig(seed=42, n=2000, param=8.0, family="random-chordal"))
     start = time.perf_counter()
     tree = mls_clique_tree(g, mns())
@@ -307,4 +308,17 @@ def test_mns_search_scale():
     assert elapsed < 10.0, f"mls_clique_tree mns took {elapsed:.1f}s"
     assert tree.size == len(tree.tree_edges) + 1
     print(f"\n[scale] PASS: mls_clique_tree (mns) on n={g.n}, m={g.m} "
+          f"in {elapsed:.1f}s, under 10s")
+
+
+def test_mns_moplex_search_scale():
+    # the moplex rule narrows the kept maximal classes to the step's twins;
+    # a per-step walk over the label classes took 5.7 s at n = 4,000
+    g = gen(GeneratorConfig(seed=42, n=8000, param=8.0, family="random-chordal"))
+    start = time.perf_counter()
+    alpha, _ = moplex_mls(g, mns())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"moplex_mls mns took {elapsed:.1f}s"
+    assert is_peo(g, alpha)
+    print(f"\n[scale] PASS: moplex_mls (mns) on n={g.n}, m={g.m} "
           f"in {elapsed:.1f}s, under 10s")

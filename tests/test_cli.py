@@ -294,6 +294,23 @@ class TestErrors:
         code, _, err = run(capsys, "cliquetree", str(p))
         assert code == 1 and "SelfLoop" in err
 
+    # seeds are u64 in plain ASCII digits; int() would take a sign or
+    # underscores, and the generator would wrap a value past 2**64 - 1
+    def test_negative_seed(self, files, capsys):
+        code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "seed:-1")
+        assert code == 1 and "bad seed" in err
+
+    def test_seed_past_u64(self, files, capsys):
+        for seed in ("18446744073709551616", "9" * 5000):
+            code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "seed:" + seed)
+            assert code == 1 and "bad seed" in err
+        code, out, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "seed:18446744073709551615")
+        assert code == 0 and out, err
+
+    def test_seed_with_underscore(self, files, capsys):
+        code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "seed:1_0")
+        assert code == 1 and "bad seed" in err
+
     def test_script_unknown_vertex(self, files, capsys):
         code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "script:z,y")
         assert code == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import chordal_corpus, cochordal_corpus, connected_corpus
@@ -505,3 +507,53 @@ class TestSelectionQueue:
         monkeypatch.setattr(InclusionPartition, "extreme", unnarrowed)
         with pytest.raises(DebugInvariantError, match="selection queue"):
             moplex_mls(g, mns())
+
+    def test_inclusion_partition_matches_brute_force(self):
+        # the engine's protocol on random set labels: select, remove the
+        # pick, then bump some vertices at position i in one call, one call
+        # per vertex or two calls; a step may bump nothing, or whole classes
+        for minimize in (False, True):
+            for seed in range(100):
+                rng = random.Random(seed)
+                n = rng.randint(1, 40)
+                prefer = rng.choice([None, "equal"] + ([] if minimize else ["greater"]))
+                q = InclusionPartition(n, minimize)
+                q.prefer = prefer
+                label, live, prev = [0] * n, set(range(n)), 0
+                for i in range(n, 0, -1):
+                    masks = {label[v] for v in live}
+                    if minimize:
+                        extreme = {m for m in masks if not any(k & m == k != m for k in masks)}
+                    else:
+                        extreme = {m for m in masks if not any(k & m == m != k for k in masks)}
+                    keep = {m for m in extreme if (m & prev == prev != m if prefer == "greater" else m == prev)}
+                    want = {v for v in live if label[v] in (keep if prefer and keep else extreme)}
+                    checks = [
+                        lambda: sorted(q.mask[b] for b in q._extreme_classes()) == sorted(extreme),
+                        lambda: set(q.extreme()) == want,
+                        lambda: q.lowest() == min(want),
+                    ]
+                    rng.shuffle(checks)
+                    assert all(check() for check in checks), (minimize, seed, i)
+                    x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
+                    q.remove(x)
+                    live.discard(x)
+                    prev = label[x]
+                    if rng.random() < 0.3:
+                        picked = {m for m in masks if rng.random() < 0.5}
+                        ys = [v for v in sorted(live) if label[v] in picked]
+                    else:
+                        p = rng.choice([0.0, 0.2, 0.5, 0.9])
+                        ys = [v for v in sorted(live) if rng.random() < p]
+                    for y in ys:
+                        label[y] |= 1 << i
+                    mode = rng.randrange(3)
+                    if mode == 0:
+                        q.bump(ys, i)
+                    elif mode == 1:
+                        for y in ys:
+                            q.bump([y], i)
+                    else:
+                        cut = rng.randint(0, len(ys))
+                        q.bump(ys[:cut], i)
+                        q.bump(ys[cut:], i)
