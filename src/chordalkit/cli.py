@@ -29,9 +29,10 @@ from .cliquetree import (
     mls_clique_tree,
 )
 from .decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
-from .errors import ChordalkitError, ParseError
+from .errors import ChordalkitError, ComplementNotChordalError, ParseError
 from .graph import (
     Graph,
+    Ordering,
     add_edges,
     higher_neighborhood,
     load_graph,
@@ -158,6 +159,7 @@ def _cmd_cliquetree(args) -> int:
     if args.generators or args.complement:
         if args.generators:
             res = complement_mls_generators(g, structure_by_token(args.structure), tb)
+            _require_complement_peo(g, res.ordering)
             _emit(args, serialize.dumps(serialize.generators_json(g, res)))
             if args.validate:
                 violations = _validate_generators(g, args, res)
@@ -182,6 +184,27 @@ def _cmd_cliquetree(args) -> int:
     if args.validate:
         violations = oracle.validate_clique_tree(host, t)
     return _validation_exit(violations)
+
+
+def _require_complement_peo(g: Graph, alpha: Ordering) -> None:
+    """Raise ComplementNotChordal unless alpha is a perfect elimination
+    ordering of g's complement: the follower test of Tarjan & Yannakakis
+    (1984), read on g's edges in O(n + m). The follower p of x is x's first
+    later complement neighbor, and x's other later complement neighbors
+    must be complement neighbors of p, i.e. p's later neighbors in g must
+    all be neighbors of x."""
+    pos, seq, adj = alpha.pos, alpha.seq, g.adj
+    later = [[u for u in adj[v] if pos[u] > pos[v]] for v in range(g.n)]
+    for x in range(g.n):
+        j = pos[x]  # seq[j] sits just after x; the scan skips only neighbors
+        while j < g.n and seq[j] in adj[x]:
+            j += 1
+        if j < g.n:
+            lp = later[seq[j]]
+            if len(lp) > len(adj[x]) or not adj[x].issuperset(lp):
+                raise ComplementNotChordalError(
+                    f"later complement neighborhood of {g.names[x]!r} is not a complement clique"
+                )
 
 
 def _validate_generators(g: Graph, args, res) -> list[str]:

@@ -392,8 +392,9 @@ def complement_mls_generators(
     """Generators of the complement's maximal cliques and minimal separators
     w.r.t. the computed ordering, using edges of g only (the near-linear
     path: no complement adjacency is ever queried). Chordality of the
-    complement is a trusted precondition here; run the tree builder or the
-    oracle validators when it needs checking."""
+    complement is a trusted precondition here; the CLI checks it on the
+    result's ordering in O(n + m) (``cli._require_complement_peo``), and the
+    tree builder and the oracle validators check it too."""
     if not complement_is_connected(g):
         raise ComplementDisconnectedError("complement of the input graph is not connected")
     require_ic(structure)

@@ -22,6 +22,12 @@ when the labels of some vertices are increased at position i, and
 ``lowest`` (or ``extreme``) to select. With ``minimize`` they read the
 least class instead of the greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
+
+Refinement creates blocks and never revives them, so block ids count up in
+creation order and are never reused. An emptied block is unlinked and its
+state released (member set and heap, and the mns mask), so the per-block
+lists keep one small entry per block ever created: at most one per label
+increase, O(n + m + fill) over a search.
 """
 
 from __future__ import annotations
@@ -39,17 +45,16 @@ class OrderedPartition:
     label + (i,) is the immediate successor of label among them. No vertex
     ever re-enters a block it left, so each block finds its lowest index
     with a lazy min-heap that every arrival is pushed onto: an entry is
-    live iff its vertex is still in the block. Block ids index flat lists
-    and emptied ids are reused, so no object cycles are built and the lists
-    stay at most as long as the most blocks alive at once. ``prefer`` is
-    set by the search; only the mns queue reads it. Selection and label
-    increase cost O(log n) amortized."""
+    live iff its vertex is still in the block. Block ids index flat lists,
+    so no object cycles are built. ``prefer`` is set by the search; only
+    the mns queue reads it. Selection and label increase cost O(log n)
+    amortized."""
 
     __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
-                 "minimize", "free", "freed", "twins", "step", "prefer")
+                 "minimize", "twins", "step", "prefer")
 
     def __init__(self, n: int, minimize: bool = False):
-        self.members: list[set[int]] = [set(range(n))]
+        self.members: list[set[int] | None] = [set(range(n))]
         self.heaps: list[list[int] | None] = [list(range(n))]  # sorted, so a heap
         self.up = [-1]  # next greater block, -1 above the greatest
         self.down = [-1]  # next smaller block, -1 below the least
@@ -57,12 +62,7 @@ class OrderedPartition:
         self.top = 0
         self.bottom = 0
         self.minimize = minimize
-        self.free: list[int] = []
-        self.freed = self.free  # where emptied ids go; the mns queue holds them back
-        # block -> its target at this step. A block freed during the step
-        # keeps its entry, unread by bump: a vertex is bumped at most once a
-        # step, and a reused id holds only vertices bumped already
-        self.twins: dict[int, int] = {}
+        self.twins: dict[int, int] = {}  # block -> its target at this step
         self.step = 0
         self.prefer: str | None = None
 
@@ -97,19 +97,11 @@ class OrderedPartition:
 
     def _new_block(self, below: int) -> int:
         """A new empty block, linked just above ``below``."""
-        above = self.up[below]
-        if self.free:
-            t = self.free.pop()
-            self.members[t] = set()
-            self.heaps[t] = []
-            self.up[t] = above
-            self.down[t] = below
-        else:
-            t = len(self.members)
-            self.members.append(set())
-            self.heaps.append([])
-            self.up.append(above)
-            self.down.append(below)
+        t, above = len(self.members), self.up[below]
+        self.members.append(set())
+        self.heaps.append([])
+        self.up.append(above)
+        self.down.append(below)
         self.up[below] = t
         if above == -1:
             self.top = t
@@ -127,8 +119,7 @@ class OrderedPartition:
             self.top = below
         else:
             self.down[above] = below
-        self.heaps[b] = None
-        self.freed.append(b)
+        self.members[b] = self.heaps[b] = None
 
     def extreme(self) -> set[int]:
         """The extreme label class (do not mutate)."""
@@ -164,12 +155,8 @@ class BucketQueue(OrderedPartition):
         c = count[b] + 1
         if above != -1 and count[above] == c:
             return above
-        t = self._new_block(b)
-        if t == len(count):
-            count.append(c)
-        else:
-            count[t] = c
-        return t
+        count.append(c)
+        return self._new_block(b)
 
 
 class StackPartition(OrderedPartition):
@@ -181,36 +168,25 @@ class StackPartition(OrderedPartition):
     step, while two bumped labels keep their order. The twins of a step's
     source blocks are therefore linked above the top block, in the order of
     their sources. Blocks only ever enter at the top, so the block order is
-    creation order and a creation counter ranks the blocks. A step may bump
-    one vertex per call, so ``bump`` only gathers the vertices; the next
-    ``lowest`` or ``extreme`` groups them by block, sorts the k source
-    blocks by rank and places their twins, O(k log k). Removal, emptied
-    blocks and the lazy heaps are the ordered partition's; a twin's heap is
-    seeded with its members sorted."""
+    creation order, which is id order. A step may bump one vertex per call,
+    so ``bump`` only gathers the vertices; the next ``lowest`` or
+    ``extreme`` groups them by block, sorts the k source blocks by id and
+    places their twins, O(k log k). Removal, emptied blocks and the lazy
+    heaps are the ordered partition's; a twin's heap is seeded with its
+    members sorted."""
 
-    __slots__ = ("rank", "created", "pending")
+    __slots__ = ("pending",)
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
-        self.rank = [0]  # by block id, parallel to members
-        self.created = 1
         self.pending: list[int] = []
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         self.pending.extend(vs)
 
-    def _new_block(self, below: int) -> int:
-        t = super()._new_block(below)
-        if t == len(self.rank):
-            self.rank.append(self.created)
-        else:
-            self.rank[t] = self.created
-        self.created += 1
-        return t
-
     def _place(self) -> None:
         """Move the gathered vertices into twins of their blocks, linked on
-        top in ascending rank of the source blocks."""
+        top in ascending order of the source blocks."""
         members, heaps, block_of = self.members, self.heaps, self.block_of
         groups: dict[int, list[int]] = {}
         for v in self.pending:
@@ -220,8 +196,7 @@ class StackPartition(OrderedPartition):
             else:
                 groups[b] = [v]
         self.pending.clear()
-        # sources are all ranked before the first twin reuses a freed id
-        for b in sorted(groups, key=self.rank.__getitem__):
+        for b in sorted(groups):
             t = self._new_block(self.top)
             old, moved = members[b], groups[b]
             old.difference_update(moved)
@@ -273,21 +248,19 @@ class InclusionPartition(OrderedPartition):
       extreme set, in popcount order (descending when maximizing) so that
       dominators are settled first.
 
-    Emptied ids are reused only after the step is settled. ``lowest`` reads
-    a lazy heap of (lowest index, block) over the extreme set; an entry
-    whose vertex has left moves up to the block's new lowest, as no vertex
-    enters an older block. ``prefer`` keeps the extreme blocks whose label
-    strictly contains ("greater") or equals ("equal") the last removed
-    vertex's, when that leaves any; maximizing, only the step's extreme
-    twins can strictly contain the block it left. A step costs O(twins)
-    mask tests, plus O(extreme blocks) per block re-tested."""
+    ``lowest`` reads a lazy heap of (lowest index, block) over the extreme
+    set; an entry whose vertex has left moves up to the block's new lowest,
+    as no vertex enters an older block. ``prefer`` keeps the extreme blocks
+    whose label strictly contains ("greater") or equals ("equal") the last
+    removed vertex's, when that leaves any; maximizing, only the step's
+    extreme twins can strictly contain the block it left. A step costs
+    O(twins) mask tests, plus O(extreme blocks) per block re-tested."""
 
     __slots__ = ("mask", "prev", "last", "ext", "order", "entered", "held", "home",
-                 "grown", "dirty")
+                 "grown", "emptied", "dirty")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
-        self.freed = []  # this step's emptied blocks
         self.mask = [0]  # by block id, parallel to members
         self.prev = 0  # the last removed vertex's mask
         self.last = 0  # and its block
@@ -298,6 +271,7 @@ class InclusionPartition(OrderedPartition):
         self.held: list[_Witnessed | None] = [None]
         self.home: list[_Witnessed | None] = [None]
         self.grown: dict[int, int] = {}  # this step's extreme twins -> mask
+        self.emptied: list[int] = []  # this step's emptied blocks
         self.dirty = False
 
     def remove(self, v: int) -> None:
@@ -306,15 +280,15 @@ class InclusionPartition(OrderedPartition):
         super().remove(v)
 
     def _new_block(self, below: int) -> int:
-        m = self.mask[below] | 1 << self.step
-        t = super()._new_block(below)
-        if t == len(self.mask):
-            self.mask.append(m)
-            self.held.append(None)
-            self.home.append(None)
-        else:
-            self.mask[t] = m
-        return t
+        self.mask.append(self.mask[below] | 1 << self.step)
+        self.held.append(None)
+        self.home.append(None)
+        return super()._new_block(below)
+
+    def _unlink(self, b: int) -> None:
+        super()._unlink(b)
+        self.mask[b] = 0
+        self.emptied.append(b)
 
     def _witness(self, b: int, w: int) -> None:
         """Record that w strictly dominates b."""
@@ -362,7 +336,7 @@ class InclusionPartition(OrderedPartition):
                     self._witness(t, fresh[w])
                 else:
                     (orphans if minimize else tested).append(t)
-        for d in self.freed:
+        for d in self.emptied:
             h = home[d] if ext.pop(d, None) is None else None
             if h is not None:
                 h.discard(d)
@@ -391,8 +365,7 @@ class InclusionPartition(OrderedPartition):
             self.order.clear()
             entered[:] = ext
         self.grown = grown
-        self.free += self.freed
-        self.freed.clear()
+        self.emptied.clear()
         fresh.clear()
 
     def _narrowed(self) -> list[int]:

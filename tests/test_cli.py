@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from chordalkit.cli import main
 from chordalkit.fixtures import fixture
+from chordalkit.graph import complement_is_connected, materialize_complement, parse_edge_list
+from chordalkit.oracle import is_chordal
 
 
 @pytest.fixture()
@@ -72,6 +75,41 @@ class TestCliquetree:
         assert data["gen_cliques"] == ["e", "c", "a"]
         assert data["gen_separators"] == ["d", "b"]
         assert data["ordering"] == list("abcdef")
+        assert out == ('{\n  "gen_cliques": [\n    "e",\n    "c",\n    "a"\n  ],\n'
+                       '  "gen_separators": [\n    "d",\n    "b"\n  ],\n'
+                       '  "ordering": [\n    "a",\n    "b",\n    "c",\n    "d",\n    "e",\n    "f"\n  ]\n}\n')
+
+    @pytest.mark.parametrize("text,structure", [
+        ("a b\nb c\nc d\nd e\ne a\n", "mcs"),
+        ("a b\nb c\nc d\nd e\ne f\nf a\n", "lexbfs"),
+    ], ids=["c5", "c6"])
+    def test_complement_generators_reject_a_non_chordal_complement(self, tmp_path, capsys, text, structure):
+        # the complement of a cycle of length 5 or 6 holds a chordless cycle
+        p = tmp_path / "cycle.txt"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "cliquetree", str(p), "--complement", "--generators",
+                             "--structure", structure)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ComplementNotChordal: ")
+
+    def test_complement_generators_check_matches_oracle(self, tmp_path, capsys):
+        # exit 0 exactly when the complement is chordal, under every structure
+        p = tmp_path / "g.txt"
+        outcomes = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            n, density = rng.randint(4, 8), rng.uniform(0.2, 0.8)
+            text = "".join(f"v{u} v{v}\n" for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+            if not text or not complement_is_connected(g := parse_edge_list(text)):
+                continue
+            p.write_text(text, encoding="utf-8")
+            want = 0 if is_chordal(materialize_complement(g)) else 1
+            outcomes.append(want)
+            for structure in ("mcs", "lexbfs", "lexdfs", "mns"):
+                code, _, err = run(capsys, "cliquetree", str(p), "--complement", "--generators",
+                                   "--structure", structure, "--tiebreak", f"seed:{seed}")
+                assert code == want, (seed, structure, err)
+        assert min(outcomes.count(0), outcomes.count(1)) >= 10
 
     def test_complement_tree(self, files, capsys):
         code, out, err = run(capsys, "cliquetree", files["fig3_g"], "--complement",

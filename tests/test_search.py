@@ -417,6 +417,34 @@ def _queue_tiebreaks(g, minimize):
             ScriptedOrder(g.names[v] for v in picks)]
 
 
+def _bump_by_protocol(q, rng, ys, i):
+    # one call, one call per vertex, or two calls at the same position
+    mode = rng.randrange(3)
+    if mode == 0:
+        q.bump(ys, i)
+    elif mode == 1:
+        for y in ys:
+            q.bump([y], i)
+    else:
+        cut = rng.randint(0, len(ys))
+        q.bump(ys[:cut], i)
+        q.bump(ys[cut:], i)
+
+
+def _assert_dead_blocks_released(q):
+    # a block id not linked from the bottom is dead and holds nothing
+    linked, b = [], q.bottom
+    while b != -1:
+        linked.append(b)
+        b = q.up[b]
+    assert all(q.members[b] for b in linked)
+    for b in set(range(len(q.members))) - set(linked):
+        assert q.members[b] is None and q.heaps[b] is None, b
+        assert not isinstance(q, InclusionPartition) or q.mask[b] == 0, b
+    if isinstance(q, StackPartition):  # blocks enter on top: ids rise upward
+        assert linked == sorted(linked)
+
+
 _QUEUE_PRODUCTS = [
     ("mls", mls, "connected", {}),
     ("mls-min", mls, "connected", {"minimize": True}),
@@ -547,13 +575,39 @@ class TestSelectionQueue:
                         ys = [v for v in sorted(live) if rng.random() < p]
                     for y in ys:
                         label[y] |= 1 << i
-                    mode = rng.randrange(3)
-                    if mode == 0:
-                        q.bump(ys, i)
-                    elif mode == 1:
-                        for y in ys:
-                            q.bump([y], i)
+                    _bump_by_protocol(q, rng, ys, i)
+                    _assert_dead_blocks_released(q)
+
+    @pytest.mark.parametrize("queue,initial,inc,key", [
+        (BucketQueue, 0, lambda label, i: label + 1, lambda label: label),
+        (OrderedPartition, (), lambda label, i: label + (i,), lambda label: label),
+        (StackPartition, (), lambda label, i: (i,) + label, lambda label: tuple(-x for x in label)),
+    ], ids=["mcs", "lexbfs", "lexdfs"])
+    def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
+        # the same protocol on count and tuple labels, totally ordered by key
+        for minimize in (False, True):
+            for seed in range(100):
+                rng = random.Random(seed)
+                n = rng.randint(1, 40)
+                q = queue(n, minimize)
+                label, live = [initial] * n, set(range(n))
+                for i in range(n, 0, -1):
+                    keys = {v: key(label[v]) for v in live}
+                    best = (min if minimize else max)(keys.values())
+                    want = {v for v in live if keys[v] == best}
+                    checks = [lambda: set(q.extreme()) == want, lambda: q.lowest() == min(want)]
+                    rng.shuffle(checks)
+                    assert all(check() for check in checks), (minimize, seed, i)
+                    x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
+                    q.remove(x)
+                    live.discard(x)
+                    if rng.random() < 0.3:
+                        picked = {keys[v] for v in live if rng.random() < 0.5}
+                        ys = [v for v in sorted(live) if keys[v] in picked]
                     else:
-                        cut = rng.randint(0, len(ys))
-                        q.bump(ys[:cut], i)
-                        q.bump(ys[cut:], i)
+                        p = rng.choice([0.0, 0.2, 0.5, 0.9])
+                        ys = [v for v in sorted(live) if rng.random() < p]
+                    for y in ys:
+                        label[y] = inc(label[y], i)
+                    _bump_by_protocol(q, rng, ys, i)
+                    _assert_dead_blocks_released(q)
