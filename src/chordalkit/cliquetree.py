@@ -34,6 +34,7 @@ from .graph import (
     Ordering,
     VertexSet,
     complement_is_connected,
+    materialize_complement,
     require_connected,
 )
 from .labeling import (
@@ -349,9 +350,8 @@ def complement_mls_clique_tree(
     view = ComplementView(g)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
     builder = _TreeBuilder()
+    armed = True  # the equal-label debug hook, until the input is found at fault
     for i, x in run.steps("equal"):
-        if run.debug and i < g.n:
-            _debug_equal_label_boundary(run, view, builder, x)
         sep = frozenset(v for v in run.numbered_list if view.adjacent(x, v))
         p = _anchor(sep, run.pos, x)
         if not sep.isdisjoint(g.adj[p]):
@@ -361,16 +361,23 @@ def complement_mls_clique_tree(
         new = run.boundary(x, Cmp.EQUAL)
         if new and not sep:
             raise ComplementNotChordalError("empty boundary separator mid-run")
+        if run.debug and i < g.n and armed:
+            armed = _debug_equal_label_boundary(run, view, builder, x)
         builder.step(x, sep, p, new)
         _maybe_debug(builder, view.adjacent, run, x, sep, "equal-label")
     return builder.result(run.ordering(), run.trace)
 
 
-def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder, x: int) -> None:
-    """Debug hook for the complement path, run as x is chosen: a vertex
-    unnumbered before x (x included) has the previous minimal label exactly
-    when its complement neighborhood among the vertices numbered before x
-    equals the current clique."""
+def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder, x: int) -> bool:
+    """Debug hook for the complement path, run once x's step has passed the
+    builder's checks: a vertex unnumbered before x (x included) has the
+    previous minimal label exactly when its complement neighborhood among
+    the vertices numbered before x equals the current clique. That holds on
+    co-chordal inputs only, so a disagreement raises only when the oracle
+    finds the complement chordal; otherwise the hook returns False, to be
+    disarmed, and the builder's own checks report the input."""
+    from . import oracle
+
     current = builder.current()
     before = run.numbered_list[:-1]
     for y in range(run.n):
@@ -379,9 +386,12 @@ def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder:
         hood = {v for v in before if view.adjacent(y, v)}
         label_hit = run.structure.compare(run.labels[y], run.prev_label) is Cmp.EQUAL
         if label_hit != (hood == current):
+            if not oracle.is_chordal(materialize_complement(view.base)):
+                return False
             raise DebugInvariantError(
                 f"equal-label test and clique-boundary test disagree on vertex {y}"
             )
+    return True
 
 
 def complement_mls_generators(

@@ -21,7 +21,10 @@ labels, O(n) comparisons per step. The triangulating label increase runs
 one bottleneck (minimax) search from the chosen vertex for total
 structures, O((n + m) log n) label comparisons per step and
 O(n (n + m) log n) for the whole search, a log factor above MCS-M and
-LEX M; partial orders (MNS) keep one search per candidate target,
+LEX M. MNS runs one bitset search per label block of its queue, each
+starting from the regions of the blocks it dominates: O(blocks^2) mask
+tests per step at worst, plus one bitset union per vertex added to a
+region. Custom partial orders keep one search per candidate target,
 O(n (n + m)) per step.
 """
 
@@ -226,6 +229,7 @@ class LabelSearch:
         self.trace = SearchTrace(structure.name)
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.fill: list[tuple[int, int]] = []
+        self.nb: list[int] | None = None  # vertex bitset adjacency, for the mns reach search
         self.debug = debug.enabled()
 
     # -- the search loop
@@ -347,11 +351,30 @@ class LabelSearch:
         of the largest internal label (no internal vertex: minus infinity),
         y qualifies iff d(y) < label(y). A heap over ``sort_key`` settles
         vertices in increasing d, so a step costs O((n + m) log n) label
-        comparisons. Partial orders (MNS) cannot fold "every internal label
-        below label(y)" into one value and keep the per-target scan,
-        O(n (n + m)) per step."""
-        if not self.structure.is_total:
-            return self._inc_targets_scan(x, i)
+        comparisons. Partial orders cannot fold "every internal label below
+        label(y)" into one value. MNS searches its queue's label blocks
+        instead (``InclusionPartition.reach``): one bitset search per block,
+        each starting from the regions of the blocks it dominates, at
+        O(blocks^2) mask tests per step plus the bitset unions. Custom
+        partial structures keep the per-target scan, O(n (n + m)) per
+        step."""
+        if self.structure.is_total:
+            targets = self._bottleneck_targets(x)
+        elif self.queue is None:
+            targets = self._inc_targets_scan(x)
+        else:
+            if self.nb is None:
+                self.nb = [sum(1 << w for w in s) for s in self.g.adj]
+            targets = self.queue.reach(x, self.nb)  # type: ignore[attr-defined]
+            if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
+                self._assert_reach_targets(i, x, targets)
+        adj = self.g.adj[x]
+        fill = [(x, y) if x < y else (y, x) for y in targets if y not in adj]
+        self._bump_all(targets, i)
+        return targets, fill
+
+    def _bottleneck_targets(self, x: int) -> list[int]:
+        """inc_targets for total orders: the bottleneck search from x."""
         g = self.g
         assert isinstance(g, Graph)
         adj = g.adj
@@ -383,18 +406,16 @@ class LabelSearch:
                 else:
                     heappush(heap, (d, z))
         targets.sort()
-        fill = [(min(x, y), max(x, y)) for y in targets if y not in adj[x]]
-        self._bump_all(targets, i)
-        return targets, fill
+        return targets
 
-    def _inc_targets_scan(self, x: int, i: int) -> tuple[list[int], list[tuple[int, int]]]:
-        """inc_targets for partial orders: one DFS from x per unnumbered y,
-        through unnumbered internal vertices labeled strictly below y."""
+    def _inc_targets_scan(self, x: int) -> list[int]:
+        """inc_targets for partial orders without a queue, and the mns
+        debug reference: one DFS from x per unnumbered y, through unnumbered
+        internal vertices labeled strictly below y."""
         g = self.g
         assert isinstance(g, Graph)
         cmp = self.structure.compare
         targets: list[int] = []
-        fill: list[tuple[int, int]] = []
         for y in range(self.n):
             if y == x or self.numbered[y]:
                 continue
@@ -415,10 +436,7 @@ class LabelSearch:
                         stack.append(w)
             if reachable:
                 targets.append(y)
-                if not g.adjacent(x, y):
-                    fill.append((min(x, y), max(x, y)))
-        self._bump_all(targets, i)
-        return targets, fill
+        return targets
 
     def _bump_all(self, ys: list[int], i: int) -> None:
         """Increase the labels of ys at position i, then hand them to the
@@ -457,6 +475,16 @@ class LabelSearch:
             raise DebugInvariantError(
                 f"iteration {i}: selection queue offers {sorted(got)} but the "
                 f"label scan finds {sorted(want)}"
+            )
+
+    def _assert_reach_targets(self, i: int, x: int, targets: list[int]) -> None:
+        """The block reach search must find the targets the per-target scan
+        finds."""
+        want = self._inc_targets_scan(x)
+        if targets != want:
+            raise DebugInvariantError(
+                f"iteration {i}: block reach search finds {targets} but the "
+                f"per-target scan finds {want}"
             )
 
     def _assert_label_order(self, i: int) -> None:

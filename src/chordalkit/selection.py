@@ -16,7 +16,9 @@ cost O(log n) amortized. Set labels are a partial order, so the mns queue
 keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
-``prefer`` rule itself. Custom structures scan instead. All queues are
+``prefer`` rule itself, and its blocks also answer the triangulating
+search's reach question (``InclusionPartition.reach``). Custom structures
+scan instead. All queues are
 driven by the same calls: ``remove`` when a vertex is numbered, ``bump``
 when the labels of some vertices are increased at position i, and
 ``lowest`` (or ``extreme``) to select. With ``minimize`` they read the
@@ -25,9 +27,10 @@ least class instead of the greatest. The generic engine (through
 
 Refinement creates blocks and never revives them, so block ids count up in
 creation order and are never reused. An emptied block is unlinked and its
-state released (member set and heap, and the mns mask), so the per-block
-lists keep one small entry per block ever created: at most one per label
-increase, O(n + m + fill) over a search.
+state released (member set and heap; for mns also its mask and witness
+links, once the next query settles the step), so the per-block lists keep
+one small entry per block ever created: at most one per label increase,
+O(n + m + fill) over a search.
 """
 
 from __future__ import annotations
@@ -254,10 +257,15 @@ class InclusionPartition(OrderedPartition):
     whose label strictly contains ("greater") or equals ("equal") the last
     removed vertex's, when that leaves any; maximizing, only the step's
     extreme twins can strictly contain the block it left. A step costs
-    O(twins) mask tests, plus O(extreme blocks) per block re-tested."""
+    O(twins) mask tests, plus O(extreme blocks) per block re-tested.
+
+    The blocks and masks also serve the triangulating search: ``reach``
+    finds a step's targets with one bitset search per live block, each
+    starting from the regions of the blocks it dominates, and keeps each
+    live block's maximal dominated blocks for the next step."""
 
     __slots__ = ("mask", "prev", "last", "ext", "order", "entered", "held", "home",
-                 "grown", "emptied", "dirty")
+                 "grown", "emptied", "dirty", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
@@ -273,6 +281,7 @@ class InclusionPartition(OrderedPartition):
         self.grown: dict[int, int] = {}  # this step's extreme twins -> mask
         self.emptied: list[int] = []  # this step's emptied blocks
         self.dirty = False
+        self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
 
     def remove(self, v: int) -> None:
         b = self.block_of[v]
@@ -338,6 +347,7 @@ class InclusionPartition(OrderedPartition):
                     (orphans if minimize else tested).append(t)
         for d in self.emptied:
             h = home[d] if ext.pop(d, None) is None else None
+            home[d] = None
             if h is not None:
                 h.discard(d)
             w, held[d] = held[d], None
@@ -393,6 +403,105 @@ class InclusionPartition(OrderedPartition):
         if len(classes) == 1:
             return self.members[classes[0]]
         return set().union(*(self.members[b] for b in classes))
+
+    def reach(self, x: int, nb: list[int]) -> list[int]:
+        """The triangulating search's targets from x in ascending order:
+        the vertices y that x reaches through vertices whose labels are
+        strict subsets of y's. ``nb[v]`` is v's neighborhood as a vertex
+        bitset. Call it once per step, between the step's removal of x and
+        its bumps.
+
+        The live blocks are settled in ascending popcount order, so a block
+        B comes after every block it dominates (whose mask is a strict
+        subset of its own). The members of those blocks are the vertices B
+        allows on a path, and the region x reaches through them contains
+        every dominated block's region. So B starts from the allowed
+        vertices and regions of its covers, the maximal blocks it
+        dominates, each standing for everything below it, and grows its
+        region through the bitsets. B's targets are its members adjacent to
+        x or to its region.
+
+        A block's covers are kept for the next call. Masks never change,
+        and a block made by the bumps in between holds their position,
+        which no older block holds, so an older block dominates only blocks
+        it dominated then: its covers are its kept ones, each emptied one
+        replaced by its own. A new block finds its covers from the top: a
+        block that passes the mask test rules out, in one bitset step,
+        every settled block below it. A step costs O(blocks^2) mask tests
+        at worst, plus one bitset union per vertex added to a region."""
+        members, mask, up = self.members, self.mask, self.up
+        blocks = []
+        b = self.bottom
+        while b != -1:
+            blocks.append(b)
+            b = up[b]
+        blocks.sort(key=lambda b: mask[b].bit_count())
+        nx, hit = nb[x], 0
+        covers, kept, rank = self.covers, {}, {}
+        masks: list[int] = []  # by rank in that order
+        below: list[int] = []  # by rank: a bitset of the ranks at or below it
+        # by rank: (its members and allowed vertices, its region, the
+        # neighbors of x and of the region)
+        summary: list[tuple[int, int, int]] = []
+        start = size = 0  # the first rank of the current popcount, and that popcount
+        for j, b in enumerate(blocks):
+            m, bits = mask[b], 0
+            for v in members[b]:
+                bits |= 1 << v
+            if m.bit_count() != size:
+                start, size = j, m.bit_count()
+            allowed = region = 0
+            near, down, mine = nx, 1 << j, []
+            if b in covers:
+                ranks, stack = [], list(covers[b])
+                while stack:
+                    c = stack.pop()
+                    if c in rank:
+                        ranks.append(rank[c])
+                    else:  # emptied since
+                        stack += covers[c]
+                found = sorted(ranks, reverse=True)
+            else:
+                found, outside = [], ~m
+                rest = (1 << start) - 1  # the ranks not yet ruled in or out
+                while rest:
+                    t = rest.bit_length() - 1
+                    if masks[t] & outside:
+                        rest ^= 1 << t
+                    else:
+                        found.append(t)
+                        rest &= ~below[t]
+            for t in found:
+                if not down >> t & 1:
+                    ka, kr, kn = summary[t]
+                    allowed |= ka
+                    region |= kr
+                    near |= kn
+                    down |= below[t]
+                    mine.append(blocks[t])
+            new = near & allowed & ~region
+            while new:
+                region |= new
+                grown = 0
+                while new:
+                    low = new & -new
+                    grown |= nb[low.bit_length() - 1]
+                    new ^= low
+                near |= grown
+                new = grown & allowed & ~region
+            hit |= bits & near
+            rank[b] = j
+            kept[b] = mine
+            masks.append(m)
+            below.append(down)
+            summary.append((allowed | bits, region, near))
+        self.covers = kept
+        out = []
+        while hit:
+            low = hit & -hit
+            out.append(low.bit_length() - 1)
+            hit ^= low
+        return out
 
     def lowest(self) -> int:
         narrowed = self._narrowed()

@@ -258,6 +258,24 @@ def test_triangulating_search_scale():
           f"with {len(tri.fill_edges)} fill edges, under 10s")
 
 
+def test_mns_triangulating_search_scale():
+    # mns decides a step's targets with one bitset search per label block of
+    # its queue; a DFS per target took about 14 s here. The oracle is far too
+    # slow for this much fill, so the fill is checked against the
+    # elimination game on the returned ordering, which a minimal elimination
+    # ordering reproduces exactly.
+    g = gen(GeneratorConfig(seed=2, n=500, param=6 / 500, family="random-connected"))
+    assert g.n == 500 and 1_200 <= g.m <= 1_800, g.m
+    start = time.perf_counter()
+    tri, _ = mlsm(g, mns())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"mlsm mns took {elapsed:.1f}s"
+    game = triangulation_from_ordering(g, tri.ordering)
+    assert set(tri.fill_edges) == set(game.fill_edges)
+    print(f"\n[scale] PASS: mlsm (mns) on n={g.n}, m={g.m} in {elapsed:.1f}s "
+          f"with {len(tri.fill_edges)} fill edges, under 10s")
+
+
 def test_fast_path_star_scale():
     # lowest-index ties come from a lazy heap per bucket or a sorted list per
     # block; a min() over the whole bucket or block made stars quadratic

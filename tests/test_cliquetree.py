@@ -274,14 +274,26 @@ class TestComplementCliqueTree:
         t = complement_mls_clique_tree(g, mcs())
         assert t.size == 1 and names_of(g, t.cliques[0]) == {"a", "b"}
 
-    def test_five_cycle_rejected(self, monkeypatch):
-        # armed, the equal-label debug hook raises before the chordality check
-        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
+    def test_five_cycle_rejected(self):
         # C5 is self-complementary: its complement is connected and not chordal
         c5 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
         for f in DCL:
             with pytest.raises(ComplementNotChordalError):
                 complement_mls_clique_tree(c5, f())
+
+    def test_armed_equal_label_hook_leaves_a_bad_input_to_the_builder(self, monkeypatch):
+        # the hook's test holds on co-chordal inputs only; on this graph it
+        # fails before the builder finds that the complement is not chordal,
+        # and it raises only when the oracle finds the complement chordal
+        from chordalkit import oracle
+
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = gen(GeneratorConfig(seed=7002, n=18, param=3.0, family="random-chordal"))
+        with pytest.raises(ComplementNotChordalError):
+            complement_mls_clique_tree(g, mcs())
+        monkeypatch.setattr(oracle, "is_chordal", lambda h: True)
+        with pytest.raises(DebugInvariantError, match="equal-label test and clique-boundary test"):
+            complement_mls_clique_tree(g, mcs())
 
     def test_complete_graph_complement_disconnected(self):
         k3 = from_edge_list([("a", "b"), ("b", "c"), ("a", "c")])

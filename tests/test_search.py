@@ -261,6 +261,22 @@ class _TupleCount(LabelingStructure):
         return Cmp.LESS if a < b else Cmp.GREATER
 
 
+class _SetLabels(LabelingStructure):
+    """A custom partial structure: the mns set labels without a selection
+    queue, so the engine scans for selection and for the reach targets."""
+
+    name = "sets"
+
+    def initial(self):
+        return frozenset()
+
+    def inc(self, label, i):
+        return label | {i}
+
+    def compare(self, a, b):
+        return mns().compare(a, b)
+
+
 def _reference_inc_targets(run, x, i):
     """The triangulating rule as stated, one target at a time: y is a target
     iff the input graph has a path from x to y whose internal vertices are
@@ -321,9 +337,10 @@ def _reach_corpus():
 
 
 class TestReachSearch:
-    """The bottleneck search against the per-target rule it replaced."""
+    """The bottleneck search (total orders) and the block search (mns)
+    against the per-target rule they replaced."""
 
-    @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, _TupleCount], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, mns, _TupleCount], ids=lambda f: f.__name__)
     def test_matches_per_target_rule(self, factory, monkeypatch):
         fns = [mlsm, moplex_mlsm]
         if factory is not lexdfs:  # lexdfs cannot detect cliques with labels
@@ -353,21 +370,40 @@ class TestReachSearch:
                 assert (ka < kb, ka == kb, ka > kb) == (r is Cmp.LESS, r is Cmp.EQUAL, r is Cmp.GREATER)
 
     def test_partial_orders_keep_the_scan(self, monkeypatch):
+        # mns takes the block search of its queue; a custom partial
+        # structure has no queue and keeps the per-target scan. Armed, the
+        # debug cross-check would scan next to every block search.
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         calls = []
-        real = LabelSearch._inc_targets_scan
+        for owner, name in ((LabelSearch, "_inc_targets_scan"), (InclusionPartition, "reach")):
+            real = getattr(owner, name)
 
-        def counted(self, x, i):
-            calls.append(self.structure.name)
-            return real(self, x, i)
+            def counted(self, *args, real=real, name=name):
+                calls.append(name)
+                return real(self, *args)
 
-        monkeypatch.setattr(LabelSearch, "_inc_targets_scan", counted)
+            monkeypatch.setattr(owner, name, counted)
         g = graph("fig4_g")
-        mlsm(g, mns())
-        assert calls == ["mns"] * g.n
+        want, _ = mlsm(g, mns())
+        assert calls == ["reach"] * g.n
+        calls.clear()
+        assert _SetLabels()._selection_queue(g.n, False) is None
+        got, _ = mlsm(g, _SetLabels())
+        assert calls == ["_inc_targets_scan"] * g.n
+        assert (got.ordering.seq, got.fill_edges) == (want.ordering.seq, want.fill_edges)
         calls.clear()
         for factory in TOTAL:
             moplex_mlsm(g, factory())
         assert calls == []
+
+    def test_debug_cross_check_catches_a_bad_block_search(self, monkeypatch):
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g = graph("fig4_g")
+        mlsm(g, mns())
+        real = InclusionPartition.reach
+        monkeypatch.setattr(InclusionPartition, "reach", lambda self, x, nb: real(self, x, nb)[1:])
+        with pytest.raises(DebugInvariantError, match="block reach search"):
+            mlsm(g, mns())
 
 
 def _recorded(monkeypatch, fn, g, structure, tiebreak, kwargs):
@@ -431,6 +467,31 @@ def _bump_by_protocol(q, rng, ys, i):
         q.bump(ys[cut:], i)
 
 
+def _random_adjacency(rng, n):
+    """Random adjacency sets and the same as vertex bitsets."""
+    adj = [set() for _ in range(n)]
+    p = rng.choice([0.1, 0.25, 0.5])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    return adj, [sum(1 << w for w in s) for s in adj]
+
+
+def _reaches(adj, x, y, allowed):
+    """Whether a path from x to y has every internal vertex in allowed."""
+    seen, stack = {x}, [x]
+    while stack:
+        u = stack.pop()
+        if y in adj[u]:
+            return True
+        for w in adj[u] & allowed - seen:
+            seen.add(w)
+            stack.append(w)
+    return False
+
+
 def _assert_dead_blocks_released(q):
     # a block id not linked from the bottom is dead and holds nothing
     linked, b = [], q.bottom
@@ -440,7 +501,10 @@ def _assert_dead_blocks_released(q):
     assert all(q.members[b] for b in linked)
     for b in set(range(len(q.members))) - set(linked):
         assert q.members[b] is None and q.heaps[b] is None, b
-        assert not isinstance(q, InclusionPartition) or q.mask[b] == 0, b
+        if isinstance(q, InclusionPartition):
+            assert q.mask[b] == 0, b
+            if b not in q.emptied:  # released when the next query settles
+                assert q.held[b] is None and q.home[b] is None, b
     if isinstance(q, StackPartition):  # blocks enter on top: ids rise upward
         assert linked == sorted(linked)
 
@@ -539,11 +603,13 @@ class TestSelectionQueue:
     def test_inclusion_partition_matches_brute_force(self):
         # the engine's protocol on random set labels: select, remove the
         # pick, then bump some vertices at position i in one call, one call
-        # per vertex or two calls; a step may bump nothing, or whole classes
+        # per vertex or two calls; a step may bump nothing, or whole classes.
+        # After each removal the block reach search runs on a random graph.
         for minimize in (False, True):
             for seed in range(100):
                 rng = random.Random(seed)
                 n = rng.randint(1, 40)
+                adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
                 prefer = rng.choice([None, "equal"] + ([] if minimize else ["greater"]))
                 q = InclusionPartition(n, minimize)
                 q.prefer = prefer
@@ -567,6 +633,9 @@ class TestSelectionQueue:
                     q.remove(x)
                     live.discard(x)
                     prev = label[x]
+                    below = lambda y: {w for w in live if label[w] & label[y] == label[w] != label[y]}
+                    reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
+                    assert q.reach(x, nb) == reached, (minimize, seed, i)
                     if rng.random() < 0.3:
                         picked = {m for m in masks if rng.random() < 0.5}
                         ys = [v for v in sorted(live) if label[v] in picked]
