@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
 from itertools import combinations
 from typing import Any, Iterable
 
@@ -40,12 +39,13 @@ class Tri(Enum):
 
 
 class LabelingStructure:
-    """Interface: initial(), inc(label, i), compare(a, b) -> Cmp, and for
-    total structures sort_key(label).
+    """Interface: initial(), inc(label, i), compare(a, b) -> Cmp.
 
     compare must behave as a partial order on the labels actually produced;
     Equal means value equality of labels. is_total promises Incomparable
-    never occurs.
+    never occurs. The engine does not branch on it: the built-ins'
+    selection queues answer both selection and the triangulating reach
+    question, and every custom structure, total or not, scans for both.
     """
 
     name: str = "custom"
@@ -67,16 +67,10 @@ class LabelingStructure:
         """JSON-friendly rendering of a label."""
         return repr(label)
 
-    def sort_key(self, label: Label):
-        """Key whose Python ordering agrees with compare: Less, Equal and
-        Greater labels give keys that compare <, == and >. Only meaningful
-        for total structures. The default wraps compare; built-ins return
-        native ints or tuples, which compare much faster."""
-        return cmp_to_key(lambda a, b: _SIGN[self.compare(a, b)])(label)
-
     def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
         """Internal: the selection queue that the search reads instead of
-        scanning the unnumbered labels, or None to scan; each queue
+        scanning the unnumbered labels, for selection and for the
+        triangulating reach targets, or None to scan; each queue
         hard-codes one built-in structure's increase (see
         ``chordalkit.selection``), so custom structures scan."""
         return None
@@ -84,8 +78,6 @@ class LabelingStructure:
     def __repr__(self) -> str:
         return f"<structure {self.name}>"
 
-
-_SIGN = {Cmp.LESS: -1, Cmp.EQUAL: 0, Cmp.GREATER: 1}
 
 
 def _lex_compare(a: tuple[int, ...], b: tuple[int, ...], reverse_ints: bool) -> Cmp:
@@ -121,9 +113,6 @@ class _Mcs(LabelingStructure):
             return Cmp.EQUAL
         return Cmp.LESS if a < b else Cmp.GREATER
 
-    def sort_key(self, label: int) -> int:
-        return label
-
     def _selection_queue(self, n: int, minimize: bool) -> BucketQueue:
         return BucketQueue(n, minimize)
 
@@ -146,10 +135,6 @@ class _LexBfs(LabelingStructure):
 
     def compare(self, a, b) -> Cmp:
         return _lex_compare(a, b, reverse_ints=False)
-
-    def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
-        # Python tuples already order element-wise, a prefix first
-        return label
 
     def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition:
         return OrderedPartition(n, minimize)
@@ -174,9 +159,6 @@ class _LexDfs(LabelingStructure):
     def compare(self, a, b) -> Cmp:
         # integer order reversed: larger numbers sort first, i.e. are "smaller"
         return _lex_compare(a, b, reverse_ints=True)
-
-    def sort_key(self, label: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in label)
 
     def _selection_queue(self, n: int, minimize: bool) -> StackPartition:
         return StackPartition(n, minimize)

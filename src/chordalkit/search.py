@@ -17,21 +17,22 @@ whose design and costs ``chordalkit.selection`` states. The labels
 themselves are still stored: an mcs increase is O(1), but a lexbfs or
 lexdfs increase copies the tuple, O(|label|), so the increases of a search
 cost O(sum of deg(v)^2) with them. Custom structures scan the unnumbered
-labels, O(n) comparisons per step. The triangulating label increase runs
-one bottleneck (minimax) search from the chosen vertex for total
-structures, O((n + m) log n) label comparisons per step and
-O(n (n + m) log n) for the whole search, a log factor above MCS-M and
-LEX M. MNS runs one bitset search per label block of its queue, each
+labels, O(n) comparisons per step. The triangulating label increase asks
+the selection queue which vertices the chosen vertex reaches. The three
+total queues answer with one walk up their label classes, growing the
+reached region over vertex bitsets: one bitset union per vertex added to
+the region plus a few bitset operations per class, O(n) operations on
+n-bit ints per step, so O(n^3 / w) word operations for the whole search
+with w the word size, against O(nm) for MCS-M and LEX M. MNS runs one bitset search per label block of its queue, each
 starting from the regions of the blocks it dominates: O(blocks^2) mask
 tests per step at worst, plus one bitset union per vertex added to a
-region. Custom partial orders keep one search per candidate target,
-O(n (n + m)) per step.
+region. Custom structures, total or partial, keep one search per
+candidate target, O(n (n + m)) per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from . import debug
@@ -229,7 +230,7 @@ class LabelSearch:
         self.trace = SearchTrace(structure.name)
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.fill: list[tuple[int, int]] = []
-        self.nb: list[int] | None = None  # vertex bitset adjacency, for the mns reach search
+        self.nb: list[int] | None = None  # vertex bitset adjacency, for the queue's reach
         self.debug = debug.enabled()
 
     # -- the search loop
@@ -346,26 +347,17 @@ class LabelSearch:
         overlay would change nothing anyway: every fill edge keeps a
         numbered endpoint, and path internals must be unnumbered).
 
-        For a total structure one bottleneck (minimax) search from x decides
-        every target at once: with d(y) the least, over paths from x to y,
-        of the largest internal label (no internal vertex: minus infinity),
-        y qualifies iff d(y) < label(y). A heap over ``sort_key`` settles
-        vertices in increasing d, so a step costs O((n + m) log n) label
-        comparisons. Partial orders cannot fold "every internal label below
-        label(y)" into one value. MNS searches its queue's label blocks
-        instead (``InclusionPartition.reach``): one bitset search per block,
-        each starting from the regions of the blocks it dominates, at
-        O(blocks^2) mask tests per step plus the bitset unions. Custom
-        partial structures keep the per-target scan, O(n (n + m)) per
-        step."""
-        if self.structure.is_total:
-            targets = self._bottleneck_targets(x)
-        elif self.queue is None:
+        The selection queue finds the targets (``reach``, whose designs
+        and costs ``chordalkit.selection`` states); custom structures, total
+        or partial, have none and take the per-target scan, O(n (n + m))
+        per step. With ``CHORDALKIT_DEBUG=1`` and small n every queued step
+        is checked against the scan."""
+        if self.queue is None:
             targets = self._inc_targets_scan(x)
         else:
             if self.nb is None:
                 self.nb = [sum(1 << w for w in s) for s in self.g.adj]
-            targets = self.queue.reach(x, self.nb)  # type: ignore[attr-defined]
+            targets = self.queue.reach(x, self.nb)
             if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
                 self._assert_reach_targets(i, x, targets)
         adj = self.g.adj[x]
@@ -373,45 +365,10 @@ class LabelSearch:
         self._bump_all(targets, i)
         return targets, fill
 
-    def _bottleneck_targets(self, x: int) -> list[int]:
-        """inc_targets for total orders: the bottleneck search from x."""
-        g = self.g
-        assert isinstance(g, Graph)
-        adj = g.adj
-        labels = self.labels
-        key = self.structure.sort_key
-        # heap values never decrease as the search proceeds, so the first
-        # popped neighbor of z fixes d(z); z then enters the heap once, with
-        # max(d(z), label(z)), the bottleneck of paths continuing through z.
-        # x is numbered already, so it never enters.
-        seen = self.numbered[:]
-        targets: list[int] = []
-        heap = []
-        for z in adj[x]:
-            if not seen[z]:
-                seen[z] = True
-                targets.append(z)
-                heap.append((key(labels[z]), z))
-        heapify(heap)
-        while heap:
-            d, w = heappop(heap)
-            for z in adj[w]:
-                if seen[z]:
-                    continue
-                seen[z] = True
-                kz = key(labels[z])
-                if d < kz:
-                    targets.append(z)
-                    heappush(heap, (kz, z))
-                else:
-                    heappush(heap, (d, z))
-        targets.sort()
-        return targets
-
     def _inc_targets_scan(self, x: int) -> list[int]:
-        """inc_targets for partial orders without a queue, and the mns
-        debug reference: one DFS from x per unnumbered y, through unnumbered
-        internal vertices labeled strictly below y."""
+        """inc_targets for structures without a queue, and the debug
+        reference for the queues' reach: one DFS from x per unnumbered y,
+        through unnumbered internal vertices labeled strictly below y."""
         g = self.g
         assert isinstance(g, Graph)
         cmp = self.structure.compare
@@ -452,9 +409,6 @@ class LabelSearch:
         if self.queue is not None:
             self.queue.bump(ys, i)
 
-    def _bump(self, y: int, i: int) -> None:
-        self._bump_all([y], i)
-
     # -- results
 
     def ordering(self) -> Ordering:
@@ -478,8 +432,8 @@ class LabelSearch:
             )
 
     def _assert_reach_targets(self, i: int, x: int, targets: list[int]) -> None:
-        """The block reach search must find the targets the per-target scan
-        finds."""
+        """The queue's block reach search must find the targets the
+        per-target scan finds."""
         want = self._inc_targets_scan(x)
         if targets != want:
             raise DebugInvariantError(

@@ -16,14 +16,20 @@ cost O(log n) amortized. Set labels are a partial order, so the mns queue
 keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
-``prefer`` rule itself, and its blocks also answer the triangulating
-search's reach question (``InclusionPartition.reach``). Custom structures
-scan instead. All queues are
+``prefer`` rule itself. Custom structures scan instead. All queues are
 driven by the same calls: ``remove`` when a vertex is numbered, ``bump``
 when the labels of some vertices are increased at position i, and
 ``lowest`` (or ``extreme``) to select. With ``minimize`` they read the
 least class instead of the greatest. The generic engine (through
 ``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
+
+Every queue also answers the triangulating search's reach question with
+``reach``: which unnumbered vertices the chosen vertex reaches through
+vertices labeled below them. The three total queues' blocks form a chain
+in label order, so ``OrderedPartition.reach`` walks it once from the
+bottom. The mns blocks are only partially ordered, so
+``InclusionPartition.reach`` searches each block from the blocks it
+dominates. Custom structures scan for these targets too.
 
 Refinement creates blocks and never revives them, so block ids count up in
 creation order and are never reused. An emptied block is unlinked and its
@@ -137,6 +143,64 @@ class OrderedPartition:
         while heap[0] not in members:
             heappop(heap)
         return heap[0]
+
+    def reach(self, x: int, nb: list[int]) -> list[int]:
+        """The triangulating search's targets from x in ascending order:
+        the vertices y that x reaches through vertices labeled strictly
+        below y. ``nb[v]`` is v's neighborhood as a vertex bitset. Call it
+        once per step, between the step's removal of x and its bumps.
+
+        The blocks are the label classes, linked in label order, so a
+        block allows on a path the members of the blocks below it, and the
+        region x reaches through them only grows on the way up. One walk
+        from the bottom suffices: a block's targets are its members
+        adjacent to x or to the region, and they are exactly what the
+        region gains from the block before it grows through the bitsets
+        again. A step costs one bitset union per vertex added to the
+        region, plus a few bitset operations per block and one bit set per
+        member: O(n) operations on n-bit ints."""
+        members, up = self.members, self.up
+        allowed = region = hit = 0
+        near = nb[x]  # the neighbors of x and of the region
+        b = self.bottom
+        while b != -1:
+            bits = 0
+            for v in members[b]:
+                bits |= 1 << v
+            new = bits & near
+            hit |= new
+            allowed |= bits
+            if new:
+                near, region = _spread(new, near, region, allowed, nb)
+            b = up[b]
+        return _vertices(hit)
+
+
+def _spread(new: int, near: int, region: int, allowed: int, nb: list[int]) -> tuple[int, int]:
+    """Add the vertex bitset ``new`` to ``region`` and grow the region
+    through ``allowed`` until no allowed neighbor is left out. ``near``
+    holds the neighbors of x and of the region, and grows along. Returns
+    (near, region)."""
+    while new:
+        region |= new
+        grown = 0
+        while new:
+            low = new & -new
+            grown |= nb[low.bit_length() - 1]
+            new ^= low
+        near |= grown
+        new = grown & allowed & ~region
+    return near, region
+
+
+def _vertices(bits: int) -> list[int]:
+    """The vertices in a vertex bitset, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class BucketQueue(OrderedPartition):
@@ -480,15 +544,8 @@ class InclusionPartition(OrderedPartition):
                     down |= below[t]
                     mine.append(blocks[t])
             new = near & allowed & ~region
-            while new:
-                region |= new
-                grown = 0
-                while new:
-                    low = new & -new
-                    grown |= nb[low.bit_length() - 1]
-                    new ^= low
-                near |= grown
-                new = grown & allowed & ~region
+            if new:
+                near, region = _spread(new, near, region, allowed, nb)
             hit |= bits & near
             rank[b] = j
             kept[b] = mine
@@ -496,12 +553,7 @@ class InclusionPartition(OrderedPartition):
             below.append(down)
             summary.append((allowed | bits, region, near))
         self.covers = kept
-        out = []
-        while hit:
-            low = hit & -hit
-            out.append(low.bit_length() - 1)
-            hit ^= low
-        return out
+        return _vertices(hit)
 
     def lowest(self) -> int:
         narrowed = self._narrowed()

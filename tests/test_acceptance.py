@@ -245,17 +245,19 @@ def test_criterion_9_smoke_benchmark():
 
 
 def test_triangulating_search_scale():
-    # one bottleneck reach search per step keeps the triangulating search
-    # near O(nm log n); a DFS per target grew about 8x per doubling of n
+    # the total queues answer each step's reach question with one walk up
+    # their label classes over vertex bitsets; a DFS per target grew about
+    # 8x per doubling of n. Each structure gets its own 10 s bar.
     g = gen(GeneratorConfig(seed=2, n=1000, param=6 / 1000, family="random-connected"))
     assert g.n == 1000 and 2_500 <= g.m <= 3_500, g.m
-    start = time.perf_counter()
-    tri, _ = moplex_mlsm(g, mcs())
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"moplex_mlsm took {elapsed:.1f}s"
-    assert len(tri.ordering) == g.n
-    print(f"\n[scale] PASS: moplex_mlsm (count labels) on n={g.n}, m={g.m} in {elapsed:.1f}s "
-          f"with {len(tri.fill_edges)} fill edges, under 10s")
+    for factory in (mcs, lexbfs, lexdfs):
+        start = time.perf_counter()
+        tri, _ = moplex_mlsm(g, factory())
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"moplex_mlsm {factory.__name__} took {elapsed:.1f}s"
+        assert len(tri.ordering) == g.n
+        print(f"\n[scale] PASS: moplex_mlsm ({factory.__name__}) on n={g.n}, m={g.m} in "
+              f"{elapsed:.1f}s with {len(tri.fill_edges)} fill edges, under 10s")
 
 
 def test_mns_triangulating_search_scale():

@@ -241,10 +241,10 @@ class TestEliminationGame:
 
 
 class _TupleCount(LabelingStructure):
-    """A custom total structure with no sort_key of its own: labels are
-    (count, positions) pairs, ordered by count and then lexicographically
-    by the descending position tuple. The engine has to fall back to the
-    compare-based key."""
+    """A custom total structure: labels are (count, positions) pairs,
+    ordered by count and then lexicographically by the descending position
+    tuple. It has no selection queue, so the engine scans for selection and
+    for the reach targets, as it does for custom partial structures."""
 
     name = "tuplecount"
     is_total = True
@@ -297,8 +297,7 @@ def _reference_inc_targets(run, x, i):
                     frontier.append(w)
         if y in reached:
             targets.append(y)
-    for y in targets:
-        run._bump(y, i)
+    run._bump_all(targets, i)
     return targets, [(min(x, y), max(x, y)) for y in targets if y not in g.adj[x]]
 
 
@@ -337,8 +336,9 @@ def _reach_corpus():
 
 
 class TestReachSearch:
-    """The bottleneck search (total orders) and the block search (mns)
-    against the per-target rule they replaced."""
+    """The queues' reach searches (one walk up the label classes for the
+    total orders, the block search for mns) and the scan that custom
+    structures take, against the per-target rule."""
 
     @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, mns, _TupleCount], ids=lambda f: f.__name__)
     def test_matches_per_target_rule(self, factory, monkeypatch):
@@ -346,8 +346,6 @@ class TestReachSearch:
         if factory is not lexdfs:  # lexdfs cannot detect cliques with labels
             fns += [dcl_atom_tree, dcl_mlsm_clique_tree]
         structure = factory()
-        if factory is _TupleCount:
-            assert "sort_key" not in vars(_TupleCount)
         for g in _reach_corpus():
             for fn in fns:
                 got = _triangulating_products(monkeypatch, fn, g, structure)
@@ -356,54 +354,48 @@ class TestReachSearch:
                     want = _triangulating_products(monkeypatch, fn, g, structure)
                 assert got == want, (fn.__name__, g)
 
-    @pytest.mark.parametrize("factory", [mcs, lexbfs, lexdfs, _TupleCount], ids=lambda f: f.__name__)
-    def test_sort_key_orders_like_compare(self, factory):
-        s = factory()
-        labels = [s.initial()]
-        for i in (9, 7, 4, 2):
-            labels.append(s.inc(labels[-1], i))
-        labels += [s.inc(s.initial(), 8), s.inc(s.inc(s.initial(), 8), 3), s.inc(s.initial(), 8)]
-        for a in labels:
-            for b in labels:
-                r = s.compare(a, b)
-                ka, kb = s.sort_key(a), s.sort_key(b)
-                assert (ka < kb, ka == kb, ka > kb) == (r is Cmp.LESS, r is Cmp.EQUAL, r is Cmp.GREATER)
-
     def test_partial_orders_keep_the_scan(self, monkeypatch):
-        # mns takes the block search of its queue; a custom partial
-        # structure has no queue and keeps the per-target scan. Armed, the
-        # debug cross-check would scan next to every block search.
+        # every built-in asks its queue once per step (mns through its own
+        # block search); custom structures, total or partial, have no queue
+        # and keep the per-target scan. Armed, the debug cross-check would
+        # scan next to every queued step.
         monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         calls = []
-        for owner, name in ((LabelSearch, "_inc_targets_scan"), (InclusionPartition, "reach")):
+        for owner, name in ((LabelSearch, "_inc_targets_scan"), (OrderedPartition, "reach"),
+                            (InclusionPartition, "reach")):
             real = getattr(owner, name)
 
-            def counted(self, *args, real=real, name=name):
-                calls.append(name)
+            def counted(self, *args, real=real, call=(owner.__name__, name)):
+                calls.append(call)
                 return real(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
         g = graph("fig4_g")
-        want, _ = mlsm(g, mns())
-        assert calls == ["reach"] * g.n
-        calls.clear()
-        assert _SetLabels()._selection_queue(g.n, False) is None
-        got, _ = mlsm(g, _SetLabels())
-        assert calls == ["_inc_targets_scan"] * g.n
-        assert (got.ordering.seq, got.fill_edges) == (want.ordering.seq, want.fill_edges)
-        calls.clear()
-        for factory in TOTAL:
+        for factory, call in ((mcs, "OrderedPartition"), (lexbfs, "OrderedPartition"),
+                              (lexdfs, "OrderedPartition"), (mns, "InclusionPartition")):
+            calls.clear()
             moplex_mlsm(g, factory())
-        assert calls == []
+            assert calls == [(call, "reach")] * g.n, factory.__name__
+        want, _ = mlsm(g, mns())
+        for structure in (_TupleCount(), _SetLabels()):
+            assert structure._selection_queue(g.n, False) is None
+            calls.clear()
+            got, _ = mlsm(g, structure)
+            assert calls == [("LabelSearch", "_inc_targets_scan")] * g.n, structure.name
+        assert (got.ordering.seq, got.fill_edges) == (want.ordering.seq, want.fill_edges)
 
     def test_debug_cross_check_catches_a_bad_block_search(self, monkeypatch):
+        # every queued reach is cross-checked: the total queues' walk (mcs)
+        # and the mns block search
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
         g = graph("fig4_g")
-        mlsm(g, mns())
-        real = InclusionPartition.reach
-        monkeypatch.setattr(InclusionPartition, "reach", lambda self, x, nb: real(self, x, nb)[1:])
-        with pytest.raises(DebugInvariantError, match="block reach search"):
-            mlsm(g, mns())
+        for factory, queue in ((mcs, OrderedPartition), (mns, InclusionPartition)):
+            mlsm(g, factory())
+            real = queue.reach
+            with monkeypatch.context() as m:
+                m.setattr(queue, "reach", lambda self, x, nb, real=real: real(self, x, nb)[1:])
+                with pytest.raises(DebugInvariantError, match="block reach search"):
+                    mlsm(g, factory())
 
 
 def _recorded(monkeypatch, fn, g, structure, tiebreak, kwargs):
@@ -653,11 +645,13 @@ class TestSelectionQueue:
         (StackPartition, (), lambda label, i: (i,) + label, lambda label: tuple(-x for x in label)),
     ], ids=["mcs", "lexbfs", "lexdfs"])
     def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
-        # the same protocol on count and tuple labels, totally ordered by key
+        # the same protocol on count and tuple labels, totally ordered by
+        # key, with the reach search after each removal on a random graph
         for minimize in (False, True):
             for seed in range(100):
                 rng = random.Random(seed)
                 n = rng.randint(1, 40)
+                adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
                 q = queue(n, minimize)
                 label, live = [initial] * n, set(range(n))
                 for i in range(n, 0, -1):
@@ -670,6 +664,9 @@ class TestSelectionQueue:
                     x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
                     q.remove(x)
                     live.discard(x)
+                    below = lambda y: {w for w in live if keys[w] < keys[y]}
+                    reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
+                    assert q.reach(x, nb) == reached, (minimize, seed, i)
                     if rng.random() < 0.3:
                         picked = {keys[v] for v in live if rng.random() < 0.5}
                         ys = [v for v in sorted(live) if keys[v] in picked]
