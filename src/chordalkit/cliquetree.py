@@ -198,7 +198,7 @@ def _maybe_debug(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep:
     if builder.current() != sep | {x}:
         raise DebugInvariantError(f"{test} test and set test disagree at position {run.pos[x]}")
     if run.n <= debug.ORACLE_CHECK_MAX_N:
-        _debug_check_partial(builder, adjacent, run.numbered_list, run.pos)
+        _debug_check_partial(builder, adjacent, run.alpha[run.pos[x]:], run.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def complement_mls_clique_tree(
     builder = _TreeBuilder()
     armed = True  # the equal-label debug hook, until the input is found at fault
     for i, x in run.steps("equal"):
-        sep = frozenset(v for v in run.numbered_list if view.adjacent(x, v))
+        sep = frozenset(v for v in run.alpha[i + 1:] if view.adjacent(x, v))
         p = _anchor(sep, run.pos, x)
         if not sep.isdisjoint(g.adj[p]):
             raise ComplementNotChordalError(
@@ -379,7 +379,7 @@ def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder:
     from . import oracle
 
     current = builder.current()
-    before = run.numbered_list[:-1]
+    before = run.alpha[run.pos[x] + 1:]
     for y in range(run.n):
         if run.numbered[y] and y != x:
             continue

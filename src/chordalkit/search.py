@@ -162,7 +162,6 @@ class TraceEntry:
     i: int
     vertex: int
     label: Label
-    prev_label: Label
     increased: tuple[int, ...]
     fill: tuple[tuple[int, int], ...] = ()
 
@@ -223,14 +222,15 @@ class LabelSearch:
         self.labels: list[Label] = [structure.initial() for _ in range(n)]
         self.queue: OrderedPartition | None = structure._selection_queue(n, minimize)
         self.numbered = [False] * n
-        self.numbered_list: list[int] = []  # in pick order (positions n..1)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
         self.prev_label: Label = structure.initial()
         self.trace = SearchTrace(structure.name)
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.fill: list[tuple[int, int]] = []
-        self.nb: list[int] | None = None  # vertex bitset adjacency, for the queue's reach
+        # vertex bitset adjacency, for the queue's reach
+        self.nb = ([sum(1 << w for w in s) for s in g.adj]
+                   if triangulate and self.queue is not None else None)
         self.debug = debug.enabled()
 
     # -- the search loop
@@ -257,7 +257,7 @@ class LabelSearch:
                     self.overlay[b].add(a)
                 self.fill.extend(fill)
             self.trace.entries.append(
-                TraceEntry(i, x, self.labels[x], self.prev_label, tuple(increased), tuple(fill))
+                TraceEntry(i, x, self.labels[x], tuple(increased), tuple(fill))
             )
             self.prev_label = self.labels[x]
 
@@ -323,7 +323,6 @@ class LabelSearch:
         self.alpha[i] = x
         self.pos[x] = i
         self.numbered[x] = True
-        self.numbered_list.append(x)
         if self.queue is not None:
             self.queue.remove(x)
 
@@ -355,8 +354,6 @@ class LabelSearch:
         if self.queue is None:
             targets = self._inc_targets_scan(x)
         else:
-            if self.nb is None:
-                self.nb = [sum(1 << w for w in s) for s in self.g.adj]
             targets = self.queue.reach(x, self.nb)
             if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
                 self._assert_reach_targets(i, x, targets)
@@ -396,8 +393,9 @@ class LabelSearch:
         return targets
 
     def _bump_all(self, ys: list[int], i: int) -> None:
-        """Increase the labels of ys at position i, then hand them to the
-        queue in one call."""
+        """Increase the labels of ys at position i, then hand them all to the
+        queue in the step's one ``bump``, after the step's ``remove``; the
+        queue is settled when it returns."""
         labels, inc = self.labels, self.structure.inc
         for y in ys:
             old = labels[y]

@@ -17,11 +17,13 @@ keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
 ``prefer`` rule itself. Custom structures scan instead. All queues are
-driven by the same calls: ``remove`` when a vertex is numbered, ``bump``
-when the labels of some vertices are increased at position i, and
-``lowest`` (or ``extreme``) to select. With ``minimize`` they read the
-least class instead of the greatest. The generic engine (through
-``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share them.
+driven by the same calls, each step making one ``remove``, when its vertex
+is numbered, then exactly one ``bump``, possibly empty, with every vertex
+whose label grows at position i. ``bump`` returns with the queue settled,
+so ``lowest`` (or ``extreme``) selects by reading it. With ``minimize``
+they read the least class instead of the greatest. The generic engine
+(through ``LabelingStructure._selection_queue``) and ``fast_clique_tree``
+share them.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
@@ -34,7 +36,7 @@ dominates. Custom structures scan for these targets too.
 Refinement creates blocks and never revives them, so block ids count up in
 creation order and are never reused. An emptied block is unlinked and its
 state released (member set and heap; for mns also its mask and witness
-links, once the next query settles the step), so the per-block lists keep
+links, once ``bump`` settles the step), so the per-block lists keep
 one small entry per block ever created: at most one per label increase,
 O(n + m + fill) over a search.
 """
@@ -48,9 +50,10 @@ from typing import Iterable
 class OrderedPartition:
     """List labels: blocks of equal labels, linked in label order.
 
-    Bumping y at position i moves it into the block ``_target`` names for
-    its block, cached for the step in ``twins``. Here that is a twin linked
-    just above the block: every live label holds only positions above i, so
+    ``bump`` takes all of a step's label increases in one call and
+    returns with the queue settled. It moves each vertex y bumped at
+    position i into the block ``_target`` names for its block, cached for
+    the step in ``twins``. Here that is a twin linked just above the block: every live label holds only positions above i, so
     label + (i,) is the immediate successor of label among them. No vertex
     ever re-enters a block it left, so each block finds its lowest index
     with a lazy min-heap that every arrival is pushed onto: an entry is
@@ -83,9 +86,8 @@ class OrderedPartition:
             self._unlink(b)
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        if i != self.step:
-            self.step = i
-            self.twins.clear()
+        self.step = i
+        self.twins.clear()
         members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
         for v in vs:
             b = block_of[v]
@@ -235,34 +237,22 @@ class StackPartition(OrderedPartition):
     step, while two bumped labels keep their order. The twins of a step's
     source blocks are therefore linked above the top block, in the order of
     their sources. Blocks only ever enter at the top, so the block order is
-    creation order, which is id order. A step may bump one vertex per call,
-    so ``bump`` only gathers the vertices; the next ``lowest`` or
-    ``extreme`` groups them by block, sorts the k source blocks by id and
-    places their twins, O(k log k). Removal, emptied blocks and the lazy
-    heaps are the ordered partition's; a twin's heap is seeded with its
-    members sorted."""
+    creation order, which is id order. ``bump`` groups the step's vertices
+    by block, sorts the k source blocks by id and places their twins,
+    O(k log k). Removal, emptied blocks and the lazy heaps are the ordered
+    partition's; a twin's heap is seeded with its members sorted."""
 
-    __slots__ = ("pending",)
-
-    def __init__(self, n: int, minimize: bool = False):
-        super().__init__(n, minimize)
-        self.pending: list[int] = []
+    __slots__ = ()
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        self.pending.extend(vs)
-
-    def _place(self) -> None:
-        """Move the gathered vertices into twins of their blocks, linked on
-        top in ascending order of the source blocks."""
         members, heaps, block_of = self.members, self.heaps, self.block_of
         groups: dict[int, list[int]] = {}
-        for v in self.pending:
+        for v in vs:
             b = block_of[v]
             if b in groups:
                 groups[b].append(v)
             else:
                 groups[b] = [v]
-        self.pending.clear()
         for b in sorted(groups):
             t = self._new_block(self.top)
             old, moved = members[b], groups[b]
@@ -273,16 +263,6 @@ class StackPartition(OrderedPartition):
                 block_of[v] = t
             if not old:
                 self._unlink(b)
-
-    def extreme(self) -> set[int]:
-        if self.pending:
-            self._place()
-        return OrderedPartition.extreme(self)
-
-    def lowest(self) -> int:
-        if self.pending:
-            self._place()
-        return OrderedPartition.lowest(self)
 
 
 class _Witnessed(set):
@@ -301,8 +281,8 @@ class InclusionPartition(OrderedPartition):
     twin's mask is its source's plus bit i, which no other block holds, so
     a twin never dominates an older block, and dominates a twin exactly
     when its source dominates that twin's source. Each live non-extreme
-    block keeps a witness, a live block that strictly dominates it. The
-    next query settles the step:
+    block keeps a witness, a live block that strictly dominates it.
+    ``bump`` settles the step:
 
     - the twin of an extreme source is extreme, unless (minimizing) the
       source survives and witnesses it; maximizing, a surviving extreme
@@ -329,7 +309,7 @@ class InclusionPartition(OrderedPartition):
     live block's maximal dominated blocks for the next step."""
 
     __slots__ = ("mask", "prev", "last", "ext", "order", "entered", "held", "home",
-                 "grown", "emptied", "dirty", "covers")
+                 "grown", "emptied", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
@@ -344,13 +324,16 @@ class InclusionPartition(OrderedPartition):
         self.home: list[_Witnessed | None] = [None]
         self.grown: dict[int, int] = {}  # this step's extreme twins -> mask
         self.emptied: list[int] = []  # this step's emptied blocks
-        self.dirty = False
         self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
 
     def remove(self, v: int) -> None:
         b = self.block_of[v]
-        self.prev, self.last, self.dirty = self.mask[b], b, True
+        self.prev, self.last = self.mask[b], b
         super().remove(v)
+
+    def bump(self, vs: Iterable[int], i: int) -> None:
+        super().bump(vs, i)
+        self._settle()
 
     def _new_block(self, below: int) -> int:
         self.mask.append(self.mask[below] | 1 << self.step)
@@ -385,10 +368,9 @@ class InclusionPartition(OrderedPartition):
 
     def _settle(self) -> None:
         """Apply the step's removal and bumps by the rules above."""
-        self.dirty = False
         mask, members, ext, minimize = self.mask, self.members, self.ext, self.minimize
         held, home, entered, grown = self.held, self.home, self.entered, {}
-        fresh = self.twins  # this step's source -> twin, cleared once read
+        fresh = self.twins  # this step's source -> twin
         tested: list[int] = []
         orphans: list[int] = []
         # emptied blocks leave ext only in the loop after this one
@@ -440,12 +422,9 @@ class InclusionPartition(OrderedPartition):
             entered[:] = ext
         self.grown = grown
         self.emptied.clear()
-        fresh.clear()
 
     def _narrowed(self) -> list[int]:
         """The extreme blocks that ``prefer`` keeps."""
-        if self.dirty:
-            self._settle()
         mask, prev = self.mask, self.prev
         if self.prefer == "equal":
             return [self.last] if self.last in self.ext and mask[self.last] == prev else []
@@ -456,8 +435,6 @@ class InclusionPartition(OrderedPartition):
 
     def _extreme_classes(self) -> list[int]:
         """The maximal blocks (minimal with minimize)."""
-        if self.dirty:
-            self._settle()
         return list(self.ext)
 
     def extreme(self) -> set[int]:

@@ -9,6 +9,7 @@ from chordalkit.cliquetree import (
     complement_mls_clique_tree,
     complement_mls_generators,
     dcl_mls_clique_tree,
+    fast_clique_tree,
     mls_clique_tree,
 )
 from chordalkit.decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
@@ -445,20 +446,6 @@ def _queue_tiebreaks(g, minimize):
             ScriptedOrder(g.names[v] for v in picks)]
 
 
-def _bump_by_protocol(q, rng, ys, i):
-    # one call, one call per vertex, or two calls at the same position
-    mode = rng.randrange(3)
-    if mode == 0:
-        q.bump(ys, i)
-    elif mode == 1:
-        for y in ys:
-            q.bump([y], i)
-    else:
-        cut = rng.randint(0, len(ys))
-        q.bump(ys[:cut], i)
-        q.bump(ys[cut:], i)
-
-
 def _random_adjacency(rng, n):
     """Random adjacency sets and the same as vertex bitsets."""
     adj = [set() for _ in range(n)]
@@ -495,8 +482,7 @@ def _assert_dead_blocks_released(q):
         assert q.members[b] is None and q.heaps[b] is None, b
         if isinstance(q, InclusionPartition):
             assert q.mask[b] == 0, b
-            if b not in q.emptied:  # released when the next query settles
-                assert q.held[b] is None and q.home[b] is None, b
+            assert not q.emptied and q.held[b] is None and q.home[b] is None, b
     if isinstance(q, StackPartition):  # blocks enter on top: ids rise upward
         assert linked == sorted(linked)
 
@@ -535,6 +521,37 @@ class TestSelectionQueue:
                 assert got == want, (name, g, tb)
                 assert got_trace == want_trace, (name, g, tb)
 
+    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f.__name__)
+    def test_one_bump_per_step_after_its_remove(self, factory, monkeypatch):
+        # the queues settle in bump, so every caller must hand a step's
+        # increases to one bump call, made after that step's remove
+        structure = factory()
+        queue = type(structure._selection_queue(1, False))
+        calls = {}
+        for name in ("remove", "bump"):
+            real = getattr(queue, name)
+
+            def spy(self, *args, name=name, real=real):
+                calls.setdefault(self, []).append(name if name == "remove" else args[1])
+                return real(self, *args)
+
+            monkeypatch.setattr(queue, name, spy)
+        runs = [(fn, kind, kwargs) for _, fn, kind, kwargs in _QUEUE_PRODUCTS]
+        if structure.name in ("mcs", "lexbfs"):
+            runs.append((lambda g, s: fast_clique_tree(g, s.name), "chordal", {}))
+        for fn, kind, kwargs in runs:
+            for g in _queue_corpus(kind)[-6:]:
+                calls.clear()
+                try:
+                    fn(g, structure, **kwargs)
+                except ChordalkitError:  # a structure the product refuses
+                    assert not calls, (fn, g)
+                    continue
+                assert calls, (fn, g)
+                for q, seen in calls.items():
+                    n = len(q.block_of)
+                    assert seen == [c for i in range(n, 0, -1) for c in ("remove", i)], (fn, g)
+
     def test_other_structures_keep_the_scan(self, monkeypatch):
         # armed, the debug cross-check scans next to every queued step
         monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
@@ -564,16 +581,6 @@ class TestSelectionQueue:
         with pytest.raises(DebugInvariantError, match="selection queue"):
             mls(g, mcs())
 
-    def test_debug_cross_check_catches_unplaced_lexdfs_twins(self, monkeypatch):
-        # an extreme() that reads the partition before the step's bumped
-        # vertices reach their twins offers last step's top block
-        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
-        g = graph("fig1_h")
-        mls(g, lexdfs())
-        monkeypatch.setattr(StackPartition, "extreme", OrderedPartition.extreme)
-        with pytest.raises(DebugInvariantError, match="selection queue"):
-            mls(g, lexdfs())
-
     def test_debug_cross_check_catches_a_bad_mns_queue(self, monkeypatch):
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
         g = graph("fig3_g")
@@ -594,9 +601,9 @@ class TestSelectionQueue:
 
     def test_inclusion_partition_matches_brute_force(self):
         # the engine's protocol on random set labels: select, remove the
-        # pick, then bump some vertices at position i in one call, one call
-        # per vertex or two calls; a step may bump nothing, or whole classes.
-        # After each removal the block reach search runs on a random graph.
+        # pick, then bump some vertices at position i in the step's one
+        # call; a step may bump nothing, or whole classes. After each
+        # removal the block reach search runs on a random graph.
         for minimize in (False, True):
             for seed in range(100):
                 rng = random.Random(seed)
@@ -636,7 +643,7 @@ class TestSelectionQueue:
                         ys = [v for v in sorted(live) if rng.random() < p]
                     for y in ys:
                         label[y] |= 1 << i
-                    _bump_by_protocol(q, rng, ys, i)
+                    q.bump(ys, i)
                     _assert_dead_blocks_released(q)
 
     @pytest.mark.parametrize("queue,initial,inc,key", [
@@ -675,5 +682,5 @@ class TestSelectionQueue:
                         ys = [v for v in sorted(live) if rng.random() < p]
                     for y in ys:
                         label[y] = inc(label[y], i)
-                    _bump_by_protocol(q, rng, ys, i)
+                    q.bump(ys, i)
                     _assert_dead_blocks_released(q)
