@@ -38,6 +38,8 @@ from .graph import (
     load_graph,
     materialize_complement,
     ordering_from_names,
+    read_text,
+    token_rows,
 )
 from .labeling import BUILTIN_TOKENS, check_report, structure_by_token
 from .search import LowestIndex, ScriptedOrder, SeededRandom, mls, mlsm, moplex_mlsm, triangulation_from_ordering
@@ -69,13 +71,7 @@ def _parse_tiebreak(spec: str):
 
 
 def _read_ordering(path: str, g: Graph):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for raw in fh.read().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    return ordering_from_names(g, tokens)
+    return ordering_from_names(g, [name for row in token_rows(read_text(path)) for name in row])
 
 
 def _emit(args, text: str) -> None:

@@ -30,30 +30,29 @@ class Graph:
     __slots__ = ("names", "adj", "n", "m", "_index")
 
     def __init__(self, names: Sequence[str], edges: Iterable[tuple[int, int]]):
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate vertex names")
-        self.names: tuple[str, ...] = tuple(names)
-        self.n = len(self.names)
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        m = 0
+        names = tuple(names)
+        index = _name_index(names)
+        n = len(names)
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge ({u},{v}) out of range")
             if u == v:
-                raise SelfLoopError(f"self-loop at {self.names[u]!r}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        self.adj: tuple[VertexSet, ...] = tuple(frozenset(s) for s in adj)
-        self.m = m
-        self._index = {name: i for i, name in enumerate(self.names)}
+                raise SelfLoopError(f"self-loop at {names[u]!r}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._finish(names, index, adj)
+
+    def _finish(self, names: tuple[str, ...], index: dict[str, int], adj: list[set[int]]) -> None:
+        """Freeze the adjacency sets; every constructor ends here."""
+        self.names = names
+        self.n = len(names)
+        self.adj: tuple[VertexSet, ...] = tuple(map(frozenset, adj))
+        self.m = sum(map(len, self.adj)) >> 1
+        self._index = index
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ParseError(f"unknown vertex name {name!r}") from None
+        return _lookup(self._index, name)
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -88,49 +87,98 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Build a graph from named edge pairs; first appearance fixes indices."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInputError("empty edge list")
-    names: list[str] = []
+def _name_index(names: Sequence[str]) -> dict[str, int]:
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError("duplicate vertex names")
+    return index
+
+
+def _lookup(index: dict[str, int], name: str) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise ParseError(f"unknown vertex name {name!r}") from None
+
+
+def from_edge_list(rows: Iterable[Sequence[str]]) -> Graph:
+    """Build a graph from named edge pairs, in one pass; first appearance
+    fixes indices, and each adjacency set receives its members in pair
+    order, both ends per edge. parse_edge_list passes each line's tokens,
+    [] for a blank line; its errors hold with pair k as line k."""
     index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for a, b in pairs:
+    adj: list[set[int]] = []
+    get, new = index.get, adj.append
+    loop = None
+    for lineno, row in enumerate(rows, 1):
+        if len(row) != 2:
+            if row:
+                raise ParseError(f"line {lineno}: expected two vertex names, got {len(row)}")
+            continue
+        a, b = row
+        u = get(a)
+        if u is None:
+            u = index[a] = len(adj)
+            new(set())
         if a == b:
-            raise SelfLoopError(f"self-loop at {a!r}")
-        for name in (a, b):
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-        edges.append((index[a], index[b]))
-    return Graph(names, edges)
+            if loop is None:
+                loop = a
+            continue
+        v = get(b)
+        if v is None:
+            v = index[b] = len(adj)
+            new(set())
+        adj[u].add(v)
+        adj[v].add(u)
+    if not adj:
+        raise EmptyInputError("empty edge list")
+    if loop is not None:
+        raise SelfLoopError(f"self-loop at {loop!r}")
+    g = Graph.__new__(Graph)
+    g._finish(tuple(index), index, adj)
+    return g
 
 
 def from_vertices(names: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> Graph:
     """Build a graph from an explicit vertex list (allows isolated vertices)."""
-    g = Graph(names, [])
-    return Graph(names, [(g.index(a), g.index(b)) for a, b in pairs])
+    index = _name_index(names)
+    return Graph(names, [(_lookup(index, a), _lookup(index, b)) for a, b in pairs])
+
+
+def token_rows(text: str) -> Iterable[list[str]]:
+    """The whitespace-separated tokens of each line, '#' starting a comment;
+    a blank or comment-only line gives []."""
+    lines = text.splitlines()
+    if "#" not in text:
+        return map(str.split, lines)
+    return (line.partition("#")[0].split() for line in lines)
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: one edge per line, two
-    whitespace-separated names, '#' starts a comment, blank lines ignored."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected two vertex names, got {len(tokens)}")
-        pairs.append((tokens[0], tokens[1]))
-    return from_edge_list(pairs)
+    whitespace-separated names, '#' starts a comment, blank lines ignored.
+
+    One pass over the lines. Errors, in order of precedence: the first line
+    without exactly two names raises ParseError with its line number; then
+    an input with no edge line raises EmptyInputError; then the first
+    self-loop in file order raises SelfLoopError, so a self-loop is only
+    reported once the whole text has parsed."""
+    return from_edge_list(token_rows(text))
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; invalid UTF-8 raises ParseError naming
+    the file and the byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(read_text(path))
 
 
 class ComplementView:

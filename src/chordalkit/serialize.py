@@ -26,7 +26,47 @@ def _set_list(g: AnyGraph, sets: Iterable[frozenset[int]]) -> list[list[str]]:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    With an indent, json runs its pure-Python encoder token by token; this
+    writer joins a whole list of names or of ints in one call."""
+    return _value(obj, "\n") + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii
+_is_bool = bool.__instancecheck__
+
+
+def _value(v, nl: str) -> str:
+    """v's JSON text at the indent that nl (a newline and spaces) gives."""
+    t = type(v)
+    if t is str:
+        return _string(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list or t is tuple:
+        return _array(v, nl) if v else "[]"
+    if t is dict and all(type(k) is str for k in v):
+        return _object(v, nl) if v else "{}"
+    # floats, bools, None, subclasses, non-str keys: json's own text, with
+    # its newlines indented (a JSON string never holds a raw newline)
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _array(v: list | tuple, nl: str) -> str:
+    inner = nl + "  "
+    first = type(v[0])
+    if first is str or (first is int and not any(map(_is_bool, v))):
+        try:
+            return "[" + inner + ("," + inner).join(map(_string if first is str else int.__repr__, v)) + nl + "]"
+        except TypeError:  # a later item of another type
+            pass
+    return "[" + inner + ("," + inner).join([_value(x, inner) for x in v]) + nl + "]"
+
+
+def _object(d: dict, nl: str) -> str:
+    inner = nl + "  "
+    items = [_string(k) + ": " + _value(x, inner) for k, x in sorted(d.items())]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def clique_tree_json(g: AnyGraph, t: CliqueTreeResult) -> dict:

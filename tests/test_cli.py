@@ -326,6 +326,20 @@ class TestErrors:
         code, _, err = run(capsys, "cliquetree", str(p))
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["cliquetree", "{bad}"],
+        ["cliquetree", "{good}", "--from-peo", "{bad}"],
+        ["triangulate", "{good}", "--from-ordering", "{bad}"],
+    ], ids=["edge-list", "from-peo", "from-ordering"])
+    def test_invalid_utf8(self, tmp_path, capsys, argv):
+        good = tmp_path / "good.txt"
+        good.write_text("a b\nb c\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\nb \xff\n")
+        code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: Parse: {bad}: invalid UTF-8 at byte 6\n"
+
     def test_self_loop(self, tmp_path, capsys):
         p = tmp_path / "loop.txt"
         p.write_text("a a\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,90 @@ class TestConstruction:
         with pytest.raises(ParseError, match="'zz'"):
             from_vertices(["a", "b"], [("a", "zz")])
 
+    def test_from_vertices_duplicate_names_first(self):
+        with pytest.raises(ParseError, match="^duplicate vertex names$"):
+            from_vertices(["a", "a"], [("a", "zz")])
+
+    def test_from_vertices_keeps_isolated_vertices(self):
+        g = from_vertices(["a", "b", "c"], [("c", "a"), ("a", "c")])
+        assert (g.names, g.m, g.index("b")) == (("a", "b", "c"), 1, 1)
+        assert g.adj == (frozenset({2}), frozenset(), frozenset({0}))
+
+
+def _three_pass_parse(text):
+    """Reference: the parser as three passes (collect the pairs, index the
+    names, build and check the edges), as (names, m, index, adjacency rows
+    in iteration order)."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"line {lineno}: expected two vertex names, got {len(tokens)}")
+        pairs.append((tokens[0], tokens[1]))
+    if not pairs:
+        raise EmptyInputError("empty edge list")
+    names, index, edges = [], {}, []
+    for a, b in pairs:
+        if a == b:
+            raise SelfLoopError(f"self-loop at {a!r}")
+        for name in (a, b):
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+        edges.append((index[a], index[b]))
+    adj = [set() for _ in names]
+    m = 0
+    for u, v in edges:
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            m += 1
+    return tuple(names), m, index, [list(frozenset(s)) for s in adj]
+
+
+def _random_edge_text(rng):
+    """Edge lines over a name pool big enough to grow adjacency sets past
+    their first resize, mixed with comments, blank and whitespace-only
+    lines, self-loops and lines of the wrong length, joined by one of five
+    line breaks that splitlines knows."""
+    pool = [f"v{i}" for i in range(rng.choice((3, 12, 40)))] + ["é", "名前"]
+    spaces = (" ", "\t", "  ", " \t ")
+    bad_rate = rng.choice((0.0, 0.0, 0.003, 0.02))
+    loop_rate = rng.choice((0.0, 0.0, 0.005, 0.02))
+    lines = []
+    for _ in range(rng.randrange(0, rng.choice((4, 300)))):
+        r = rng.random()
+        if r < bad_rate:
+            lines.append(rng.choice(spaces).join(rng.sample(pool, rng.choice((1, 3)))))
+        elif r < bad_rate + loop_rate:
+            a = rng.choice(pool)
+            lines.append(f"{a}{rng.choice(spaces)}{a}")
+        elif r < bad_rate + loop_rate + 0.06:
+            lines.append(rng.choice(("", "  ", "\t", "# note", "  # a b", "#")))
+        else:
+            a, b = rng.sample(pool, 2)
+            line = rng.choice(("", " ", "\t")) + a + rng.choice(spaces) + b + rng.choice(("", " ", "\t"))
+            if rng.random() < 0.1:
+                line += rng.choice(("#", " # c d e", "\t#x"))
+            lines.append(line)
+    eol = rng.choice(("\n", "\r\n", "\r", "\v", "\u2028"))
+    return eol.join(lines) + rng.choice(("", eol))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def _one_pass(text):
+    g = parse_edge_list(text)
+    return g.names, g.m, g._index, [list(s) for s in g.adj]
+
 
 class TestEdgeListFormat:
     def test_comments_and_blanks(self):
@@ -87,6 +173,28 @@ class TestEdgeListFormat:
     def test_bad_token_count(self):
         with pytest.raises(ParseError):
             parse_edge_list("a b c\n")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_three_pass_parser(self, seed):
+        # same names, indices, edge count and adjacency iteration order, or
+        # the same error type and message
+        rng = random.Random(seed)
+        for _ in range(10):
+            text = _random_edge_text(rng)
+            assert _outcome(_one_pass, text) == _outcome(_three_pass_parse, text), text
+
+    def test_bad_line_after_a_self_loop_wins(self):
+        with pytest.raises(ParseError, match="^line 3: expected two vertex names, got 3$") as caught:
+            parse_edge_list("a b\nb b\nb c d\n")
+        assert type(caught.value) is ParseError
+
+    def test_first_self_loop_in_file_order(self):
+        with pytest.raises(SelfLoopError, match="^self-loop at 'c'$"):
+            parse_edge_list("a b\nc c\nb b\n")
+
+    def test_comments_only_is_empty(self):
+        with pytest.raises(EmptyInputError, match="^empty edge list$"):
+            parse_edge_list("# only a comment\n\n   # another\n")
 
 
 class TestConnectivity:
