@@ -43,7 +43,16 @@ class Graph:
             adj[v].add(u)
         self._finish(names, index, adj)
 
-    def _finish(self, names: tuple[str, ...], index: dict[str, int], adj: list[set[int]]) -> None:
+    @classmethod
+    def _from_adj(cls, names: tuple[str, ...], index: dict[str, int], adj: Sequence[Iterable[int]]) -> "Graph":
+        """A graph frozen from adjacency sets that are already symmetric,
+        loop-free and in range, under names and their index (trusted, not
+        checked): O(n + m), with no edge list in between."""
+        g = cls.__new__(cls)
+        g._finish(names, index, adj)
+        return g
+
+    def _finish(self, names: tuple[str, ...], index: dict[str, int], adj: Sequence[Iterable[int]]) -> None:
         """Freeze the adjacency sets; every constructor ends here."""
         self.names = names
         self.n = len(names)
@@ -134,9 +143,7 @@ def from_edge_list(rows: Iterable[Sequence[str]]) -> Graph:
         raise EmptyInputError("empty edge list")
     if loop is not None:
         raise SelfLoopError(f"self-loop at {loop!r}")
-    g = Graph.__new__(Graph)
-    g._finish(tuple(index), index, adj)
-    return g
+    return Graph._from_adj(tuple(index), index, adj)
 
 
 def from_vertices(names: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> Graph:

@@ -314,7 +314,9 @@ class GeneratorConfig:
 
 def _grow_chordal(rng: SplitMix64, n: int, param: float) -> Graph:
     # randomness order per vertex v: attachment size, anchor vertex, then
-    # each clique-extension choice
+    # each clique-extension choice. common lists, ascending, the vertices
+    # adjacent to the whole clique so far (all below v, none in the clique):
+    # each pick keeps the members adjacent to it, so the list is sorted once
     names = [f"v{i}" for i in range(n)]
     adj: list[set[int]] = [set() for _ in range(n)]
     hi = max(1, int(2 * param) - 1)
@@ -322,12 +324,12 @@ def _grow_chordal(rng: SplitMix64, n: int, param: float) -> Graph:
         k = 1 + rng.below(min(v, hi))
         u = rng.below(v)
         clique = [u]
-        while len(clique) < k:
-            common = adj[clique[0]].intersection(*(adj[c] for c in clique[1:])) if clique else set()
-            common = sorted(w for w in common if w < v and w not in clique)
-            if not common:
-                break
-            clique.append(common[rng.below(len(common))])
+        common = sorted(adj[u]) if k > 1 else []
+        while len(clique) < k and common:
+            c = common[rng.below(len(common))]
+            clique.append(c)
+            hood = adj[c]
+            common = [w for w in common if w in hood]
         for c in clique:
             adj[v].add(c)
             adj[c].add(v)

@@ -41,7 +41,6 @@ from .graph import (
     ComplementView,
     Graph,
     Ordering,
-    add_edges,
     require_connected,
 )
 from .labeling import Cmp, Label, LabelingStructure, require_ic
@@ -178,7 +177,12 @@ class SearchTrace:
 @dataclass(frozen=True)
 class TriangulationResult:
     """An ordering, the input graph plus its fill (chordal), and the fill
-    edges in insertion order."""
+    edges in insertion order, which the result JSON keeps.
+
+    The graph is frozen from the adjacency sets that made it: a
+    triangulating search's overlay, or the elimination game's sets. That
+    costs O(n + m + |fill|), with no edge list rebuilt, and shares the
+    input's names and name index."""
 
     ordering: Ordering
     graph: Graph
@@ -413,8 +417,12 @@ class LabelSearch:
         return Ordering(self.alpha[1:])  # type: ignore[arg-type]
 
     def triangulation(self) -> TriangulationResult:
-        """The finished triangulating run: its ordering and filled graph."""
-        return TriangulationResult(self.ordering(), add_edges(self.g, self.fill), tuple(self.fill))
+        """The finished triangulating run: its ordering and filled graph,
+        which is the overlay frozen under g's names, O(n + m + |fill|)."""
+        g = self.g
+        assert isinstance(g, Graph) and self.overlay is not None
+        h = Graph._from_adj(g.names, g._index, self.overlay)
+        return TriangulationResult(self.ordering(), h, tuple(self.fill))
 
     # -- debug hooks
 
@@ -537,21 +545,30 @@ def moplex_mlsm(
 
 def triangulation_from_ordering(g: Graph, alpha: Ordering) -> TriangulationResult:
     """Elimination game: saturate the not-yet-processed neighborhood of each
-    vertex in position order, accumulating fill edges."""
+    vertex in position order, accumulating fill edges.
+
+    The fill comes in the pair order of the game: by eliminated vertex, then
+    by each later neighbour a ascending, then by partner ascending. Each a
+    finds its missing partners with one set difference (the later
+    neighbours after a, minus a's adjacency), so the interpreted work is
+    O(n + m + |fill|) steps plus a sort of each later neighbourhood, and the
+    filled graph is frozen from the game's own adjacency sets."""
     if len(alpha) != g.n:
         raise ValueError("ordering length does not match the graph")
+    pos = alpha.pos
     adj = [set(s) for s in g.adj]
     fill: list[tuple[int, int]] = []
-    for i in range(1, g.n + 1):
-        x = alpha.vertex_at(i)
-        later = [y for y in adj[x] if alpha.position_of(y) > i]
-        later.sort()
-        for a_idx in range(len(later)):
-            for b_idx in range(a_idx + 1, len(later)):
-                a, b = later[a_idx], later[b_idx]
-                if b not in adj[a]:
-                    adj[a].add(b)
+    for x in alpha.seq:
+        px = pos[x]
+        later = sorted([y for y in adj[x] if pos[y] > px])
+        rest = set(later)
+        for a in later:
+            rest.discard(a)
+            missing = rest - adj[a]
+            if missing:
+                adj[a] |= missing
+                for b in sorted(missing):
                     adj[b].add(a)
-                    fill.append((min(a, b), max(a, b)))
-    h = add_edges(g, fill)
+                    fill.append((a, b))
+    h = Graph._from_adj(g.names, g._index, adj)
     return TriangulationResult(alpha, h, tuple(fill))

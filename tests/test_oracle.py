@@ -6,6 +6,7 @@ from chordalkit.decomposition import is_clique_in
 from chordalkit.errors import OracleCapError
 from chordalkit.fixtures import fixture, fixtures, graph
 from chordalkit.graph import (
+    Graph,
     from_edge_list,
     from_vertices,
     higher_neighborhood,
@@ -16,6 +17,7 @@ from chordalkit.graph import (
 from chordalkit.labeling import mcs
 from chordalkit.oracle import (
     GeneratorConfig,
+    _grow_chordal,
     atoms_brute,
     gen,
     is_chordal,
@@ -27,6 +29,7 @@ from chordalkit.oracle import (
     minimal_separators,
     validate_clique_tree,
 )
+from chordalkit.rng import SplitMix64
 from chordalkit.search import ScriptedOrder, mls
 
 
@@ -318,6 +321,46 @@ class TestGenerators:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             gen(GeneratorConfig(seed=1, n=5, param=0.5, family="mystery"))
+
+    @pytest.mark.parametrize("param", [1, 3, 4, 8])
+    def test_grow_chordal_matches_intersection_reference(self, param):
+        stops = []
+        for seed in range(1, 7):
+            for n in (2, 9, 40, 150):
+                rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+                g = _grow_chordal(rng, n, param)
+                want = _reference_grow_chordal(ref_rng, n, param, stops)
+                assert g == want
+                assert [list(s) for s in g.adj] == [list(s) for s in want.adj]
+                # both drew the same number of values
+                assert rng.below(1 << 30) == ref_rng.below(1 << 30)
+        if param > 1:
+            # some attachment ran out of candidates before its clique size
+            assert stops
+
+
+def _reference_grow_chordal(rng, n, param, stops):
+    """The chordal growth with the candidates re-intersected over the whole
+    clique at every extension; each early stop (no candidate left before
+    the clique reaches size k) is appended to stops."""
+    names = [f"v{i}" for i in range(n)]
+    adj = [set() for _ in range(n)]
+    hi = max(1, int(2 * param) - 1)
+    for v in range(1, n):
+        k = 1 + rng.below(min(v, hi))
+        u = rng.below(v)
+        clique = [u]
+        while len(clique) < k:
+            common = adj[clique[0]].intersection(*(adj[c] for c in clique[1:]))
+            common = sorted(w for w in common if w < v and w not in clique)
+            if not common:
+                stops.append(v)
+                break
+            clique.append(common[rng.below(len(common))])
+        for c in clique:
+            adj[v].add(c)
+            adj[c].add(v)
+    return Graph(names, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 class TestFixtureCatalog:

@@ -13,9 +13,15 @@ from chordalkit.cliquetree import (
     mls_clique_tree,
 )
 from chordalkit.decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
-from chordalkit.errors import ChordalkitError, DebugInvariantError, DisconnectedGraphError, ScriptConflictError
+from chordalkit.errors import (
+    ChordalkitError,
+    DebugInvariantError,
+    DisconnectedGraphError,
+    NonDclStructureError,
+    ScriptConflictError,
+)
 from chordalkit.fixtures import fixture, fixtures, graph
-from chordalkit.graph import complement_view, from_edge_list, from_vertices, ordering_from_names
+from chordalkit.graph import Ordering, add_edges, complement_view, from_edge_list, from_vertices, ordering_from_names
 from chordalkit.labeling import Cmp, LabelingStructure, Tri, lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import GeneratorConfig, gen, is_chordal, is_minimal_triangulation, is_peo, is_pmo
 from chordalkit.search import (
@@ -240,6 +246,108 @@ class TestEliminationGame:
         assert [(g.names[u], g.names[v]) for u, v in tri.fill_edges] == [("a", "c")]
         assert is_chordal(tri.graph)
 
+    @staticmethod
+    def _assert_matches_reference(g, alpha):
+        tri = triangulation_from_ordering(g, alpha)
+        h, fill = _reference_elimination_game(g, alpha)
+        assert tri.fill_edges == fill
+        assert tri.graph == h
+        assert tri.graph.m == g.m + len(fill)
+        assert tri.ordering == alpha
+        return tri
+
+    def test_matches_pair_loop_on_random_permutations(self):
+        rng = random.Random(15)
+        for s in range(30):
+            n = 5 + s % 26
+            g = gen(GeneratorConfig(seed=5000 + s, n=n, param=min(0.9, 3 / n), family="random-connected"))
+            for _ in range(3):
+                seq = list(range(n))
+                rng.shuffle(seq)
+                self._assert_matches_reference(g, Ordering(seq))
+
+    def test_matches_pair_loop_on_search_orderings(self):
+        for s in range(20):
+            n = 6 + s % 25
+            g = gen(GeneratorConfig(seed=6000 + s, n=n, param=min(0.9, 3 / n), family="random-connected"))
+            for f in ALL:
+                alpha, _ = mls(g, f())
+                self._assert_matches_reference(g, alpha)
+
+    def test_peo_of_chordal_matches_pair_loop(self):
+        for g in chordal_corpus(12):
+            alpha, _ = mls(g, lexbfs())
+            tri = self._assert_matches_reference(g, alpha)
+            assert tri.fill_edges == () and tri.graph == g
+
+    def test_fig4_matches_pair_loop(self):
+        fx = fixture("fig4_g")
+        g = fx.graph()
+        alpha, _ = mls(g, lexbfs(), scripted(fx))
+        tri = self._assert_matches_reference(g, alpha)
+        assert len(tri.fill_edges) == 2
+
+    def test_result_graph_is_frozen_under_the_input_names(self):
+        g = gen(GeneratorConfig(seed=7, n=20, param=0.2, family="random-connected"))
+        alpha, _ = mls(g, mcs())
+        tri = triangulation_from_ordering(g, alpha)
+        assert all(type(s) is frozenset for s in tri.graph.adj)
+        assert tri.graph.names == g.names
+        assert [tri.graph.index(name) for name in g.names] == list(range(g.n))
+
+
+def _reference_elimination_game(g, alpha):
+    """The elimination game as a pair loop over each eliminated vertex's
+    sorted later neighbourhood: the filled graph (rebuilt from its edge
+    list) and the fill edges in the order the pairs were met."""
+    adj = [set(s) for s in g.adj]
+    fill = []
+    for i in range(1, g.n + 1):
+        x = alpha.vertex_at(i)
+        later = sorted(y for y in adj[x] if alpha.position_of(y) > i)
+        for a_idx in range(len(later)):
+            for b_idx in range(a_idx + 1, len(later)):
+                a, b = later[a_idx], later[b_idx]
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    fill.append((min(a, b), max(a, b)))
+    return add_edges(g, fill), tuple(fill)
+
+
+TRIANGULATING = [mlsm, moplex_mlsm, dcl_mlsm_clique_tree, dcl_atom_tree]
+
+
+class TestTriangulationResultGraph:
+    """Every triangulating driver freezes its run's overlay as H."""
+
+    @pytest.mark.parametrize("fn", TRIANGULATING, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f().name)
+    def test_graph_is_input_plus_fill(self, fn, factory, monkeypatch):
+        if fn in (dcl_mlsm_clique_tree, dcl_atom_tree) and factory is lexdfs:
+            # the fused builders need a structure that detects cliques by label
+            with pytest.raises(NonDclStructureError):
+                fn(fixture("fig4_g").graph(), factory())
+            return
+        graphs = [fixture("fig4_g").graph(), fixture("fig5_g").graph()]
+        graphs += [gen(GeneratorConfig(seed=8000 + s, n=8 + 3 * s, param=min(0.9, 3 / (8 + 3 * s)),
+                                       family="random-connected")) for s in range(6)]
+        for g in graphs:
+            out, run = _driver_run(monkeypatch, fn, g, factory())
+            tri = out[0] if fn in (mlsm, moplex_mlsm) else out.triangulation
+            h = tri.graph
+            assert h == add_edges(g, tri.fill_edges)
+            assert h.m == g.m + len(tri.fill_edges)
+            assert h.names == g.names
+            assert [h.index(name) for name in g.names] == list(range(g.n))
+            assert all(type(s) is frozenset for s in h.adj)
+            assert not any(a is b for a, b in zip(h.adj, run.overlay))
+            # the run's live sets may change afterwards; H does not
+            before = h.adj
+            for s in run.overlay:
+                s.clear()
+            assert h.adj == before and h == add_edges(g, tri.fill_edges)
+
 
 class _TupleCount(LabelingStructure):
     """A custom total structure: labels are (count, positions) pairs,
@@ -302,9 +410,8 @@ def _reference_inc_targets(run, x, i):
     return targets, [(min(x, y), max(x, y)) for y in targets if y not in g.adj[x]]
 
 
-def _triangulating_products(monkeypatch, fn, g, structure):
-    """Everything a triangulating driver hands back, plus the trace of its
-    LabelSearch (the fused builders do not return one)."""
+def _driver_run(monkeypatch, fn, g, structure):
+    """A driver's result and the one LabelSearch it ran."""
     runs = []
     real = LabelSearch.__init__
 
@@ -316,6 +423,13 @@ def _triangulating_products(monkeypatch, fn, g, structure):
         m.setattr(LabelSearch, "__init__", keep)
         out = fn(g, structure)
     (run,) = runs
+    return out, run
+
+
+def _triangulating_products(monkeypatch, fn, g, structure):
+    """Everything a triangulating driver hands back, plus the trace of its
+    LabelSearch (the fused builders do not return one)."""
+    out, run = _driver_run(monkeypatch, fn, g, structure)
     if fn in (mlsm, moplex_mlsm):
         tri = out[0]
         extra = ()
