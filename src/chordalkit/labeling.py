@@ -43,9 +43,9 @@ class LabelingStructure:
 
     compare must behave as a partial order on the labels actually produced;
     Equal means value equality of labels. is_total promises Incomparable
-    never occurs. The engine does not branch on it: the built-ins'
-    selection queues answer both selection and the triangulating reach
-    question, and every custom structure, total or not, scans for both.
+    never occurs. The engine does not branch on it: one queue answers both
+    selection and the triangulating reach question, a built-in's own
+    selection queue or, for any custom structure, a scan of the labels.
     """
 
     name: str = "custom"
@@ -68,11 +68,11 @@ class LabelingStructure:
         return repr(label)
 
     def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
-        """Internal: the selection queue that the search reads instead of
-        scanning the unnumbered labels, for selection and for the
-        triangulating reach targets, or None to scan; each queue
-        hard-codes one built-in structure's increase (see
-        ``chordalkit.selection``), so custom structures scan."""
+        """Internal: the selection queue that the search reads for selection
+        and for the triangulating reach targets. Each queue hard-codes one
+        built-in structure's increase (see ``chordalkit.selection``), so
+        custom structures return None and the search scans their labels
+        through ``chordalkit.search.ScanQueue``."""
         return None
 
     def __repr__(self) -> str:

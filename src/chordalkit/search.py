@@ -12,22 +12,20 @@ the plain searches emit perfect elimination orderings; the moplex variants
 additionally emit perfect moplex orderings; the triangulating variants emit
 minimal elimination / moplex orderings together with the filled graph.
 
-Costs: the four built-in structures select through their selection queues,
-whose design and costs ``chordalkit.selection`` states. The labels
-themselves are still stored: an mcs increase is O(1), but a lexbfs or
-lexdfs increase copies the tuple, O(|label|), so the increases of a search
-cost O(sum of deg(v)^2) with them. Custom structures scan the unnumbered
-labels, O(n) comparisons per step. The triangulating label increase asks
-the selection queue which vertices the chosen vertex reaches. The three
-total queues answer with one walk up their label classes, growing the
-reached region over vertex bitsets: one bitset union per vertex added to
-the region plus a few bitset operations per class, O(n) operations on
-n-bit ints per step, so O(n^3 / w) word operations for the whole search
-with w the word size, against O(nm) for MCS-M and LEX M. MNS runs one bitset search per label block of its queue, each
-starting from the regions of the blocks it dominates: O(blocks^2) mask
-tests per step at worst, plus one bitset union per vertex added to a
-region. Custom structures, total or partial, keep one search per
-candidate target, O(n (n + m)) per step.
+Costs: every search selects through one queue, and its triangulating
+label increase asks the same queue which vertices the chosen vertex
+reaches. The four built-in structures bring their own selection queues,
+whose designs and costs ``chordalkit.selection`` states. Any other
+structure gets a ``ScanQueue``: it scans the unnumbered labels, O(n)
+comparisons per step, and searches once per candidate target,
+O(n (n + m)) per step. The labels themselves are still stored: an mcs
+increase is O(1), but a lexbfs or lexdfs increase copies the tuple,
+O(|label|), so the increases of a search cost O(sum of deg(v)^2). The
+three total queues find the reach targets with one walk up their label
+classes over vertex bitsets, O(n) operations on n-bit ints per step. The
+whole search then costs O(n^3 / w) word operations, with w the word
+size; MCS-M and LEX M take O(nm). MNS runs one bitset search per label
+block of its queue, O(blocks^2) mask tests per step at worst.
 """
 
 from __future__ import annotations
@@ -61,14 +59,10 @@ class TieBreak:
 
 
 class _Picker:
-    def pick(self, candidates: list[int]) -> int:
+    def pick(self, queue: OrderedPartition | ScanQueue) -> int:
+        """Pick from the queue's extreme label class (for mns, the union of
+        its extreme classes narrowed by prefer): the whole candidate set."""
         raise NotImplementedError
-
-    def pick_queued(self, queue: OrderedPartition) -> int:
-        """Pick from a selection queue's extreme label class (for mns, the
-        union of its extreme classes narrowed by prefer): the whole
-        candidate set."""
-        return self.pick(list(queue.extreme()))
 
 
 class LowestIndex(TieBreak):
@@ -82,10 +76,7 @@ class LowestIndex(TieBreak):
 
 
 class _LowestPicker(_Picker):
-    def pick(self, candidates):
-        return min(candidates)
-
-    def pick_queued(self, queue):
+    def pick(self, queue):
         return queue.lowest()
 
 
@@ -101,8 +92,8 @@ class _SeededPicker(_Picker):
     def __init__(self, seed: int):
         self.rng = SplitMix64(seed)
 
-    def pick(self, candidates):
-        ordered = sorted(candidates)
+    def pick(self, queue):
+        ordered = sorted(queue.extreme())
         return ordered[self.rng.below(len(ordered))]
 
 
@@ -135,21 +126,16 @@ class _ScriptedPicker(_Picker):
         self.names = names
         self.at = 0
 
-    def pick(self, candidates):
+    def pick(self, queue):
         if self.at >= len(self.script):
-            return min(candidates)
+            return queue.lowest()
         wanted = self.script[self.at]
         self.at += 1
-        if wanted not in candidates:
+        if wanted not in queue.extreme():
             raise ScriptConflictError(
                 f"scripted vertex {self.names[wanted]!r} is not a legal choice here"
             )
         return wanted
-
-    def pick_queued(self, queue):
-        if self.at >= len(self.script):
-            return queue.lowest()
-        return self.pick(queue.extreme())
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +179,100 @@ class TriangulationResult:
 # engine core
 
 
+class ScanQueue:
+    """The selection queue of a structure without one of its own: the queue
+    protocol answered by scanning the run's ``labels`` and ``numbered``
+    lists, which it reads and never copies. So ``remove`` only keeps the
+    removed vertex's label for ``prefer``, and ``bump`` has nothing to do.
+    Selection costs O(n) label comparisons per step when the extreme labels
+    are few; ``reach`` runs one search per candidate target, O(n (n + m))
+    per step. A fresh one is also the debug reference for every queue."""
+
+    def __init__(self, structure: LabelingStructure, g: Graph | ComplementView,
+                 labels: list[Label], numbered: list[bool], minimize: bool):
+        self.structure = structure
+        self.g = g
+        self.labels = labels
+        self.numbered = numbered
+        self.minimize = minimize
+        self.prefer: str | None = None
+        self.prev: Label = structure.initial()  # the last removed vertex's label
+
+    def remove(self, v: int) -> None:
+        self.prev = self.labels[v]
+
+    def bump(self, vs: Iterable[int], i: int) -> None:
+        """The run has already increased the labels it reads."""
+
+    def extreme(self) -> list[int]:
+        """The unnumbered vertices whose label no other unnumbered label
+        beats (strictly greater, or strictly less with minimize), in
+        ascending order. ``prefer`` narrows them to those comparing Greater
+        than (or Equal to) the last removed label when that leaves any: for
+        a total order all of them carry one label and it keeps them all."""
+        beats = Cmp.GREATER if not self.minimize else Cmp.LESS
+        loses = Cmp.LESS if not self.minimize else Cmp.GREATER
+        cmp, labels = self.structure.compare, self.labels
+        cands: list[int] = []
+        for v in range(len(labels)):
+            if self.numbered[v]:
+                continue
+            lv, survivors = labels[v], []
+            for c in cands:
+                r = cmp(labels[c], lv)
+                if r is beats:
+                    break
+                if r is not loses:
+                    survivors.append(c)
+            else:
+                survivors.append(v)
+                cands = survivors
+        if self.prefer is not None:
+            want = Cmp.GREATER if self.prefer == "greater" else Cmp.EQUAL
+            narrowed = [v for v in cands if cmp(labels[v], self.prev) is want]
+            if narrowed:
+                return narrowed
+        return cands
+
+    def lowest(self) -> int:
+        return min(self.extreme())
+
+    def reach(self, x: int, nb: list[int]) -> list[int]:
+        """The triangulating search's targets from x in ascending order, by
+        one DFS from x per unnumbered y through unnumbered vertices labeled
+        strictly below y, over g's adjacency sets; ``nb`` goes unread."""
+        g = self.g
+        assert isinstance(g, Graph)
+        cmp, labels, numbered = self.structure.compare, self.labels, self.numbered
+        targets: list[int] = []
+        for y in range(g.n):
+            if y == x or numbered[y]:
+                continue
+            ly, reachable, seen, stack = labels[y], False, {x}, [x]
+            while stack and not reachable:
+                u = stack.pop()
+                for w in g.adj[u]:
+                    if w == y:
+                        reachable = True
+                        break
+                    if w in seen or numbered[w] or w == x:
+                        continue
+                    if cmp(labels[w], ly) is Cmp.LESS:
+                        seen.add(w)
+                        stack.append(w)
+            if reachable:
+                targets.append(y)
+        return targets
+
+
 class LabelSearch:
     """One label search on g: labels, the numbered set, candidate selection
     under a partial order, the debug hooks, and the loop ``steps`` that
     every driver runs, adding its per-step rule as the loop body.
 
-    Selection reads the structure's selection queue when it has one
-    (``chordalkit.selection``) and otherwise scans the unnumbered labels.
+    Selection and the triangulating reach targets come from one queue: the
+    structure's selection queue (``chordalkit.selection``), or a
+    ``ScanQueue`` over the run's labels when it has none.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -224,8 +297,9 @@ class LabelSearch:
         n = g.n
         self.n = n
         self.labels: list[Label] = [structure.initial() for _ in range(n)]
-        self.queue: OrderedPartition | None = structure._selection_queue(n, minimize)
         self.numbered = [False] * n
+        self.queue: OrderedPartition | ScanQueue = (
+            structure._selection_queue(n, minimize) or self._scan())
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
         self.prev_label: Label = structure.initial()
@@ -233,9 +307,11 @@ class LabelSearch:
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.fill: list[tuple[int, int]] = []
         # vertex bitset adjacency, for the queue's reach
-        self.nb = ([sum(1 << w for w in s) for s in g.adj]
-                   if triangulate and self.queue is not None else None)
+        self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
         self.debug = debug.enabled()
+
+    def _scan(self) -> ScanQueue:
+        return ScanQueue(self.structure, self.g, self.labels, self.numbered, self.minimize)
 
     # -- the search loop
 
@@ -246,19 +322,21 @@ class LabelSearch:
         along ``inc_targets``, adding its fill to the overlay, and records
         the trace entry. ``prev_label`` is the previous vertex's label
         throughout the body."""
-        if self.queue is not None:
-            self.queue.prefer = prefer
+        self.queue.prefer = prefer
+        overlay = self.overlay
         for i in range(self.n, 0, -1):
-            x = self.choose(i, prefer)
+            x = self.choose(i)
             self.assign(x, i)
             yield i, x
-            if self.overlay is None:
+            if overlay is None:
                 increased, fill = self.inc_plain(x, i), ()
             else:
                 increased, fill = self.inc_targets(x, i)
+                # every fill edge has x as one end, and every other target
+                # is already x's neighbor
+                overlay[x].update(increased)
                 for a, b in fill:
-                    self.overlay[a].add(b)
-                    self.overlay[b].add(a)
+                    overlay[b if a == x else a].add(x)
                 self.fill.extend(fill)
             self.trace.entries.append(
                 TraceEntry(i, x, self.labels[x], tuple(increased), tuple(fill))
@@ -273,62 +351,17 @@ class LabelSearch:
 
     # -- candidate selection
 
-    def _extreme_candidates(self) -> list[int]:
-        """Unnumbered vertices whose label no other unnumbered label beats
-        (strictly greater for maximize, strictly less for minimize)."""
-        beats = Cmp.GREATER if not self.minimize else Cmp.LESS
-        loses = Cmp.LESS if not self.minimize else Cmp.GREATER
-        cmp = self.structure.compare
-        cands: list[int] = []
-        for v in range(self.n):
-            if self.numbered[v]:
-                continue
-            lv = self.labels[v]
-            dominated = False
-            survivors = []
-            for c in cands:
-                r = cmp(self.labels[c], lv)
-                if r is beats:
-                    dominated = True
-                    break
-                if r is not loses:
-                    survivors.append(c)
-            if dominated:
-                continue
-            survivors.append(v)
-            cands = survivors
-        return cands
-
-    def candidates(self, prefer: str | None = None) -> list[int]:
-        """Extreme-label candidates, optionally narrowed to those comparing
-        Greater than (or Equal to) the previous chosen label when that
-        narrowing leaves anything. This is the scan. A queue offers this
-        same set: for a total order all candidates carry one label and the
-        narrowing keeps them all; the mns queue narrows its classes
-        itself."""
-        cands = self._extreme_candidates()
-        if prefer is not None:
-            want = Cmp.GREATER if prefer == "greater" else Cmp.EQUAL
-            narrowed = [v for v in cands if self.structure.compare(self.labels[v], self.prev_label) is want]
-            if narrowed:
-                return narrowed
-        return cands
-
-    def choose(self, i: int, prefer: str | None = None) -> int:
+    def choose(self, i: int) -> int:
         if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
             self._assert_label_order(i)
-            if self.queue is not None:
-                self._assert_queue_candidates(i, prefer)
-        if self.queue is not None:
-            return self.picker.pick_queued(self.queue)
-        return self.picker.pick(self.candidates(prefer))
+            self._assert_queue_candidates(i)
+        return self.picker.pick(self.queue)
 
     def assign(self, x: int, i: int) -> None:
         self.alpha[i] = x
         self.pos[x] = i
         self.numbered[x] = True
-        if self.queue is not None:
-            self.queue.remove(x)
+        self.queue.remove(x)
 
     # -- label updates
 
@@ -350,51 +383,17 @@ class LabelSearch:
         overlay would change nothing anyway: every fill edge keeps a
         numbered endpoint, and path internals must be unnumbered).
 
-        The selection queue finds the targets (``reach``, whose designs
-        and costs ``chordalkit.selection`` states); custom structures, total
-        or partial, have none and take the per-target scan, O(n (n + m))
-        per step. With ``CHORDALKIT_DEBUG=1`` and small n every queued step
-        is checked against the scan."""
-        if self.queue is None:
-            targets = self._inc_targets_scan(x)
-        else:
-            targets = self.queue.reach(x, self.nb)
-            if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
-                self._assert_reach_targets(i, x, targets)
+        The queue finds the targets (``reach``; ``chordalkit.selection``
+        and ``ScanQueue`` state the designs and costs). With
+        ``CHORDALKIT_DEBUG=1`` and small n every step is checked against a
+        ``ScanQueue``'s per-target search."""
+        targets = self.queue.reach(x, self.nb)
+        if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
+            self._assert_reach_targets(i, x, targets)
         adj = self.g.adj[x]
         fill = [(x, y) if x < y else (y, x) for y in targets if y not in adj]
         self._bump_all(targets, i)
         return targets, fill
-
-    def _inc_targets_scan(self, x: int) -> list[int]:
-        """inc_targets for structures without a queue, and the debug
-        reference for the queues' reach: one DFS from x per unnumbered y,
-        through unnumbered internal vertices labeled strictly below y."""
-        g = self.g
-        assert isinstance(g, Graph)
-        cmp = self.structure.compare
-        targets: list[int] = []
-        for y in range(self.n):
-            if y == x or self.numbered[y]:
-                continue
-            ly = self.labels[y]
-            reachable = False
-            seen = {x}
-            stack = [x]
-            while stack and not reachable:
-                u = stack.pop()
-                for w in g.adj[u]:
-                    if w == y:
-                        reachable = True
-                        break
-                    if w in seen or self.numbered[w] or w == x:
-                        continue
-                    if cmp(self.labels[w], ly) is Cmp.LESS:
-                        seen.add(w)
-                        stack.append(w)
-            if reachable:
-                targets.append(y)
-        return targets
 
     def _bump_all(self, ys: list[int], i: int) -> None:
         """Increase the labels of ys at position i, then hand them all to the
@@ -408,8 +407,7 @@ class LabelSearch:
                 raise DebugInvariantError(
                     f"label of vertex {y} did not grow under inc at position {i}"
                 )
-        if self.queue is not None:
-            self.queue.bump(ys, i)
+        self.queue.bump(ys, i)
 
     # -- results
 
@@ -426,11 +424,12 @@ class LabelSearch:
 
     # -- debug hooks
 
-    def _assert_queue_candidates(self, i: int, prefer: str | None) -> None:
-        """The queue's extreme class must be the candidate set the scan
-        builds, narrowed by prefer."""
-        got = set(self.queue.extreme())  # type: ignore[union-attr]
-        want = set(self.candidates(prefer))
+    def _assert_queue_candidates(self, i: int) -> None:
+        """The queue's extreme class must be the candidate set a fresh
+        ``ScanQueue`` finds under the same prefer rule and previous label."""
+        scan = self._scan()
+        scan.prefer, scan.prev = self.queue.prefer, self.prev_label
+        got, want = set(self.queue.extreme()), set(scan.extreme())
         if got != want:
             raise DebugInvariantError(
                 f"iteration {i}: selection queue offers {sorted(got)} but the "
@@ -438,9 +437,9 @@ class LabelSearch:
             )
 
     def _assert_reach_targets(self, i: int, x: int, targets: list[int]) -> None:
-        """The queue's block reach search must find the targets the
-        per-target scan finds."""
-        want = self._inc_targets_scan(x)
+        """The queue's reach must find the targets a fresh ``ScanQueue``'s
+        per-target search finds."""
+        want = self._scan().reach(x, self.nb)
         if targets != want:
             raise DebugInvariantError(
                 f"iteration {i}: block reach search finds {targets} but the "

@@ -16,9 +16,10 @@ cost O(log n) amortized. Set labels are a partial order, so the mns queue
 keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
-``prefer`` rule itself. Custom structures scan instead. All queues are
-driven by the same calls, each step making one ``remove``, when its vertex
-is numbered, then exactly one ``bump``, possibly empty, with every vertex
+``prefer`` rule itself. Custom structures get ``chordalkit.search.ScanQueue``,
+which answers the same calls by scanning the labels. All queues are driven
+by the same calls, each step making one ``remove``, when its vertex is
+numbered, then exactly one ``bump``, possibly empty, with every vertex
 whose label grows at position i. ``bump`` returns with the queue settled,
 so ``lowest`` (or ``extreme``) selects by reading it. With ``minimize``
 they read the least class instead of the greatest. The generic engine
@@ -31,7 +32,7 @@ vertices labeled below them. The three total queues' blocks form a chain
 in label order, so ``OrderedPartition.reach`` walks it once from the
 bottom. The mns blocks are only partially ordered, so
 ``InclusionPartition.reach`` searches each block from the blocks it
-dominates. Custom structures scan for these targets too.
+dominates. ``ScanQueue.reach`` searches once per candidate target instead.
 
 Refinement creates blocks and never revives them, so block ids count up in
 creation order and are never reused. An emptied block is unlinked and its

@@ -27,6 +27,7 @@ from chordalkit.oracle import GeneratorConfig, gen, is_chordal, is_minimal_trian
 from chordalkit.search import (
     LabelSearch,
     LowestIndex,
+    ScanQueue,
     ScriptedOrder,
     SeededRandom,
     mls,
@@ -470,21 +471,20 @@ class TestReachSearch:
                 assert got == want, (fn.__name__, g)
 
     def test_partial_orders_keep_the_scan(self, monkeypatch):
-        # every built-in asks its queue once per step (mns through its own
+        # every built-in asks its own queue once per step (mns through its
         # block search); custom structures, total or partial, have no queue
-        # and keep the per-target scan. Armed, the debug cross-check would
-        # scan next to every queued step.
+        # of their own and scan once per step for the reach targets. Armed,
+        # the debug cross-check would scan next to every queued step.
         monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         calls = []
-        for owner, name in ((LabelSearch, "_inc_targets_scan"), (OrderedPartition, "reach"),
-                            (InclusionPartition, "reach")):
-            real = getattr(owner, name)
+        for owner in (ScanQueue, OrderedPartition, InclusionPartition):
+            real = owner.reach
 
-            def counted(self, *args, real=real, call=(owner.__name__, name)):
+            def counted(self, *args, real=real, call=(owner.__name__, "reach")):
                 calls.append(call)
                 return real(self, *args)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(owner, "reach", counted)
         g = graph("fig4_g")
         for factory, call in ((mcs, "OrderedPartition"), (lexbfs, "OrderedPartition"),
                               (lexdfs, "OrderedPartition"), (mns, "InclusionPartition")):
@@ -496,7 +496,7 @@ class TestReachSearch:
             assert structure._selection_queue(g.n, False) is None
             calls.clear()
             got, _ = mlsm(g, structure)
-            assert calls == [("LabelSearch", "_inc_targets_scan")] * g.n, structure.name
+            assert calls == [("ScanQueue", "reach")] * g.n, structure.name
         assert (got.ordering.seq, got.fill_edges) == (want.ordering.seq, want.fill_edges)
 
     def test_debug_cross_check_catches_a_bad_block_search(self, monkeypatch):
@@ -515,7 +515,8 @@ class TestReachSearch:
 
 def _recorded(monkeypatch, fn, g, structure, tiebreak, kwargs):
     """The product (or the error it raised), the trace entries of every
-    LabelSearch it ran, and whether each of those runs had a queue."""
+    LabelSearch it ran, and whether each of those runs had a selection
+    queue of its own rather than a ScanQueue."""
     runs = []
     real = LabelSearch.__init__
 
@@ -529,7 +530,7 @@ def _recorded(monkeypatch, fn, g, structure, tiebreak, kwargs):
             out = fn(g, structure, tiebreak, **kwargs)
         except ChordalkitError as e:
             out = (type(e), str(e))
-    return out, [r.trace.entries for r in runs], [r.queue is not None for r in runs]
+    return out, [r.trace.entries for r in runs], [not isinstance(r.queue, ScanQueue) for r in runs]
 
 
 def _queue_corpus(kind):
@@ -635,12 +636,13 @@ class TestSelectionQueue:
                 assert got == want, (name, g, tb)
                 assert got_trace == want_trace, (name, g, tb)
 
-    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", ALL + [_TupleCount], ids=lambda f: f.__name__)
     def test_one_bump_per_step_after_its_remove(self, factory, monkeypatch):
         # the queues settle in bump, so every caller must hand a step's
-        # increases to one bump call, made after that step's remove
+        # increases to one bump call, made after that step's remove; a
+        # custom structure's ScanQueue is driven the same way
         structure = factory()
-        queue = type(structure._selection_queue(1, False))
+        queue = ScanQueue if factory is _TupleCount else type(structure._selection_queue(1, False))
         calls = {}
         for name in ("remove", "bump"):
             real = getattr(queue, name)
@@ -663,20 +665,22 @@ class TestSelectionQueue:
                     continue
                 assert calls, (fn, g)
                 for q, seen in calls.items():
-                    n = len(q.block_of)
+                    n = len(q.labels if isinstance(q, ScanQueue) else q.block_of)
                     assert seen == [c for i in range(n, 0, -1) for c in ("remove", i)], (fn, g)
 
     def test_other_structures_keep_the_scan(self, monkeypatch):
-        # armed, the debug cross-check scans next to every queued step
+        # a custom structure's ScanQueue scans once per step; the built-ins
+        # never scan. Armed, the debug cross-check scans next to every
+        # queued step.
         monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         scans = []
-        real = LabelSearch._extreme_candidates
+        real = ScanQueue.extreme
 
         def counted(self):
             scans.append(self.structure.name)
             return real(self)
 
-        monkeypatch.setattr(LabelSearch, "_extreme_candidates", counted)
+        monkeypatch.setattr(ScanQueue, "extreme", counted)
         g = graph("fig1_h")
         assert _TupleCount()._selection_queue(g.n, False) is None
         mls(g, _TupleCount())
