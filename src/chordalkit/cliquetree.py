@@ -286,9 +286,10 @@ def mls_clique_tree(
     require_connected(h)
     require_ic(structure)
     run = LabelSearch(h, structure, tiebreak)
+    adj, done = h.adj, run.done
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
-        sep = frozenset(y for y in h.adj[x] if run.numbered[y])
+        sep = adj[x] & done
         p = _anchor(sep, run.pos, x)
         _follower_check(h, x, sep, p)
         builder.step(x, sep, p, builder.current() != sep)
@@ -314,9 +315,10 @@ def dcl_mls_clique_tree(
     if enforce_dcl:
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
+    adj, done = h.adj, run.done
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
-        sep = frozenset(y for y in h.adj[x] if run.numbered[y])
+        sep = adj[x] & done
         p = _anchor(sep, run.pos, x)
         _follower_check(h, x, sep, p)
         builder.step(x, sep, p, run.boundary(x, Cmp.LESS))
@@ -340,8 +342,9 @@ def complement_mls_clique_tree(
     exactly when the chosen label differs from the previous minimum, for any
     complement-reversing structure.
 
-    Complement adjacency is only ever tested pairwise; still, building the
-    tree costs time proportional to the complement's size, not to g's.
+    The complement is never built: x's processed neighborhood in it is the
+    numbered vertices minus g.adj[x] and x itself. Still, building the tree
+    costs time proportional to the complement's size, not to g's.
     """
     if not complement_is_connected(g):
         raise ComplementDisconnectedError("complement of the input graph is not connected")
@@ -349,10 +352,11 @@ def complement_mls_clique_tree(
     require_complement_reversing(structure)
     view = ComplementView(g)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
+    adj, done = g.adj, run.done
     builder = _TreeBuilder()
     armed = True  # the equal-label debug hook, until the input is found at fault
     for i, x in run.steps("equal"):
-        sep = frozenset(v for v in run.alpha[i + 1:] if view.adjacent(x, v))
+        sep = frozenset(done.difference(adj[x], (x,)))
         p = _anchor(sep, run.pos, x)
         if not sep.isdisjoint(g.adj[p]):
             raise ComplementNotChordalError(
@@ -361,7 +365,7 @@ def complement_mls_clique_tree(
         new = run.boundary(x, Cmp.EQUAL)
         if new and not sep:
             raise ComplementNotChordalError("empty boundary separator mid-run")
-        if run.debug and i < g.n and armed:
+        if run.shadow is not None and i < g.n and armed:
             armed = _debug_equal_label_boundary(run, view, builder, x)
         builder.step(x, sep, p, new)
         _maybe_debug(builder, view.adjacent, run, x, sep, "equal-label")
@@ -369,22 +373,25 @@ def complement_mls_clique_tree(
 
 
 def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder, x: int) -> bool:
-    """Debug hook for the complement path, run once x's step has passed the
-    builder's checks: a vertex unnumbered before x (x included) has the
-    previous minimal label exactly when its complement neighborhood among
-    the vertices numbered before x equals the current clique. That holds on
-    co-chordal inputs only, so a disagreement raises only when the oracle
-    finds the complement chordal; otherwise the hook returns False, to be
-    disarmed, and the builder's own checks report the input."""
+    """Debug hook for the complement path (small n), run once x's step has
+    passed the builder's checks: a vertex unnumbered before x (x included)
+    has the previous minimal label, in the run's shadow ``ScanQueue``,
+    exactly when its complement neighborhood among the vertices numbered
+    before x equals the current clique. That holds on co-chordal inputs
+    only, so a disagreement raises only when the oracle finds the
+    complement chordal; otherwise the hook returns False, to be disarmed,
+    and the builder's own checks report the input."""
     from . import oracle
 
     current = builder.current()
     before = run.alpha[run.pos[x] + 1:]
+    shadow = run.shadow
+    assert shadow is not None
     for y in range(run.n):
-        if run.numbered[y] and y != x:
+        if y in run.done and y != x:
             continue
         hood = {v for v in before if view.adjacent(y, v)}
-        label_hit = run.structure.compare(run.labels[y], run.prev_label) is Cmp.EQUAL
+        label_hit = shadow.equals_last(y)
         if label_hit != (hood == current):
             if not oracle.is_chordal(materialize_complement(view.base)):
                 return False
@@ -440,8 +447,8 @@ def extract_generators(result: CliqueTreeResult) -> GeneratorsResult:
 
 def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
     """Clique tree for 'mcs' or 'lexbfs' with lowest-index tie-breaking in
-    O((n + m) log n), without the engine's labels, trace, tie-break
-    policies or debug hooks. Selection goes through the engine's queue for
+    O((n + m) log n), without the engine's trace, tie-break policies or
+    debug hooks. Selection goes through the engine's queue for
     the structure (``chordalkit.selection``); the follower check and the
     set test for a new clique cost O(|sep|) per step. Produces the same
     result as ``dcl_mls_clique_tree`` with the matching structure, whose

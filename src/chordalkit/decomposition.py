@@ -72,10 +72,10 @@ def dcl_mlsm_clique_tree(
     require_ic(structure)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    overlay = run.overlay
+    overlay, done = run.overlay, run.done
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
-        sep = frozenset(y for y in overlay[x] if run.numbered[y])
+        sep = frozenset(overlay[x] & done)
         builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x, Cmp.LESS))
         _maybe_debug(builder, lambda a, b: b in overlay[a], run, x, sep)
     tri = run.triangulation()
@@ -148,10 +148,11 @@ def dcl_atom_tree(
     require_ic(structure)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
+    overlay, done = run.overlay, run.done
     builder = _TreeBuilder()
     history: list[int] = []
     for _, x in run.steps("greater"):
-        sep = frozenset(y for y in run.overlay[x] if run.numbered[y])
+        sep = frozenset(overlay[x] & done)
         p = _anchor(sep, run.pos, x)
         new = False
         if run.boundary(x, Cmp.LESS):

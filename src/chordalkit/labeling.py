@@ -43,9 +43,10 @@ class LabelingStructure:
 
     compare must behave as a partial order on the labels actually produced;
     Equal means value equality of labels. is_total promises Incomparable
-    never occurs. The engine does not branch on it: one queue answers both
-    selection and the triangulating reach question, a built-in's own
-    selection queue or, for any custom structure, a scan of the labels.
+    never occurs. The engine does not branch on it: one queue answers
+    selection, the builders' label tests and the triangulating reach
+    question, a built-in's own selection queue or, for any custom
+    structure, a scan of the labels, which only that scan keeps.
     """
 
     name: str = "custom"
@@ -67,12 +68,22 @@ class LabelingStructure:
         """JSON-friendly rendering of a label."""
         return repr(label)
 
+    def _fold(self, positions: list[int]) -> Label:
+        """Internal: the increase folded over positions given in strictly
+        decreasing order (see ``lab``). The built-ins build the label in
+        one step instead, so that reading a trace copies no label."""
+        value = self.initial()
+        for i in positions:
+            value = self.inc(value, i)
+        return value
+
     def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
-        """Internal: the selection queue that the search reads for selection
-        and for the triangulating reach targets. Each queue hard-codes one
-        built-in structure's increase (see ``chordalkit.selection``), so
-        custom structures return None and the search scans their labels
-        through ``chordalkit.search.ScanQueue``."""
+        """Internal: the selection queue that the search reads for selection,
+        the label tests and the triangulating reach targets. Each queue
+        hard-codes one built-in structure's increase (see
+        ``chordalkit.selection``), so custom structures return None and the
+        search keeps and scans their labels in a
+        ``chordalkit.search.ScanQueue``."""
         return None
 
     def __repr__(self) -> str:
@@ -108,6 +119,9 @@ class _Mcs(LabelingStructure):
     def inc(self, label: int, i: int) -> int:
         return label + 1
 
+    def _fold(self, positions: list[int]) -> int:
+        return len(positions)
+
     def compare(self, a: int, b: int) -> Cmp:
         if a == b:
             return Cmp.EQUAL
@@ -133,6 +147,9 @@ class _LexBfs(LabelingStructure):
     def inc(self, label: tuple[int, ...], i: int) -> tuple[int, ...]:
         return label + (i,)
 
+    def _fold(self, positions: list[int]) -> tuple[int, ...]:
+        return tuple(positions)
+
     def compare(self, a, b) -> Cmp:
         return _lex_compare(a, b, reverse_ints=False)
 
@@ -155,6 +172,9 @@ class _LexDfs(LabelingStructure):
 
     def inc(self, label: tuple[int, ...], i: int) -> tuple[int, ...]:
         return (i,) + label
+
+    def _fold(self, positions: list[int]) -> tuple[int, ...]:
+        return tuple(reversed(positions))
 
     def compare(self, a, b) -> Cmp:
         # integer order reversed: larger numbers sort first, i.e. are "smaller"
@@ -179,6 +199,9 @@ class _Mns(LabelingStructure):
 
     def inc(self, label: frozenset[int], i: int) -> frozenset[int]:
         return label | {i}
+
+    def _fold(self, positions: list[int]) -> frozenset[int]:
+        return frozenset(positions)
 
     def compare(self, a, b) -> Cmp:
         if a == b:
@@ -261,10 +284,7 @@ def rev(structure: LabelingStructure) -> LabelingStructure:
 
 def lab(structure: LabelingStructure, positions: Iterable[int]) -> Label:
     """Fold the increase operation over positions in strictly decreasing order."""
-    value = structure.initial()
-    for i in sorted(set(positions), reverse=True):
-        value = structure.inc(value, i)
-    return value
+    return structure._fold(sorted(set(positions), reverse=True))
 
 
 @dataclass(frozen=True)

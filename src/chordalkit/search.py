@@ -12,25 +12,30 @@ the plain searches emit perfect elimination orderings; the moplex variants
 additionally emit perfect moplex orderings; the triangulating variants emit
 minimal elimination / moplex orderings together with the filled graph.
 
-Costs: every search selects through one queue, and its triangulating
-label increase asks the same queue which vertices the chosen vertex
-reaches. The four built-in structures bring their own selection queues,
-whose designs and costs ``chordalkit.selection`` states. Any other
-structure gets a ``ScanQueue``: it scans the unnumbered labels, O(n)
+Costs: every search selects through one queue; its triangulating label
+increase asks the same queue which vertices the chosen vertex reaches, and
+the builders' label tests ask it whether the chosen label grew past, or
+equals, the previous one. The engine stores no labels: a step hands the
+chosen vertex's unnumbered neighbors, one set difference, to the queue's
+one ``bump``, and the queue answers the label tests from its blocks in
+O(1) (O(n / w) word operations on an mns mask, with w the word size). The
+four built-in structures bring their own selection queues, whose designs
+and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
+search costs O((n + m) log n) with any of the three total orders. Any
+other structure gets a ``ScanQueue``, the one place labels are kept: it
+applies the structure's increase, scans the unnumbered labels, O(n)
 comparisons per step, and searches once per candidate target,
-O(n (n + m)) per step. The labels themselves are still stored: an mcs
-increase is O(1), but a lexbfs or lexdfs increase copies the tuple,
-O(|label|), so the increases of a search cost O(sum of deg(v)^2). The
-three total queues find the reach targets with one walk up their label
-classes over vertex bitsets, O(n) operations on n-bit ints per step. The
-whole search then costs O(n^3 / w) word operations, with w the word
-size; MCS-M and LEX M take O(nm). MNS runs one bitset search per label
-block of its queue, O(blocks^2) mask tests per step at worst.
+O(n (n + m)) per step. The three total queues find the reach targets with
+one walk up their label classes over vertex bitsets, O(n) operations on
+n-bit ints per step. The whole search then costs O(n^3 / w) word
+operations; MCS-M and LEX M take O(nm). MNS runs one bitset search per
+label block of its queue, O(blocks^2) mask tests per step at worst. A
+trace is built when its entries are first read (``SearchTrace``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import debug
@@ -41,7 +46,7 @@ from .graph import (
     Ordering,
     require_connected,
 )
-from .labeling import Cmp, Label, LabelingStructure, require_ic
+from .labeling import Cmp, Label, LabelingStructure, lab, require_ic
 from .rng import SplitMix64
 from .selection import OrderedPartition
 
@@ -151,13 +156,67 @@ class TraceEntry:
     fill: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass
 class SearchTrace:
-    structure: str
-    entries: list[TraceEntry] = field(default_factory=list)
+    """One entry per completed step of a search, from position n down: the
+    vertex numbered i, its label when chosen, the vertices whose labels it
+    increased (ascending) and the fill edges of the step.
+
+    The search records nothing per step. A run's trace keeps its structure,
+    positions, count of completed steps, fill edges in insertion order and
+    the adjacency its labels grew along (g, or the filled graph H once a
+    triangulating run has made it), and builds ``entries`` on first read,
+    after which it keeps only those. Step i's vertex x increased its
+    neighbors placed below i, and its label is ``lab`` of the positions of
+    its neighbors placed above i: a label is the fold of the positions at
+    which it grew. Its fill edges are the next ones in insertion order that
+    contain x, the very tuples the result holds. Reading costs
+    O((n + m + |fill|) log n) with a built-in structure, whose labels
+    ``lab`` builds in one step."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, structure: str, entries: list[TraceEntry] | None = None):
+        self.structure = structure
+        self._entries: list[TraceEntry] | None = [] if entries is None else entries
+        self._source: tuple | None = None
+
+    @classmethod
+    def _lazy(cls, structure: LabelingStructure, *source) -> SearchTrace:
+        """A trace whose entries are built on first read from ``source``:
+        (the neighbors function of the adjacency the labels grew along, pos,
+        alpha, the completed steps, the fill edges in insertion order)."""
+        trace = cls(structure.name)
+        trace._entries, trace._source = None, (structure, *source)
+        return trace
+
+    @property
+    def entries(self) -> list[TraceEntry]:
+        if self._entries is None:
+            structure, hood, pos, alpha, steps, fill = self._source  # type: ignore[misc]
+            entries, k = [], 0
+            for i in range(len(pos), len(pos) - steps, -1):
+                x = alpha[i]
+                hx = hood(x)
+                j = k
+                while j < len(fill) and x in fill[j]:
+                    j += 1
+                label = lab(structure, [pos[y] for y in hx if pos[y] > i])
+                increased = tuple(sorted([y for y in hx if pos[y] < i]))
+                entries.append(TraceEntry(i, x, label, increased, tuple(fill[k:j])))
+                k = j
+            self._entries, self._source = entries, None
+        return self._entries
 
     def final_labels(self) -> dict[int, Label]:
         return {e.vertex: e.label for e in self.entries}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.structure, self.entries) == (other.structure, other.entries)  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return f"SearchTrace(structure={self.structure!r}, entries={self.entries!r})"
 
 
 @dataclass(frozen=True)
@@ -180,29 +239,44 @@ class TriangulationResult:
 
 
 class ScanQueue:
-    """The selection queue of a structure without one of its own: the queue
-    protocol answered by scanning the run's ``labels`` and ``numbered``
-    lists, which it reads and never copies. So ``remove`` only keeps the
-    removed vertex's label for ``prefer``, and ``bump`` has nothing to do.
-    Selection costs O(n) label comparisons per step when the extreme labels
-    are few; ``reach`` runs one search per candidate target, O(n (n + m))
-    per step. A fresh one is also the debug reference for every queue."""
+    """The selection queue of a structure without one of its own, and the
+    only place the engine keeps labels: ``bump`` applies the structure's
+    ``inc`` to them, and every other call scans them. Selection costs O(n)
+    label comparisons per step when the extreme labels are few; ``reach``
+    runs one search per candidate target, O(n (n + m)) per step; the label
+    tests compare two labels. With ``CHORDALKIT_DEBUG=1`` the search also
+    runs one next to any other queue, fed the same calls, as the debug
+    hooks' reference, and ``bump`` checks that every label grows."""
 
-    def __init__(self, structure: LabelingStructure, g: Graph | ComplementView,
-                 labels: list[Label], numbered: list[bool], minimize: bool):
+    def __init__(self, structure: LabelingStructure, g: Graph | ComplementView, minimize: bool):
         self.structure = structure
         self.g = g
-        self.labels = labels
-        self.numbered = numbered
+        self.labels: list[Label] = [structure.initial() for _ in range(g.n)]
+        self.numbered = [False] * g.n
         self.minimize = minimize
         self.prefer: str | None = None
         self.prev: Label = structure.initial()  # the last removed vertex's label
+        self.check = debug.enabled()
 
     def remove(self, v: int) -> None:
+        self.numbered[v] = True
         self.prev = self.labels[v]
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        """The run has already increased the labels it reads."""
+        labels, inc, cmp = self.labels, self.structure.inc, self.structure.compare
+        for y in vs:
+            old = labels[y]
+            new = labels[y] = inc(old, i)
+            if self.check and cmp(old, new) not in (Cmp.LESS, Cmp.EQUAL):
+                raise DebugInvariantError(
+                    f"label of vertex {y} did not grow under inc at position {i}"
+                )
+
+    def grew_past(self, x: int) -> bool:
+        return self.structure.compare(self.prev, self.labels[x]) is Cmp.LESS
+
+    def equals_last(self, x: int) -> bool:
+        return self.structure.compare(self.prev, self.labels[x]) is Cmp.EQUAL
 
     def extreme(self) -> list[int]:
         """The unnumbered vertices whose label no other unnumbered label
@@ -266,13 +340,16 @@ class ScanQueue:
 
 
 class LabelSearch:
-    """One label search on g: labels, the numbered set, candidate selection
-    under a partial order, the debug hooks, and the loop ``steps`` that
-    every driver runs, adding its per-step rule as the loop body.
+    """One label search on g: the numbered set, candidate selection under a
+    partial order, the debug hooks, and the loop ``steps`` that every
+    search function runs, adding its per-step rule as the loop body.
 
-    Selection and the triangulating reach targets come from one queue: the
-    structure's selection queue (``chordalkit.selection``), or a
-    ``ScanQueue`` over the run's labels when it has none.
+    The run stores no labels. Selection, the triangulating reach targets
+    and the builders' label tests all come from one queue: the structure's
+    selection queue (``chordalkit.selection``), or a ``ScanQueue``, which
+    keeps the labels, when it has none. The run keeps the numbered
+    vertices as ``done``, so a builder reads a processed neighborhood as
+    ``adj[x] & done``.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -296,118 +373,127 @@ class LabelSearch:
         self.picker = (tiebreak or LowestIndex()).start(g)
         n = g.n
         self.n = n
-        self.labels: list[Label] = [structure.initial() for _ in range(n)]
-        self.numbered = [False] * n
+        self.done: set[int] = set()
         self.queue: OrderedPartition | ScanQueue = (
-            structure._selection_queue(n, minimize) or self._scan())
+            structure._selection_queue(n, minimize) or ScanQueue(structure, g, minimize))
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
-        self.prev_label: Label = structure.initial()
-        self.trace = SearchTrace(structure.name)
+        self.completed = 0  # steps whose labels have grown
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.fill: list[tuple[int, int]] = []
+        self.h: Graph | None = None  # the filled graph, once frozen
         # vertex bitset adjacency, for the queue's reach
         self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
         self.debug = debug.enabled()
+        # the debug hooks' reference: a ScanQueue fed the same calls
+        self.shadow = (ScanQueue(structure, g, minimize)
+                       if self.debug and n <= debug.LABEL_CHECK_MAX_N else None)
 
-    def _scan(self) -> ScanQueue:
-        return ScanQueue(self.structure, self.g, self.labels, self.numbered, self.minimize)
+    @property
+    def trace(self) -> SearchTrace:
+        """The trace of the steps completed so far, built when read. It
+        keeps g or H (once frozen), the positions, the fill edges and the
+        structure, never the run, its queue, its bitsets or (once H
+        exists) its overlay."""
+        if self.overlay is None:
+            hood = self.g.neighbors
+        else:
+            hood = self.overlay.__getitem__ if self.h is None else self.h.neighbors
+        return SearchTrace._lazy(self.structure, hood, self.pos, self.alpha, self.completed, self.fill)
 
     # -- the search loop
 
     def steps(self, prefer: str | None = None) -> Iterator[tuple[int, int]]:
-        """Run the search, yielding (i, x) once x is chosen and numbered i
-        and before the labels grow; the caller's loop body is the per-step
-        sink. Then the step increases the labels, plainly or (triangulating)
-        along ``inc_targets``, adding its fill to the overlay, and records
-        the trace entry. ``prev_label`` is the previous vertex's label
-        throughout the body."""
-        self.queue.prefer = prefer
-        overlay = self.overlay
+        """Run the search, yielding (i, x) once x is chosen and numbered i;
+        the caller's loop body is the per-step sink. The queue still holds x
+        during the body, so ``boundary`` compares x's label with the
+        previous vertex's. Then the queue removes x and takes, in one
+        ``bump``, the vertices whose labels grow: x's unnumbered neighbors,
+        or (triangulating) the targets of ``inc_targets``, whose fill the
+        step adds to the overlay."""
+        queue, shadow = self.queue, self.shadow
+        queue.prefer = prefer
+        if shadow is not None:
+            shadow.prefer = prefer
+        g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
         for i in range(self.n, 0, -1):
             x = self.choose(i)
-            self.assign(x, i)
+            alpha[i] = x
+            pos[x] = i
+            done.add(x)
             yield i, x
+            queue.remove(x)
+            if shadow is not None:
+                shadow.remove(x)
             if overlay is None:
-                increased, fill = self.inc_plain(x, i), ()
+                ys = g.neighbors(x) - done
             else:
-                increased, fill = self.inc_targets(x, i)
+                ys = self.inc_targets(x, i)
                 # every fill edge has x as one end, and every other target
                 # is already x's neighbor
-                overlay[x].update(increased)
-                for a, b in fill:
-                    overlay[b if a == x else a].add(x)
-                self.fill.extend(fill)
-            self.trace.entries.append(
-                TraceEntry(i, x, self.labels[x], tuple(increased), tuple(fill))
-            )
-            self.prev_label = self.labels[x]
+                adj = g.adj[x]
+                overlay[x].update(ys)
+                for y in ys:
+                    if y not in adj:
+                        overlay[y].add(x)
+                        fill.append((x, y) if x < y else (y, x))
+            queue.bump(ys, i)
+            if shadow is not None:
+                shadow.bump(ys, i)
+            self.completed += 1
 
     def boundary(self, x: int, want: Cmp) -> bool:
         """The builders' label test: x, just chosen, starts a new clique
         unless it is the first vertex or the previous label compares ``want``
-        (LESS with dcl structures, EQUAL in complement runs) to x's label."""
-        return self.pos[x] < self.n and self.structure.compare(self.prev_label, self.labels[x]) is not want
+        (LESS with dcl structures, EQUAL in complement runs) to x's label.
+        The queue answers it from the blocks, in O(1)."""
+        if self.pos[x] == self.n:
+            return False
+        hit = self._hit(self.queue, x, want)
+        if self.shadow is not None and hit != self._hit(self.shadow, x, want):
+            raise DebugInvariantError(
+                f"iteration {self.pos[x]}: the queue's {want.value} label test "
+                f"disagrees with the label scan on vertex {x}"
+            )
+        return not hit
+
+    @staticmethod
+    def _hit(queue: OrderedPartition | ScanQueue, x: int, want: Cmp) -> bool:
+        return queue.grew_past(x) if want is Cmp.LESS else queue.equals_last(x)
 
     # -- candidate selection
 
     def choose(self, i: int) -> int:
-        if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
+        if self.shadow is not None:
             self._assert_label_order(i)
             self._assert_queue_candidates(i)
         return self.picker.pick(self.queue)
 
-    def assign(self, x: int, i: int) -> None:
-        self.alpha[i] = x
-        self.pos[x] = i
-        self.numbered[x] = True
-        self.queue.remove(x)
-
     # -- label updates
 
-    def inc_plain(self, x: int, i: int) -> list[int]:
-        """Increase the labels of the unnumbered neighbors of x in g."""
-        numbered = self.numbered
-        out = [y for y in sorted(self.g.neighbors(x)) if not numbered[y]]
-        self._bump_all(out, i)
-        return out
-
-    def inc_targets(self, x: int, i: int) -> tuple[list[int], list[tuple[int, int]]]:
-        """Triangulating label increase: an unnumbered y (distinct from x)
-        qualifies when the original graph has a path from x to y through
-        unnumbered internal vertices all labeled strictly below y's label (a
-        plain edge qualifies with no internal vertices). Returns the targets
-        in ascending vertex order, bumps their labels, and returns the new
-        fill edges among them in the same order. Paths run on original edges
-        only; fill is recorded, never searched through (searching the
-        overlay would change nothing anyway: every fill edge keeps a
-        numbered endpoint, and path internals must be unnumbered).
+    def inc_targets(self, x: int, i: int) -> list[int]:
+        """The triangulating label increase's targets, in ascending vertex
+        order: an unnumbered y (distinct from x) qualifies when the original
+        graph has a path from x to y through unnumbered internal vertices
+        all labeled strictly below y's label (a plain edge qualifies with
+        no internal vertices). Paths run on original edges only; fill is
+        recorded, never searched through (searching the overlay would
+        change nothing anyway: every fill edge keeps a numbered endpoint,
+        and path internals must be unnumbered).
 
         The queue finds the targets (``reach``; ``chordalkit.selection``
         and ``ScanQueue`` state the designs and costs). With
         ``CHORDALKIT_DEBUG=1`` and small n every step is checked against a
         ``ScanQueue``'s per-target search."""
         targets = self.queue.reach(x, self.nb)
-        if self.debug and self.n <= debug.LABEL_CHECK_MAX_N:
-            self._assert_reach_targets(i, x, targets)
-        adj = self.g.adj[x]
-        fill = [(x, y) if x < y else (y, x) for y in targets if y not in adj]
-        self._bump_all(targets, i)
-        return targets, fill
-
-    def _bump_all(self, ys: list[int], i: int) -> None:
-        """Increase the labels of ys at position i, then hand them all to the
-        queue in the step's one ``bump``, after the step's ``remove``; the
-        queue is settled when it returns."""
-        labels, inc = self.labels, self.structure.inc
-        for y in ys:
-            old = labels[y]
-            new = labels[y] = inc(old, i)
-            if self.debug and self.structure.compare(old, new) not in (Cmp.LESS, Cmp.EQUAL):
+        if self.shadow is not None:
+            want = self.shadow.reach(x, self.nb)
+            if targets != want:
                 raise DebugInvariantError(
-                    f"label of vertex {y} did not grow under inc at position {i}"
+                    f"iteration {i}: block reach search finds {targets} but the "
+                    f"per-target scan finds {want}"
                 )
-        self.queue.bump(ys, i)
+        return targets
 
     # -- results
 
@@ -416,51 +502,39 @@ class LabelSearch:
 
     def triangulation(self) -> TriangulationResult:
         """The finished triangulating run: its ordering and filled graph,
-        which is the overlay frozen under g's names, O(n + m + |fill|)."""
+        which is the overlay frozen under g's names, O(n + m + |fill|). The
+        run's trace reads the frozen graph from then on."""
         g = self.g
         assert isinstance(g, Graph) and self.overlay is not None
-        h = Graph._from_adj(g.names, g._index, self.overlay)
-        return TriangulationResult(self.ordering(), h, tuple(self.fill))
+        if self.h is None:
+            self.h = Graph._from_adj(g.names, g._index, self.overlay)
+        return TriangulationResult(self.ordering(), self.h, tuple(self.fill))
 
     # -- debug hooks
 
     def _assert_queue_candidates(self, i: int) -> None:
-        """The queue's extreme class must be the candidate set a fresh
+        """The queue's extreme class must be the candidate set the shadow
         ``ScanQueue`` finds under the same prefer rule and previous label."""
-        scan = self._scan()
-        scan.prefer, scan.prev = self.queue.prefer, self.prev_label
-        got, want = set(self.queue.extreme()), set(scan.extreme())
+        got, want = set(self.queue.extreme()), set(self.shadow.extreme())  # type: ignore[union-attr]
         if got != want:
             raise DebugInvariantError(
                 f"iteration {i}: selection queue offers {sorted(got)} but the "
                 f"label scan finds {sorted(want)}"
             )
 
-    def _assert_reach_targets(self, i: int, x: int, targets: list[int]) -> None:
-        """The queue's reach must find the targets a fresh ``ScanQueue``'s
-        per-target search finds."""
-        want = self._scan().reach(x, self.nb)
-        if targets != want:
-            raise DebugInvariantError(
-                f"iteration {i}: block reach search finds {targets} but the "
-                f"per-target scan finds {want}"
-            )
-
     def _assert_label_order(self, i: int) -> None:
         """Processed-neighborhood inclusions must be reflected in the label
         order: strict inclusion forces strictly smaller, equality forces
         equal labels."""
-        unnumbered = [v for v in range(self.n) if not self.numbered[v]]
+        done, labels = self.done, self.shadow.labels  # type: ignore[union-attr]
+        unnumbered = [v for v in range(self.n) if v not in done]
         hood = self.g.neighbors if self.overlay is None else self.overlay.__getitem__
-        hoods = {
-            y: frozenset(z for z in hood(y) if self.numbered[z])
-            for y in unnumbered
-        }
+        hoods = {y: frozenset(hood(y) & done) for y in unnumbered}
         for y in unnumbered:
             for z in unnumbered:
                 if y == z:
                     continue
-                r = self.structure.compare(self.labels[y], self.labels[z])
+                r = self.structure.compare(labels[y], labels[z])
                 if hoods[y] < hoods[z] and r is not Cmp.LESS:
                     raise DebugInvariantError(
                         f"iteration {i}: processed neighborhood of {y} is strictly "

@@ -16,15 +16,27 @@ cost O(log n) amortized. Set labels are a partial order, so the mns queue
 keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
-``prefer`` rule itself. Custom structures get ``chordalkit.search.ScanQueue``,
-which answers the same calls by scanning the labels. All queues are driven
-by the same calls, each step making one ``remove``, when its vertex is
-numbered, then exactly one ``bump``, possibly empty, with every vertex
-whose label grows at position i. ``bump`` returns with the queue settled,
-so ``lowest`` (or ``extreme``) selects by reading it. With ``minimize``
-they read the least class instead of the greatest. The generic engine
-(through ``LabelingStructure._selection_queue``) and ``fast_clique_tree``
-share them.
+``prefer`` rule itself. Custom structures get
+``chordalkit.search.ScanQueue``, which keeps their labels and answers the
+same calls by scanning them. All queues are driven by the same calls, each
+step making one ``remove`` of the vertex it numbers, then exactly one
+``bump``, possibly empty, with every vertex whose label grows at position
+i. ``bump`` returns with the queue settled, so ``lowest`` (or ``extreme``)
+selects by reading it. With ``minimize`` they read the least class instead
+of the greatest. The generic engine (through
+``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share
+them.
+
+The queues also answer the label tests of the clique-tree builders, so
+the search keeps no labels: ``grew_past(x)`` and ``equals_last(x)`` say
+whether x's label, for x in the extreme class, is strictly greater than,
+or equal to, the label of the last removed vertex. Each reads the block
+that ``remove`` recorded, in O(1): equal labels share a block, and a
+vertex grew past it, maximizing, when the last ``bump`` moved it to that
+block's twin (lexbfs) or to any twin (lexdfs). The mcs queue compares its
+blocks' counts instead, since an emptied block's count can come back in a
+new block, and the mns queue compares masks. The answers are booleans
+because this module sits below ``chordalkit.labeling`` and its ``Cmp``.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
@@ -64,7 +76,7 @@ class OrderedPartition:
     amortized."""
 
     __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
-                 "minimize", "twins", "step", "prefer")
+                 "minimize", "twins", "step", "prefer", "last", "__weakref__")
 
     def __init__(self, n: int, minimize: bool = False):
         self.members: list[set[int] | None] = [set(range(n))]
@@ -78,9 +90,10 @@ class OrderedPartition:
         self.twins: dict[int, int] = {}  # block -> its target at this step
         self.step = 0
         self.prefer: str | None = None
+        self.last = 0  # the last removed vertex's block
 
     def remove(self, v: int) -> None:
-        b = self.block_of[v]
+        b = self.last = self.block_of[v]
         members = self.members[b]
         members.discard(v)
         if not members:
@@ -146,6 +159,22 @@ class OrderedPartition:
         while heap[0] not in members:
             heappop(heap)
         return heap[0]
+
+    def grew_past(self, x: int) -> bool:
+        """Whether x's label is strictly greater than the last removed
+        vertex's (the initial label before any removal), for x in the
+        extreme class. Maximizing, x's label did not exceed it before the
+        step's bump, so x grew past it exactly when it moved from that
+        vertex's block to the block's twin; minimizing, x's label is not
+        below it, so it is greater unless equal."""
+        b = self.block_of[x]
+        return b != self.last if self.minimize else b == self.twins.get(self.last)
+
+    def equals_last(self, x: int) -> bool:
+        """Whether x's label equals the last removed vertex's: x is in the
+        block that vertex left, as a twin's label holds a position that no
+        older label holds."""
+        return self.block_of[x] == self.last
 
     def reach(self, x: int, nb: list[int]) -> list[int]:
         """The triangulating search's targets from x in ascending order:
@@ -228,6 +257,15 @@ class BucketQueue(OrderedPartition):
         count.append(c)
         return self._new_block(b)
 
+    # the counts answer for any vertex: an emptied block's count can come
+    # back in a new block, so block identity would not
+
+    def grew_past(self, x: int) -> bool:
+        return self.count[self.block_of[x]] > self.count[self.last]
+
+    def equals_last(self, x: int) -> bool:
+        return self.count[self.block_of[x]] == self.count[self.last]
+
 
 class StackPartition(OrderedPartition):
     """Lexdfs labels: an ordered partition whose twins go on top.
@@ -241,12 +279,23 @@ class StackPartition(OrderedPartition):
     creation order, which is id order. ``bump`` groups the step's vertices
     by block, sorts the k source blocks by id and places their twins,
     O(k log k). Removal, emptied blocks and the lazy heaps are the ordered
-    partition's; a twin's heap is seeded with its members sorted."""
+    partition's; a twin's heap is seeded with its members sorted. The
+    step's twins are the blocks from id ``fresh`` on, so a vertex grew past
+    the last removed label, maximizing, exactly when it is in one."""
 
-    __slots__ = ()
+    __slots__ = ("fresh",)
+
+    def __init__(self, n: int, minimize: bool = False):
+        super().__init__(n, minimize)
+        self.fresh = 1  # the first block id made by the last bump
+
+    def grew_past(self, x: int) -> bool:
+        b = self.block_of[x]
+        return b != self.last if self.minimize else b >= self.fresh
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         members, heaps, block_of = self.members, self.heaps, self.block_of
+        self.fresh = len(members)
         groups: dict[int, list[int]] = {}
         for v in vs:
             b = block_of[v]
@@ -309,14 +358,13 @@ class InclusionPartition(OrderedPartition):
     starting from the regions of the blocks it dominates, and keeps each
     live block's maximal dominated blocks for the next step."""
 
-    __slots__ = ("mask", "prev", "last", "ext", "order", "entered", "held", "home",
+    __slots__ = ("mask", "prev", "ext", "order", "entered", "held", "home",
                  "grown", "emptied", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
         self.mask = [0]  # by block id, parallel to members
         self.prev = 0  # the last removed vertex's mask
-        self.last = 0  # and its block
         self.ext = {0: 0}  # extreme block -> its mask
         self.order: list[tuple[int, int]] = []  # the lazy heap
         self.entered = [0]  # extreme blocks not yet pushed on the heap
@@ -328,9 +376,17 @@ class InclusionPartition(OrderedPartition):
         self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
 
     def remove(self, v: int) -> None:
-        b = self.block_of[v]
-        self.prev, self.last = self.mask[b], b
+        self.prev = self.mask[self.block_of[v]]
         super().remove(v)
+
+    # the masks answer for any vertex: they are the labels
+
+    def grew_past(self, x: int) -> bool:
+        m, prev = self.mask[self.block_of[x]], self.prev
+        return m != prev and m & prev == prev
+
+    def equals_last(self, x: int) -> bool:
+        return self.mask[self.block_of[x]] == self.prev
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         super().bump(vs, i)

@@ -342,3 +342,25 @@ def test_mns_moplex_search_scale():
     assert is_peo(g, alpha)
     print(f"\n[scale] PASS: moplex_mls (mns) on n={g.n}, m={g.m} "
           f"in {elapsed:.1f}s, under 10s")
+
+
+def test_complement_generators_scale():
+    # the queues answer the equal-label test from their blocks and the engine
+    # keeps no labels, so list and set labels cost no more than counts; with
+    # a tuple or frozenset copied per increase they took 3-9x as long as mcs
+    g = gen(GeneratorConfig(seed=1, n=1000, param=4.0, family="random-co-chordal"))
+    timings = {}
+    for factory in ALL:
+        best = float("inf")
+        for _ in range(2):
+            start = time.perf_counter()
+            result = complement_mls_generators(g, factory())
+            best = min(best, time.perf_counter() - start)
+        assert len(result.ordering) == g.n
+        timings[factory.__name__] = best
+    for name in ("lexbfs", "lexdfs", "mns"):
+        assert timings[name] < 10.0, f"{name} took {timings[name]:.1f}s"
+        assert timings[name] <= 3 * timings["mcs"], (
+            f"{name} took {timings[name]:.2f}s, over 3x mcs's {timings['mcs']:.2f}s")
+    print(f"\n[scale] PASS: complement_mls_generators on n={g.n}, m={g.m}: "
+          + ", ".join(f"{k} {v:.2f}s" for k, v in timings.items()))

@@ -85,6 +85,15 @@ class TestLab:
             s = f()
             assert lab(s, set()) == s.initial()
 
+    def test_builtin_folds_match_the_increase(self):
+        # the built-ins build a label in one step; folding inc is the reference
+        for f in ALL:
+            s = f()
+            for k in range(5):
+                for positions in combinations(range(1, 7), k):
+                    desc = sorted(positions, reverse=True)
+                    assert lab(s, positions) == LabelingStructure._fold(s, desc), (s.name, positions)
+
 
 class TestCompare:
     def test_lexdfs_reversed_integers(self):

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -22,7 +23,7 @@ from chordalkit.errors import (
 )
 from chordalkit.fixtures import fixture, fixtures, graph
 from chordalkit.graph import Ordering, add_edges, complement_view, from_edge_list, from_vertices, ordering_from_names
-from chordalkit.labeling import Cmp, LabelingStructure, Tri, lexbfs, lexdfs, mcs, mns
+from chordalkit.labeling import Cmp, LabelingStructure, Tri, lab, lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import GeneratorConfig, gen, is_chordal, is_minimal_triangulation, is_peo, is_pmo
 from chordalkit.search import (
     LabelSearch,
@@ -390,14 +391,15 @@ class _SetLabels(LabelingStructure):
 def _reference_inc_targets(run, x, i):
     """The triangulating rule as stated, one target at a time: y is a target
     iff the input graph has a path from x to y whose internal vertices are
-    all unnumbered and labeled strictly below y."""
-    g, labels, numbered = run.g, run.labels, run.numbered
-    cmp = run.structure.compare
+    all unnumbered and labeled strictly below y. Each label is folded with
+    ``lab`` from the positions of its numbered neighbors in the filled graph
+    so far, which were numbered before x, so the queues are never read."""
+    g, pos, structure = run.g, run.pos, run.structure
+    live = [w for w in range(g.n) if w not in run.done]
+    labels = {w: lab(structure, [pos[z] for z in run.overlay[w] if pos[z] > i]) for w in live}
     targets = []
-    for y in range(g.n):
-        if numbered[y]:
-            continue
-        allowed = {w for w in range(g.n) if not numbered[w] and cmp(labels[w], labels[y]) is Cmp.LESS}
+    for y in live:
+        allowed = {w for w in live if structure.compare(labels[w], labels[y]) is Cmp.LESS}
         reached, frontier = {x}, [x]
         while frontier and y not in reached:
             u = frontier.pop()
@@ -407,8 +409,7 @@ def _reference_inc_targets(run, x, i):
                     frontier.append(w)
         if y in reached:
             targets.append(y)
-    run._bump_all(targets, i)
-    return targets, [(min(x, y), max(x, y)) for y in targets if y not in g.adj[x]]
+    return targets
 
 
 def _driver_run(monkeypatch, fn, g, structure):
@@ -617,6 +618,10 @@ _QUEUE_PRODUCTS = [
 ]
 
 
+class _WeakList(list):
+    """A list that a weak reference can point at."""
+
+
 class TestSelectionQueue:
     """Queue-backed selection (mcs, lexbfs, lexdfs, mns) against the label
     scan; for mns the products with a prefer rule also cover its narrowing."""
@@ -635,6 +640,38 @@ class TestSelectionQueue:
                 assert all(queued) and not any(scanned)
                 assert got == want, (name, g, tb)
                 assert got_trace == want_trace, (name, g, tb)
+
+    @pytest.mark.parametrize("name,fn,kind,kwargs", _QUEUE_PRODUCTS, ids=[p[0] for p in _QUEUE_PRODUCTS])
+    def test_result_keeps_no_queue_or_bitsets(self, name, fn, kind, kwargs, monkeypatch):
+        # a finished run's trace keeps g or H, the positions, the fill and
+        # the structure, and builds its entries from them when read: once
+        # the product has returned, holding its result keeps neither the
+        # run's queue nor its vertex bitsets nor its overlay alive
+        refs = []
+        real = LabelSearch.__init__
+
+        def keep(self, *args, **kw):
+            real(self, *args, **kw)
+            if self.nb is not None:
+                self.nb, self.overlay = _WeakList(self.nb), _WeakList(self.overlay)
+            refs.append([weakref.ref(r) for r in (self.queue, self.nb, self.overlay) if r is not None])
+
+        g = _queue_corpus(kind)[-1]
+        for factory in ALL:
+            refs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(LabelSearch, "__init__", keep)
+                try:
+                    out = fn(g, factory(), **kwargs)
+                except NonDclStructureError:
+                    assert not refs and factory is lexdfs
+                    continue
+            (held,) = refs
+            assert len(held) == (3 if name in ("mlsm", "moplex_mlsm", "dcl_atom_tree", "dcl_mlsm_clique_tree") else 1)
+            assert [r() for r in held] == [None] * len(held), (name, factory.__name__)
+            trace = out[1] if isinstance(out, tuple) else getattr(out, "trace", None)
+            if trace is not None:
+                assert [e.i for e in trace.entries] == list(range(g.n, 0, -1))
 
     @pytest.mark.parametrize("factory", ALL + [_TupleCount], ids=lambda f: f.__name__)
     def test_one_bump_per_step_after_its_remove(self, factory, monkeypatch):
@@ -699,6 +736,20 @@ class TestSelectionQueue:
         with pytest.raises(DebugInvariantError, match="selection queue"):
             mls(g, mcs())
 
+    def test_debug_cross_check_catches_a_bad_label_test(self, monkeypatch):
+        # the builders' label tests are checked against the shadow scan too
+        monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
+        g, h = graph("fig1_h"), cochordal_corpus(1)[0]
+        dcl_mls_clique_tree(g, mcs())
+        complement_mls_generators(h, mcs())
+        with monkeypatch.context() as m:
+            m.setattr(BucketQueue, "grew_past", lambda self, x: False)
+            with pytest.raises(DebugInvariantError, match="less label test"):
+                dcl_mls_clique_tree(g, mcs())
+        monkeypatch.setattr(BucketQueue, "equals_last", lambda self, x: False)
+        with pytest.raises(DebugInvariantError, match="equal label test"):
+            complement_mls_generators(h, mcs())
+
     def test_debug_cross_check_catches_a_bad_mns_queue(self, monkeypatch):
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
         g = graph("fig3_g")
@@ -746,6 +797,10 @@ class TestSelectionQueue:
                     ]
                     rng.shuffle(checks)
                     assert all(check() for check in checks), (minimize, seed, i)
+                    # the label tests against the last removed label
+                    for v in want:
+                        assert q.grew_past(v) == (label[v] & prev == prev != label[v]), (minimize, seed, i, v)
+                        assert q.equals_last(v) == (label[v] == prev), (minimize, seed, i, v)
                     x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
                     q.remove(x)
                     live.discard(x)
@@ -771,14 +826,18 @@ class TestSelectionQueue:
     ], ids=["mcs", "lexbfs", "lexdfs"])
     def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
         # the same protocol on count and tuple labels, totally ordered by
-        # key, with the reach search after each removal on a random graph
+        # key, with the reach search after each removal on a random graph,
+        # and the label tests against the last removed label. Steps whose
+        # removal empties its class, after which an equal label may come
+        # back in another block (mcs), are counted to show they are met.
+        emptied = returned = 0
         for minimize in (False, True):
             for seed in range(100):
                 rng = random.Random(seed)
                 n = rng.randint(1, 40)
                 adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
                 q = queue(n, minimize)
-                label, live = [initial] * n, set(range(n))
+                label, live, prev, alone = [initial] * n, set(range(n)), key(initial), False
                 for i in range(n, 0, -1):
                     keys = {v: key(label[v]) for v in live}
                     best = (min if minimize else max)(keys.values())
@@ -786,7 +845,14 @@ class TestSelectionQueue:
                     checks = [lambda: set(q.extreme()) == want, lambda: q.lowest() == min(want)]
                     rng.shuffle(checks)
                     assert all(check() for check in checks), (minimize, seed, i)
+                    for v in want:
+                        assert q.grew_past(v) == (keys[v] > prev), (minimize, seed, i, v)
+                        assert q.equals_last(v) == (keys[v] == prev), (minimize, seed, i, v)
+                    returned += alone and best == prev
                     x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
+                    alone = len(want) == 1
+                    emptied += alone
+                    prev = keys[x]
                     q.remove(x)
                     live.discard(x)
                     below = lambda y: {w for w in live if keys[w] < keys[y]}
@@ -802,3 +868,4 @@ class TestSelectionQueue:
                         label[y] = inc(label[y], i)
                     q.bump(ys, i)
                     _assert_dead_blocks_released(q)
+        assert emptied and (returned or queue is not BucketQueue), (emptied, returned)
