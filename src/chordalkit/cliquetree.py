@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import debug
 from .errors import (
@@ -38,7 +38,6 @@ from .graph import (
     require_connected,
 )
 from .labeling import (
-    Cmp,
     LabelingStructure,
     require_complement_reversing,
     require_dcl,
@@ -97,7 +96,7 @@ def _anchor(sep: VertexSet, pos, x: int) -> int:
     step as a pairwise clique test: if sep(x) is the first non-clique but
     sep(x) - {p} lies in N(p), its non-adjacent pair lies in sep(p), and
     p was processed earlier."""
-    return min(sep, key=pos.__getitem__, default=x)
+    return min(sep, key=pos.__getitem__) if sep else x
 
 
 def _follower_check(h: Graph, x: int, sep: VertexSet, p: int) -> None:
@@ -152,7 +151,7 @@ class _TreeBuilder:
 def _debug_check_partial(
     builder: _TreeBuilder,
     adjacent: Callable[[int, int], bool],
-    numbered: list[int],
+    numbered: Sequence[int],
     pos,
 ) -> None:
     """Oracle-backed mid-run check (debug mode, small n only): the tree so
@@ -188,13 +187,12 @@ def _debug_check_partial(
             )
 
 
-def _maybe_debug(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet,
-                 test: str = "label") -> None:
-    """The engine builders' debug hooks after x's step: the label ``test``
-    that chose the step agrees with the set test (x's node is sep plus x),
-    and the partial tree passes ``_debug_check_partial``."""
-    if not run.debug:
-        return
+def _debug_step(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet,
+                test: str = "label") -> None:
+    """The engine builders' debug hooks after x's step, run in debug mode
+    only: the label ``test`` that chose the step agrees with the set test
+    (x's node is sep plus x), and the partial tree passes
+    ``_debug_check_partial``."""
     if builder.current() != sep | {x}:
         raise DebugInvariantError(f"{test} test and set test disagree at position {run.pos[x]}")
     if run.n <= debug.ORACLE_CHECK_MAX_N:
@@ -246,14 +244,14 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
     if len(alpha) != h.n:
         raise ValueError("ordering length does not match the graph")
     builder = _TreeBuilder()
-    numbered = [False] * h.n
-    numbered_list: list[int] = []
+    adj, seq, pos = h.adj, alpha.seq, alpha.pos
+    done: set[int] = set()
     checking = debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N
     for i in range(h.n, 0, -1):
-        x = alpha.vertex_at(i)
-        sep = frozenset(y for y in h.adj[x] if numbered[y])
-        p = _anchor(sep, alpha.pos, x)
-        if len(sep - h.adj[p]) > 1:
+        x = seq[i - 1]
+        sep = adj[x] & done
+        p = _anchor(sep, pos, x)
+        if len(sep - adj[p]) > 1:
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
@@ -264,10 +262,9 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
             if join_parent:
                 builder.at = builder.clique_of[p]
         builder.step(x, sep, p, builder.current() != sep)
-        numbered[x] = True
-        numbered_list.append(x)
+        done.add(x)
         if checking:
-            _debug_check_partial(builder, h.adjacent, numbered_list, alpha.pos)
+            _debug_check_partial(builder, h.adjacent, seq[i - 1:], pos)
     return builder.result(alpha)
 
 
@@ -293,7 +290,8 @@ def mls_clique_tree(
         p = _anchor(sep, run.pos, x)
         _follower_check(h, x, sep, p)
         builder.step(x, sep, p, builder.current() != sep)
-        _maybe_debug(builder, h.adjacent, run, x, sep)
+        if run.debug:
+            _debug_step(builder, h.adjacent, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -315,15 +313,16 @@ def dcl_mls_clique_tree(
     if enforce_dcl:
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
-    adj, done = h.adj, run.done
+    adj, done, pos, boundary = h.adj, run.done, run.pos, run.boundary
+    checking = run.debug and enforce_dcl
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
         sep = adj[x] & done
-        p = _anchor(sep, run.pos, x)
+        p = _anchor(sep, pos, x)
         _follower_check(h, x, sep, p)
-        builder.step(x, sep, p, run.boundary(x, Cmp.LESS))
-        if enforce_dcl:
-            _maybe_debug(builder, h.adjacent, run, x, sep)
+        builder.step(x, sep, p, boundary(x))
+        if checking:
+            _debug_step(builder, h.adjacent, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -362,13 +361,14 @@ def complement_mls_clique_tree(
             raise ComplementNotChordalError(
                 f"complement neighborhood of {g.names[x]!r} is not a complement clique"
             )
-        new = run.boundary(x, Cmp.EQUAL)
+        new = run.boundary(x)
         if new and not sep:
             raise ComplementNotChordalError("empty boundary separator mid-run")
         if run.shadow is not None and i < g.n and armed:
             armed = _debug_equal_label_boundary(run, view, builder, x)
         builder.step(x, sep, p, new)
-        _maybe_debug(builder, view.adjacent, run, x, sep, "equal-label")
+        if run.debug:
+            _debug_step(builder, view.adjacent, run, x, sep, "equal-label")
     return builder.result(run.ordering(), run.trace)
 
 
@@ -420,7 +420,7 @@ def complement_mls_generators(
     gen_cli: list[int] = []
     gen_sep: list[int] = []
     for i, x in run.steps("equal"):
-        if run.boundary(x, Cmp.EQUAL):
+        if run.boundary(x):
             gen_cli.append(run.alpha[i + 1])  # type: ignore[arg-type]
             gen_sep.append(x)
     gen_cli.append(run.alpha[1])  # type: ignore[arg-type]
@@ -442,42 +442,15 @@ def extract_generators(result: CliqueTreeResult) -> GeneratorsResult:
 
 
 # ---------------------------------------------------------------------------
-# fast path for the two classic total-order structures
+# the two classic total-order structures by token
 
 
 def fast_clique_tree(h: Graph, token: str) -> CliqueTreeResult:
-    """Clique tree for 'mcs' or 'lexbfs' with lowest-index tie-breaking in
-    O((n + m) log n), without the engine's trace, tie-break policies or
-    debug hooks. Selection goes through the engine's queue for
-    the structure (``chordalkit.selection``); the follower check and the
-    set test for a new clique cost O(|sep|) per step. Produces the same
-    result as ``dcl_mls_clique_tree`` with the matching structure, whose
-    label test opens a clique exactly when this set test does."""
+    """``dcl_mls_clique_tree`` with the structure named by token, 'mcs' or
+    'lexbfs', and lowest-index tie-breaking: for mcs the clique tree of
+    Tarjan & Yannakakis (1984). It costs O((n + m) log n). It is that call,
+    so the result carries the run's trace, built only when read; result
+    equality and ``clique_tree_json`` ignore it."""
     if token not in ("mcs", "lexbfs"):
         raise ValueError("fast path supports 'mcs' and 'lexbfs' only")
-    queue = structure_by_token(token)._selection_queue(h.n, False)
-    require_connected(h)
-    n = h.n
-    adj = h.adj
-    numbered = [False] * n
-    # follower[y]: the latest-numbered neighbor of y, i.e. the vertex of
-    # y's processed neighborhood with the smallest position
-    follower = [0] * n
-    alpha: list[int] = [0] * (n + 1)
-    builder = _TreeBuilder()
-    for i in range(n, 0, -1):
-        x = queue.lowest()
-        queue.remove(x)
-        numbered[x] = True
-        alpha[i] = x
-        sep = frozenset(y for y in adj[x] if numbered[y])
-        # the anchor of the step (see _anchor); for the first vertex sep is
-        # empty, so the check passes and the step opens nothing whatever p is
-        p = follower[x]
-        _follower_check(h, x, sep, p)
-        builder.step(x, sep, p, builder.current() != sep)
-        touched = [y for y in adj[x] if not numbered[y]]
-        for y in touched:
-            follower[y] = x
-        queue.bump(touched, i)
-    return builder.result(Ordering(alpha[1:]))
+    return dcl_mls_clique_tree(h, structure_by_token(token))

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliquetree import CliqueTreeResult, _anchor, _maybe_debug, _TreeBuilder
+from .cliquetree import CliqueTreeResult, _anchor, _debug_step, _TreeBuilder
 from .errors import InputMismatchError
 from .graph import Graph, Ordering, VertexSet, is_clique_in, require_connected
-from .labeling import Cmp, LabelingStructure, require_dcl, require_ic
+from .labeling import LabelingStructure, require_dcl, require_ic
 from .search import LabelSearch, TieBreak, TriangulationResult
 
 
@@ -76,8 +76,9 @@ def dcl_mlsm_clique_tree(
     builder = _TreeBuilder()
     for _, x in run.steps("greater"):
         sep = frozenset(overlay[x] & done)
-        builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x, Cmp.LESS))
-        _maybe_debug(builder, lambda a, b: b in overlay[a], run, x, sep)
+        builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x))
+        if run.debug:
+            _debug_step(builder, lambda a, b: b in overlay[a], run, x, sep)
     tri = run.triangulation()
     return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
 
@@ -155,7 +156,7 @@ def dcl_atom_tree(
         sep = frozenset(overlay[x] & done)
         p = _anchor(sep, run.pos, x)
         new = False
-        if run.boundary(x, Cmp.LESS):
+        if run.boundary(x):
             new = is_clique_in(g, sep)
             if not new:
                 builder.at = builder.clique_of[p]

@@ -36,7 +36,7 @@ trace is built when its entries are first read (``SearchTrace``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import debug
 from .errors import DebugInvariantError, ScriptConflictError
@@ -57,49 +57,40 @@ from .selection import OrderedPartition
 
 class TieBreak:
     """Chooses among equally acceptable candidates. Policies never override
-    the label rule: they only pick within the legal candidate set."""
+    the label rule: they only pick within the legal candidate set.
 
-    def start(self, g: Graph | ComplementView) -> "_Picker":
-        raise NotImplementedError
+    ``start(g, queue)`` begins one run and returns its pick: a callable
+    with no arguments that returns a vertex of the queue's extreme label
+    class (for mns, the union of its extreme classes narrowed by prefer),
+    which is the whole candidate set at that step."""
 
-
-class _Picker:
-    def pick(self, queue: OrderedPartition | ScanQueue) -> int:
-        """Pick from the queue's extreme label class (for mns, the union of
-        its extreme classes narrowed by prefer): the whole candidate set."""
+    def start(self, g: Graph | ComplementView, queue: OrderedPartition | ScanQueue) -> Callable[[], int]:
         raise NotImplementedError
 
 
 class LowestIndex(TieBreak):
-    """Deterministic default: smallest vertex index wins."""
+    """Deterministic default: smallest vertex index wins. The pick is the
+    queue's own ``lowest``."""
 
-    def start(self, g):
-        return _LowestPicker()
+    def start(self, g, queue):
+        return queue.lowest
 
     def __repr__(self):
         return "LowestIndex()"
-
-
-class _LowestPicker(_Picker):
-    def pick(self, queue):
-        return queue.lowest()
 
 
 @dataclass(frozen=True)
 class SeededRandom(TieBreak):
     seed: int
 
-    def start(self, g):
-        return _SeededPicker(self.seed)
+    def start(self, g, queue):
+        rng = SplitMix64(self.seed)
 
+        def pick() -> int:
+            ordered = sorted(queue.extreme())
+            return ordered[rng.below(len(ordered))]
 
-class _SeededPicker(_Picker):
-    def __init__(self, seed: int):
-        self.rng = SplitMix64(seed)
-
-    def pick(self, queue):
-        ordered = sorted(queue.extreme())
-        return ordered[self.rng.below(len(ordered))]
+        return pick
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ class ScriptedOrder(TieBreak):
     def __init__(self, picks: Iterable[str]):
         object.__setattr__(self, "picks", tuple(picks))
 
-    def start(self, g):
+    def start(self, g, queue):
         seen = set()
         indices = []
         for name in self.picks:
@@ -122,25 +113,19 @@ class ScriptedOrder(TieBreak):
                 raise ScriptConflictError(f"script names vertex {name!r} twice")
             seen.add(name)
             indices.append(g.index(name))
-        return _ScriptedPicker(indices, g.names)
+        script, names = iter(indices), g.names
 
+        def pick() -> int:
+            wanted = next(script, None)
+            if wanted is None:
+                return queue.lowest()
+            if wanted not in queue.extreme():
+                raise ScriptConflictError(
+                    f"scripted vertex {names[wanted]!r} is not a legal choice here"
+                )
+            return wanted
 
-class _ScriptedPicker(_Picker):
-    def __init__(self, script: list[int], names):
-        self.script = script
-        self.names = names
-        self.at = 0
-
-    def pick(self, queue):
-        if self.at >= len(self.script):
-            return queue.lowest()
-        wanted = self.script[self.at]
-        self.at += 1
-        if wanted not in queue.extreme():
-            raise ScriptConflictError(
-                f"scripted vertex {self.names[wanted]!r} is not a legal choice here"
-            )
-        return wanted
+        return pick
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +355,12 @@ class LabelSearch:
         self.g = g
         self.structure = structure
         self.minimize = minimize
-        self.picker = (tiebreak or LowestIndex()).start(g)
         n = g.n
         self.n = n
         self.done: set[int] = set()
         self.queue: OrderedPartition | ScanQueue = (
             structure._selection_queue(n, minimize) or ScanQueue(structure, g, minimize))
+        self.pick = (tiebreak or LowestIndex()).start(g, self.queue)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
         self.completed = 0  # steps whose labels have grown
@@ -405,19 +390,24 @@ class LabelSearch:
 
     def steps(self, prefer: str | None = None) -> Iterator[tuple[int, int]]:
         """Run the search, yielding (i, x) once x is chosen and numbered i;
-        the caller's loop body is the per-step sink. The queue still holds x
+        the caller's loop body is the per-step sink. The tie-break's pick
+        chooses x from the queue's extreme class, after the debug hooks
+        check that class against the shadow's. The queue still holds x
         during the body, so ``boundary`` compares x's label with the
         previous vertex's. Then the queue removes x and takes, in one
         ``bump``, the vertices whose labels grow: x's unnumbered neighbors,
         or (triangulating) the targets of ``inc_targets``, whose fill the
         step adds to the overlay."""
-        queue, shadow = self.queue, self.shadow
+        queue, shadow, pick = self.queue, self.shadow, self.pick
         queue.prefer = prefer
         if shadow is not None:
             shadow.prefer = prefer
         g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
         for i in range(self.n, 0, -1):
-            x = self.choose(i)
+            if shadow is not None:
+                self._assert_label_order(i)
+                self._assert_queue_candidates(i)
+            x = pick()
             alpha[i] = x
             pos[x] = i
             done.add(x)
@@ -442,32 +432,22 @@ class LabelSearch:
                 shadow.bump(ys, i)
             self.completed += 1
 
-    def boundary(self, x: int, want: Cmp) -> bool:
+    def boundary(self, x: int) -> bool:
         """The builders' label test: x, just chosen, starts a new clique
-        unless it is the first vertex or the previous label compares ``want``
-        (LESS with dcl structures, EQUAL in complement runs) to x's label.
-        The queue answers it from the blocks, in O(1)."""
+        unless it is the first vertex or the previous label is less than
+        x's label (a maximizing run, for dcl structures) or equal to it (a
+        minimizing run, for complement-reversing ones). The queue answers
+        it from the blocks, in O(1)."""
         if self.pos[x] == self.n:
             return False
-        hit = self._hit(self.queue, x, want)
-        if self.shadow is not None and hit != self._hit(self.shadow, x, want):
+        minimize, queue, shadow = self.minimize, self.queue, self.shadow
+        hit = queue.equals_last(x) if minimize else queue.grew_past(x)
+        if shadow is not None and hit != (shadow.equals_last(x) if minimize else shadow.grew_past(x)):
             raise DebugInvariantError(
-                f"iteration {self.pos[x]}: the queue's {want.value} label test "
-                f"disagrees with the label scan on vertex {x}"
+                f"iteration {self.pos[x]}: the queue's {'equal' if minimize else 'less'} "
+                f"label test disagrees with the label scan on vertex {x}"
             )
         return not hit
-
-    @staticmethod
-    def _hit(queue: OrderedPartition | ScanQueue, x: int, want: Cmp) -> bool:
-        return queue.grew_past(x) if want is Cmp.LESS else queue.equals_last(x)
-
-    # -- candidate selection
-
-    def choose(self, i: int) -> int:
-        if self.shadow is not None:
-            self._assert_label_order(i)
-            self._assert_queue_candidates(i)
-        return self.picker.pick(self.queue)
 
     # -- label updates
 

@@ -23,9 +23,8 @@ step making one ``remove`` of the vertex it numbers, then exactly one
 ``bump``, possibly empty, with every vertex whose label grows at position
 i. ``bump`` returns with the queue settled, so ``lowest`` (or ``extreme``)
 selects by reading it. With ``minimize`` they read the least class instead
-of the greatest. The generic engine (through
-``LabelingStructure._selection_queue``) and ``fast_clique_tree`` share
-them.
+of the greatest. The engine gets them through
+``LabelingStructure._selection_queue``.
 
 The queues also answer the label tests of the clique-tree builders, so
 the search keeps no labels: ``grew_past(x)`` and ``equals_last(x)`` say

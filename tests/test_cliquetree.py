@@ -17,6 +17,7 @@ from chordalkit.errors import (
     ComplementDisconnectedError,
     ComplementNotChordalError,
     DebugInvariantError,
+    DisconnectedGraphError,
     NonDclStructureError,
     NotAPeoError,
     NotChordalError,
@@ -373,14 +374,25 @@ class TestFastPaths:
             for token, f in (("mcs", mcs), ("lexbfs", lexbfs)):
                 tf = fast_clique_tree(g, token)
                 tg = dcl_mls_clique_tree(g, f(), LowestIndex())
-                assert tf.cliques == tg.cliques
-                assert tf.tree_edges == tg.tree_edges
-                assert tf.separators == tg.separators
-                assert tf.ordering == tg.ordering
+                assert tf == tg
 
     def test_unknown_token(self):
         with pytest.raises(ValueError):
             fast_clique_tree(graph("fig1_h"), "mns")
+
+    def test_error_precedence_on_disconnected_input(self):
+        # the token is checked before the input; a known token then fails
+        # on the input exactly as the engine does
+        g = from_edge_list([("a", "b"), ("c", "d")])
+        with pytest.raises(ValueError, match="fast path supports"):
+            fast_clique_tree(g, "mns")
+        for token, factory in (("mcs", mcs), ("lexbfs", lexbfs)):
+            with pytest.raises(DisconnectedGraphError) as generic:
+                dcl_mls_clique_tree(g, factory(), LowestIndex())
+            with pytest.raises(DisconnectedGraphError) as fast:
+                fast_clique_tree(g, token)
+            assert type(fast.value) is type(generic.value)
+            assert str(fast.value) == str(generic.value)
 
     @pytest.mark.parametrize("token", ["mcs", "lexbfs"])
     def test_four_cycle_rejected(self, token):
