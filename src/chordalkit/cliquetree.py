@@ -285,7 +285,7 @@ def mls_clique_tree(
     run = LabelSearch(h, structure, tiebreak)
     adj, done = h.adj, run.done
     builder = _TreeBuilder()
-    for _, x in run.steps("greater"):
+    for _, x in run.steps(True):
         sep = adj[x] & done
         p = _anchor(sep, run.pos, x)
         _follower_check(h, x, sep, p)
@@ -316,7 +316,7 @@ def dcl_mls_clique_tree(
     adj, done, pos, boundary = h.adj, run.done, run.pos, run.boundary
     checking = run.debug and enforce_dcl
     builder = _TreeBuilder()
-    for _, x in run.steps("greater"):
+    for _, x in run.steps(True):
         sep = adj[x] & done
         p = _anchor(sep, pos, x)
         _follower_check(h, x, sep, p)
@@ -336,10 +336,10 @@ def complement_mls_clique_tree(
     tiebreak: TieBreak | None = None,
 ) -> CliqueTreeResult:
     """Clique tree and minimal separators of the complement of g, computed by
-    choosing label-minimal vertices (preferring a label equal to the previous
-    one) and increasing labels along edges of g itself. A new clique starts
-    exactly when the chosen label differs from the previous minimum, for any
-    complement-reversing structure.
+    choosing label-minimal vertices (preferring a label that continues, here
+    equals, the previous one) and increasing labels along edges of g itself.
+    A new clique starts exactly when the chosen label does not continue the
+    previous minimum, for any complement-reversing structure.
 
     The complement is never built: x's processed neighborhood in it is the
     numbered vertices minus g.adj[x] and x itself. Still, building the tree
@@ -354,7 +354,7 @@ def complement_mls_clique_tree(
     adj, done = g.adj, run.done
     builder = _TreeBuilder()
     armed = True  # the equal-label debug hook, until the input is found at fault
-    for i, x in run.steps("equal"):
+    for i, x in run.steps(True):
         sep = frozenset(done.difference(adj[x], (x,)))
         p = _anchor(sep, run.pos, x)
         if not sep.isdisjoint(g.adj[p]):
@@ -391,7 +391,7 @@ def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder:
         if y in run.done and y != x:
             continue
         hood = {v for v in before if view.adjacent(y, v)}
-        label_hit = shadow.equals_last(y)
+        label_hit = shadow.continues(y)
         if label_hit != (hood == current):
             if not oracle.is_chordal(materialize_complement(view.base)):
                 return False
@@ -419,7 +419,7 @@ def complement_mls_generators(
     run = LabelSearch(g, structure, tiebreak, minimize=True)
     gen_cli: list[int] = []
     gen_sep: list[int] = []
-    for i, x in run.steps("equal"):
+    for i, x in run.steps(True):
         if run.boundary(x):
             gen_cli.append(run.alpha[i + 1])  # type: ignore[arg-type]
             gen_sep.append(x)

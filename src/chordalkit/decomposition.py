@@ -74,7 +74,7 @@ def dcl_mlsm_clique_tree(
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
     overlay, done = run.overlay, run.done
     builder = _TreeBuilder()
-    for _, x in run.steps("greater"):
+    for _, x in run.steps(True):
         sep = frozenset(overlay[x] & done)
         builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x))
         if run.debug:
@@ -152,7 +152,7 @@ def dcl_atom_tree(
     overlay, done = run.overlay, run.done
     builder = _TreeBuilder()
     history: list[int] = []
-    for _, x in run.steps("greater"):
+    for _, x in run.steps(True):
         sep = frozenset(overlay[x] & done)
         p = _anchor(sep, run.pos, x)
         new = False

@@ -44,7 +44,7 @@ class LabelingStructure:
     compare must behave as a partial order on the labels actually produced;
     Equal means value equality of labels. is_total promises Incomparable
     never occurs. The engine does not branch on it: one queue answers
-    selection, the builders' label tests and the triangulating reach
+    selection, the builders' label test and the triangulating reach
     question, a built-in's own selection queue or, for any custom
     structure, a scan of the labels, which only that scan keeps.
     """
@@ -79,7 +79,7 @@ class LabelingStructure:
 
     def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
         """Internal: the selection queue that the search reads for selection,
-        the label tests and the triangulating reach targets. Each queue
+        the label test and the triangulating reach targets. Each queue
         hard-codes one built-in structure's increase (see
         ``chordalkit.selection``), so custom structures return None and the
         search keeps and scans their labels in a
@@ -431,10 +431,10 @@ def check_report(structure: LabelingStructure, prop: str, n_max: int) -> dict:
     return report
 
 
-def _require(prop: str, structure: LabelingStructure, bound: int) -> None:
+def _require(prop: str, structure: LabelingStructure) -> None:
     """Gate for the search engine: built-ins pass or fail on their flag,
-    unknown structures get one bounded exhaustive check of prop (cached on
-    the instance)."""
+    unknown structures get one exhaustive check of prop up to
+    ``DEFAULT_CHECK_BOUND`` vertices (cached on the instance)."""
     check, flag, error, known_no, noun = _GATES[prop]
     known = getattr(structure, flag)
     if known is Tri.YES:
@@ -444,22 +444,22 @@ def _require(prop: str, structure: LabelingStructure, bound: int) -> None:
     cache = f"_{flag}_checked"
     passed = getattr(structure, cache, None)
     if passed is None:
-        passed = check(structure, bound) is None
+        passed = check(structure, DEFAULT_CHECK_BOUND) is None
         try:
             setattr(structure, cache, passed)
         except AttributeError:
             pass
     if not passed:
-        raise error(f"{structure.name} failed the bounded {noun} check (n_max={bound})")
+        raise error(f"{structure.name} failed the bounded {noun} check (n_max={DEFAULT_CHECK_BOUND})")
 
 
-def require_ic(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    _require("ic", structure, bound)
+def require_ic(structure: LabelingStructure) -> None:
+    _require("ic", structure)
 
 
-def require_dcl(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    _require("dcl", structure, bound)
+def require_dcl(structure: LabelingStructure) -> None:
+    _require("dcl", structure)
 
 
-def require_complement_reversing(structure: LabelingStructure, bound: int = DEFAULT_CHECK_BOUND) -> None:
-    _require("complement-reversing", structure, bound)
+def require_complement_reversing(structure: LabelingStructure) -> None:
+    _require("complement-reversing", structure)

@@ -14,11 +14,12 @@ minimal elimination / moplex orderings together with the filled graph.
 
 Costs: every search selects through one queue; its triangulating label
 increase asks the same queue which vertices the chosen vertex reaches, and
-the builders' label tests ask it whether the chosen label grew past, or
-equals, the previous one. The engine stores no labels: a step hands the
-chosen vertex's unnumbered neighbors, one set difference, to the queue's
-one ``bump``, and the queue answers the label tests from its blocks in
-O(1) (O(n / w) word operations on an mns mask, with w the word size). The
+the builders' label test asks it whether the chosen label continues the
+previous one (strictly greater when maximizing, equal when minimizing),
+which the moplex rule prefers. The engine stores no labels: a step hands
+the chosen vertex's unnumbered neighbors, one set difference, to the
+queue's one ``bump``, and the queue answers the label test from its blocks
+in O(1) (O(n / w) word operations on an mns mask, with w the word size). The
 four built-in structures bring their own selection queues, whose designs
 and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
 search costs O((n + m) log n) with any of the three total orders. Any
@@ -229,7 +230,7 @@ class ScanQueue:
     ``inc`` to them, and every other call scans them. Selection costs O(n)
     label comparisons per step when the extreme labels are few; ``reach``
     runs one search per candidate target, O(n (n + m)) per step; the label
-    tests compare two labels. With ``CHORDALKIT_DEBUG=1`` the search also
+    test compares two labels. With ``CHORDALKIT_DEBUG=1`` the search also
     runs one next to any other queue, fed the same calls, as the debug
     hooks' reference, and ``bump`` checks that every label grows."""
 
@@ -239,8 +240,9 @@ class ScanQueue:
         self.labels: list[Label] = [structure.initial() for _ in range(g.n)]
         self.numbered = [False] * g.n
         self.minimize = minimize
-        self.prefer: str | None = None
+        self.prefer = False  # the moplex rule
         self.prev: Label = structure.initial()  # the last removed vertex's label
+        self.continuing = Cmp.EQUAL if minimize else Cmp.LESS  # compare(prev, a label continuing it)
         self.check = debug.enabled()
 
     def remove(self, v: int) -> None:
@@ -257,18 +259,15 @@ class ScanQueue:
                     f"label of vertex {y} did not grow under inc at position {i}"
                 )
 
-    def grew_past(self, x: int) -> bool:
-        return self.structure.compare(self.prev, self.labels[x]) is Cmp.LESS
-
-    def equals_last(self, x: int) -> bool:
-        return self.structure.compare(self.prev, self.labels[x]) is Cmp.EQUAL
+    def continues(self, x: int) -> bool:
+        return self.structure.compare(self.prev, self.labels[x]) is self.continuing
 
     def extreme(self) -> list[int]:
         """The unnumbered vertices whose label no other unnumbered label
         beats (strictly greater, or strictly less with minimize), in
-        ascending order. ``prefer`` narrows them to those comparing Greater
-        than (or Equal to) the last removed label when that leaves any: for
-        a total order all of them carry one label and it keeps them all."""
+        ascending order. ``prefer`` narrows them to those whose label
+        continues the last removed one when that leaves any: for a total
+        order all of them carry one label and it keeps them all or none."""
         beats = Cmp.GREATER if not self.minimize else Cmp.LESS
         loses = Cmp.LESS if not self.minimize else Cmp.GREATER
         cmp, labels = self.structure.compare, self.labels
@@ -286,9 +285,8 @@ class ScanQueue:
             else:
                 survivors.append(v)
                 cands = survivors
-        if self.prefer is not None:
-            want = Cmp.GREATER if self.prefer == "greater" else Cmp.EQUAL
-            narrowed = [v for v in cands if cmp(labels[v], self.prev) is want]
+        if self.prefer:
+            narrowed = [v for v in cands if self.continues(v)]
             if narrowed:
                 return narrowed
         return cands
@@ -303,6 +301,7 @@ class ScanQueue:
         g = self.g
         assert isinstance(g, Graph)
         cmp, labels, numbered = self.structure.compare, self.labels, self.numbered
+        less = Cmp.LESS
         targets: list[int] = []
         for y in range(g.n):
             if y == x or numbered[y]:
@@ -316,7 +315,7 @@ class ScanQueue:
                         break
                     if w in seen or numbered[w] or w == x:
                         continue
-                    if cmp(labels[w], ly) is Cmp.LESS:
+                    if cmp(labels[w], ly) is less:
                         seen.add(w)
                         stack.append(w)
             if reachable:
@@ -330,7 +329,7 @@ class LabelSearch:
     search function runs, adding its per-step rule as the loop body.
 
     The run stores no labels. Selection, the triangulating reach targets
-    and the builders' label tests all come from one queue: the structure's
+    and the builders' label test all come from one queue: the structure's
     selection queue (``chordalkit.selection``), or a ``ScanQueue``, which
     keeps the labels, when it has none. The run keeps the numbered
     vertices as ``done``, so a builder reads a processed neighborhood as
@@ -388,16 +387,18 @@ class LabelSearch:
 
     # -- the search loop
 
-    def steps(self, prefer: str | None = None) -> Iterator[tuple[int, int]]:
+    def steps(self, prefer: bool = False) -> Iterator[tuple[int, int]]:
         """Run the search, yielding (i, x) once x is chosen and numbered i;
         the caller's loop body is the per-step sink. The tie-break's pick
         chooses x from the queue's extreme class, after the debug hooks
-        check that class against the shadow's. The queue still holds x
-        during the body, so ``boundary`` compares x's label with the
-        previous vertex's. Then the queue removes x and takes, in one
-        ``bump``, the vertices whose labels grow: x's unnumbered neighbors,
-        or (triangulating) the targets of ``inc_targets``, whose fill the
-        step adds to the overlay."""
+        check that class against the shadow's; ``prefer``, the moplex rule,
+        narrows the class to the labels that continue the previous one
+        (see ``boundary``) when any do. The queue still holds x during the
+        body, so ``boundary`` compares x's label with the previous
+        vertex's. Then the queue removes x and takes, in one ``bump``, the
+        vertices whose labels grow: x's unnumbered neighbors, or
+        (triangulating) the targets of ``inc_targets``, whose fill the step
+        adds to the overlay."""
         queue, shadow, pick = self.queue, self.shadow, self.pick
         queue.prefer = prefer
         if shadow is not None:
@@ -434,20 +435,20 @@ class LabelSearch:
 
     def boundary(self, x: int) -> bool:
         """The builders' label test: x, just chosen, starts a new clique
-        unless it is the first vertex or the previous label is less than
-        x's label (a maximizing run, for dcl structures) or equal to it (a
-        minimizing run, for complement-reversing ones). The queue answers
-        it from the blocks, in O(1)."""
+        unless it is the first vertex or its label continues the previous
+        one, being greater (a maximizing run, for dcl structures) or equal
+        (a minimizing run, for complement-reversing ones). The queue
+        answers it from the blocks, in O(1)."""
         if self.pos[x] == self.n:
             return False
-        minimize, queue, shadow = self.minimize, self.queue, self.shadow
-        hit = queue.equals_last(x) if minimize else queue.grew_past(x)
-        if shadow is not None and hit != (shadow.equals_last(x) if minimize else shadow.grew_past(x)):
+        new = not self.queue.continues(x)
+        shadow = self.shadow
+        if shadow is not None and new == shadow.continues(x):
             raise DebugInvariantError(
-                f"iteration {self.pos[x]}: the queue's {'equal' if minimize else 'less'} "
+                f"iteration {self.pos[x]}: the queue's {'equal' if self.minimize else 'less'} "
                 f"label test disagrees with the label scan on vertex {x}"
             )
-        return not hit
+        return new
 
     # -- label updates
 
@@ -540,7 +541,7 @@ def mls(
 ) -> tuple[Ordering, SearchTrace]:
     """Plain maximal-label search (minimal with minimize=True, which runs the
     search under the dual label order)."""
-    run = _run(g, structure, tiebreak, None, minimize=minimize)
+    run = _run(g, structure, tiebreak, False, minimize=minimize)
     return run.ordering(), run.trace
 
 
@@ -549,10 +550,10 @@ def moplex_mls(
     structure: LabelingStructure,
     tiebreak: TieBreak | None = None,
 ) -> tuple[Ordering, SearchTrace]:
-    """Maximal-label search preferring, among maximal labels, one strictly
-    greater than the previously chosen label whenever possible. On a chordal
-    input the result is a perfect moplex ordering."""
-    run = _run(g, structure, tiebreak, "greater")
+    """Maximal-label search preferring, among maximal labels, one that
+    continues (strictly exceeds) the previous label whenever possible. On a
+    chordal input the result is a perfect moplex ordering."""
+    run = _run(g, structure, tiebreak, True)
     return run.ordering(), run.trace
 
 
@@ -560,7 +561,7 @@ def _run(
     g: Graph,
     structure: LabelingStructure,
     tiebreak: TieBreak | None,
-    prefer: str | None,
+    prefer: bool,
     *,
     minimize: bool = False,
     triangulate: bool = False,
@@ -581,7 +582,7 @@ def mlsm(
 ) -> tuple[TriangulationResult, SearchTrace]:
     """Triangulating search: the ordering is a minimal elimination ordering
     and the returned graph is the associated minimal triangulation."""
-    run = _run(g, structure, tiebreak, None, triangulate=True)
+    run = _run(g, structure, tiebreak, False, triangulate=True)
     return run.triangulation(), run.trace
 
 
@@ -592,7 +593,7 @@ def moplex_mlsm(
 ) -> tuple[TriangulationResult, SearchTrace]:
     """Triangulating search with the moplex preference rule: the ordering is
     additionally a perfect moplex ordering of the output triangulation."""
-    run = _run(g, structure, tiebreak, "greater", triangulate=True)
+    run = _run(g, structure, tiebreak, True, triangulate=True)
     return run.triangulation(), run.trace
 
 

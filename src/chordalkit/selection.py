@@ -16,7 +16,7 @@ cost O(log n) amortized. Set labels are a partial order, so the mns queue
 keeps its maximal blocks between steps, each other block holding a witness
 that dominates it: a step costs O(twins) mask tests, plus O(maximal
 blocks) per block whose witness empties. It applies the search's
-``prefer`` rule itself. Custom structures get
+moplex rule (``prefer``) itself. Custom structures get
 ``chordalkit.search.ScanQueue``, which keeps their labels and answers the
 same calls by scanning them. All queues are driven by the same calls, each
 step making one ``remove`` of the vertex it numbers, then exactly one
@@ -26,24 +26,28 @@ selects by reading it. With ``minimize`` they read the least class instead
 of the greatest. The engine gets them through
 ``LabelingStructure._selection_queue``.
 
-The queues also answer the label tests of the clique-tree builders, so
-the search keeps no labels: ``grew_past(x)`` and ``equals_last(x)`` say
-whether x's label, for x in the extreme class, is strictly greater than,
-or equal to, the label of the last removed vertex. Each reads the block
-that ``remove`` recorded, in O(1): equal labels share a block, and a
-vertex grew past it, maximizing, when the last ``bump`` moved it to that
-block's twin (lexbfs) or to any twin (lexdfs). The mcs queue compares its
-blocks' counts instead, since an emptied block's count can come back in a
-new block, and the mns queue compares masks. The answers are booleans
-because this module sits below ``chordalkit.labeling`` and its ``Cmp``.
+The queues also answer the one label test of the clique-tree builders,
+so the search keeps no labels: ``continues(x)`` says whether x's label,
+for x in the extreme class, continues the label of the last removed
+vertex, that is, is strictly greater than it (maximizing) or equal to it
+(minimizing). A new clique starts exactly where the chosen label does not
+continue the previous one, and the moplex rule, ``prefer``, prefers the
+extreme labels that do. Each queue reads the block that ``remove``
+recorded, in O(1): equal labels share a block, and a vertex grew past it,
+maximizing, when the last ``bump`` moved it to that block's twin (lexbfs)
+or to any twin (lexdfs). The mcs queue compares its blocks' counts
+instead, since an emptied block's count can come back in a new block, and
+the mns queue compares masks. The answers are booleans because this
+module sits below ``chordalkit.labeling`` and its ``Cmp``.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
-vertices labeled below them. The three total queues' blocks form a chain
-in label order, so ``OrderedPartition.reach`` walks it once from the
-bottom. The mns blocks are only partially ordered, so
-``InclusionPartition.reach`` searches each block from the blocks it
-dominates. ``ScanQueue.reach`` searches once per candidate target instead.
+vertices labeled below them. Every queue's blocks form a chain in list
+label order, which for set labels extends strict inclusion, so
+``OrderedPartition.reach`` walks it once from the bottom, and
+``InclusionPartition.reach`` walks it once too, searching each block from
+the blocks it dominates. ``ScanQueue.reach`` searches once per candidate
+target instead.
 
 Refinement creates blocks and never revives them, so block ids count up in
 creation order and are never reused. An emptied block is unlinked and its
@@ -71,8 +75,9 @@ class OrderedPartition:
     with a lazy min-heap that every arrival is pushed onto: an entry is
     live iff its vertex is still in the block. Block ids index flat lists,
     so no object cycles are built. ``prefer`` is set by the search; only
-    the mns queue reads it. Selection and label increase cost O(log n)
-    amortized."""
+    the mns queue reads it, since a total order's extreme class carries
+    one label, which continues the last one or not. Selection and label
+    increase cost O(log n) amortized."""
 
     __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
                  "minimize", "twins", "step", "prefer", "last", "__weakref__")
@@ -88,7 +93,7 @@ class OrderedPartition:
         self.minimize = minimize
         self.twins: dict[int, int] = {}  # block -> its target at this step
         self.step = 0
-        self.prefer: str | None = None
+        self.prefer = False  # the moplex rule
         self.last = 0  # the last removed vertex's block
 
     def remove(self, v: int) -> None:
@@ -159,21 +164,16 @@ class OrderedPartition:
             heappop(heap)
         return heap[0]
 
-    def grew_past(self, x: int) -> bool:
-        """Whether x's label is strictly greater than the last removed
-        vertex's (the initial label before any removal), for x in the
-        extreme class. Maximizing, x's label did not exceed it before the
-        step's bump, so x grew past it exactly when it moved from that
-        vertex's block to the block's twin; minimizing, x's label is not
-        below it, so it is greater unless equal."""
+    def continues(self, x: int) -> bool:
+        """Whether x's label, for x in the extreme class, continues the
+        last removed vertex's (the initial label before any removal).
+        Minimizing, that is equality: x is in the block that vertex left,
+        as a twin's label holds a position that no older label holds.
+        Maximizing, it is strictly greater: x's label did not exceed it
+        before the step's bump, so x grew past it exactly when it moved
+        from that vertex's block to the block's twin."""
         b = self.block_of[x]
-        return b != self.last if self.minimize else b == self.twins.get(self.last)
-
-    def equals_last(self, x: int) -> bool:
-        """Whether x's label equals the last removed vertex's: x is in the
-        block that vertex left, as a twin's label holds a position that no
-        older label holds."""
-        return self.block_of[x] == self.last
+        return b == self.last if self.minimize else b == self.twins.get(self.last)
 
     def reach(self, x: int, nb: list[int]) -> list[int]:
         """The triangulating search's targets from x in ascending order:
@@ -259,11 +259,9 @@ class BucketQueue(OrderedPartition):
     # the counts answer for any vertex: an emptied block's count can come
     # back in a new block, so block identity would not
 
-    def grew_past(self, x: int) -> bool:
-        return self.count[self.block_of[x]] > self.count[self.last]
-
-    def equals_last(self, x: int) -> bool:
-        return self.count[self.block_of[x]] == self.count[self.last]
+    def continues(self, x: int) -> bool:
+        c, last = self.count[self.block_of[x]], self.count[self.last]
+        return c == last if self.minimize else c > last
 
 
 class StackPartition(OrderedPartition):
@@ -288,9 +286,9 @@ class StackPartition(OrderedPartition):
         super().__init__(n, minimize)
         self.fresh = 1  # the first block id made by the last bump
 
-    def grew_past(self, x: int) -> bool:
+    def continues(self, x: int) -> bool:
         b = self.block_of[x]
-        return b != self.last if self.minimize else b >= self.fresh
+        return b == self.last if self.minimize else b >= self.fresh
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         members, heaps, block_of = self.members, self.heaps, self.block_of
@@ -347,10 +345,11 @@ class InclusionPartition(OrderedPartition):
     ``lowest`` reads a lazy heap of (lowest index, block) over the extreme
     set; an entry whose vertex has left moves up to the block's new lowest,
     as no vertex enters an older block. ``prefer`` keeps the extreme blocks
-    whose label strictly contains ("greater") or equals ("equal") the last
-    removed vertex's, when that leaves any; maximizing, only the step's
-    extreme twins can strictly contain the block it left. A step costs
-    O(twins) mask tests, plus O(extreme blocks) per block re-tested.
+    whose label continues the last removed vertex's, when that leaves any:
+    minimizing, the block it left, if live; maximizing, the extreme blocks
+    that strictly contain its label, which only the step's extreme twins
+    can. A step costs O(twins) mask tests, plus O(extreme blocks) per block
+    re-tested.
 
     The blocks and masks also serve the triangulating search: ``reach``
     finds a step's targets with one bitset search per live block, each
@@ -380,12 +379,9 @@ class InclusionPartition(OrderedPartition):
 
     # the masks answer for any vertex: they are the labels
 
-    def grew_past(self, x: int) -> bool:
+    def continues(self, x: int) -> bool:
         m, prev = self.mask[self.block_of[x]], self.prev
-        return m != prev and m & prev == prev
-
-    def equals_last(self, x: int) -> bool:
-        return self.mask[self.block_of[x]] == self.prev
+        return m == prev if self.minimize else m != prev and m & prev == prev
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         super().bump(vs, i)
@@ -480,23 +476,21 @@ class InclusionPartition(OrderedPartition):
         self.emptied.clear()
 
     def _narrowed(self) -> list[int]:
-        """The extreme blocks that ``prefer`` keeps."""
+        """The extreme blocks whose labels continue the last removed
+        vertex's, when ``prefer`` is on: minimizing, the live block it
+        left; maximizing, the step's extreme twins that strictly contain
+        its mask."""
+        if not self.prefer:
+            return []
+        if self.minimize:
+            return [self.last] if self.last in self.ext else []
         mask, prev = self.mask, self.prev
-        if self.prefer == "equal":
-            return [self.last] if self.last in self.ext and mask[self.last] == prev else []
-        if self.prefer == "greater":
-            pool = self.ext if self.minimize else self.grown
-            return [b for b in pool if mask[b] & prev == prev and mask[b] != prev]
-        return []
-
-    def _extreme_classes(self) -> list[int]:
-        """The maximal blocks (minimal with minimize)."""
-        return list(self.ext)
+        return [b for b in self.grown if mask[b] & prev == prev and mask[b] != prev]
 
     def extreme(self) -> set[int]:
-        """The union of the extreme label classes, narrowed by ``prefer``
-        (do not mutate)."""
-        classes = self._narrowed() or self._extreme_classes()
+        """The union of the extreme label classes (maximal, or minimal with
+        minimize), narrowed by ``prefer`` (do not mutate)."""
+        classes = self._narrowed() or list(self.ext)
         if len(classes) == 1:
             return self.members[classes[0]]
         return set().union(*(self.members[b] for b in classes))
@@ -508,45 +502,41 @@ class InclusionPartition(OrderedPartition):
         bitset. Call it once per step, between the step's removal of x and
         its bumps.
 
-        The live blocks are settled in ascending popcount order, so a block
-        B comes after every block it dominates (whose mask is a strict
-        subset of its own). The members of those blocks are the vertices B
-        allows on a path, and the region x reaches through them contains
-        every dominated block's region. So B starts from the allowed
-        vertices and regions of its covers, the maximal blocks it
-        dominates, each standing for everything below it, and grows its
-        region through the bitsets. B's targets are its members adjacent to
-        x or to its region.
+        The live blocks are walked up the chain, bottom first. The chain is
+        in list label order, and a strict superset, read as positions in
+        decreasing order, is lex-greater, so a block B comes after every
+        block it dominates (whose mask is a strict subset of its own). The
+        members of those blocks are the vertices B allows on a path, and
+        the region x reaches through them contains every dominated block's
+        region. So B starts from the allowed vertices and regions of its
+        covers, the maximal blocks it dominates, each standing for
+        everything below it, and grows its region through the bitsets. B's
+        targets are its members adjacent to x or to its region.
 
         A block's covers are kept for the next call. Masks never change,
         and a block made by the bumps in between holds their position,
         which no older block holds, so an older block dominates only blocks
         it dominated then: its covers are its kept ones, each emptied one
-        replaced by its own. A new block finds its covers from the top: a
-        block that passes the mask test rules out, in one bitset step,
-        every settled block below it. A step costs O(blocks^2) mask tests
-        at worst, plus one bitset union per vertex added to a region."""
+        replaced by its own. A new block finds its covers among the blocks
+        walked before it, from the nearest down: a block that passes the
+        mask test rules out, in one bitset step, every block it dominates,
+        and one of equal or larger popcount fails the test by itself. A
+        step costs O(blocks^2) mask tests at worst, plus one bitset union
+        per vertex added to a region."""
         members, mask, up = self.members, self.mask, self.up
-        blocks = []
-        b = self.bottom
-        while b != -1:
-            blocks.append(b)
-            b = up[b]
-        blocks.sort(key=lambda b: mask[b].bit_count())
         nx, hit = nb[x], 0
         covers, kept, rank = self.covers, {}, {}
-        masks: list[int] = []  # by rank in that order
+        blocks: list[int] = []  # by rank: the live blocks, bottom up
+        masks: list[int] = []  # by rank
         below: list[int] = []  # by rank: a bitset of the ranks at or below it
         # by rank: (its members and allowed vertices, its region, the
         # neighbors of x and of the region)
         summary: list[tuple[int, int, int]] = []
-        start = size = 0  # the first rank of the current popcount, and that popcount
-        for j, b in enumerate(blocks):
-            m, bits = mask[b], 0
+        b = self.bottom
+        while b != -1:
+            j, m, bits = len(blocks), mask[b], 0
             for v in members[b]:
                 bits |= 1 << v
-            if m.bit_count() != size:
-                start, size = j, m.bit_count()
             allowed = region = 0
             near, down, mine = nx, 1 << j, []
             if b in covers:
@@ -560,7 +550,7 @@ class InclusionPartition(OrderedPartition):
                 found = sorted(ranks, reverse=True)
             else:
                 found, outside = [], ~m
-                rest = (1 << start) - 1  # the ranks not yet ruled in or out
+                rest = (1 << j) - 1  # the ranks not yet ruled in or out
                 while rest:
                     t = rest.bit_length() - 1
                     if masks[t] & outside:
@@ -582,9 +572,11 @@ class InclusionPartition(OrderedPartition):
             hit |= bits & near
             rank[b] = j
             kept[b] = mine
+            blocks.append(b)
             masks.append(m)
             below.append(down)
             summary.append((allowed | bits, region, near))
+            b = up[b]
         self.covers = kept
         return _vertices(hit)
 

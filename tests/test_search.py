@@ -737,16 +737,14 @@ class TestSelectionQueue:
             mls(g, mcs())
 
     def test_debug_cross_check_catches_a_bad_label_test(self, monkeypatch):
-        # the builders' label tests are checked against the shadow scan too
+        # the builders' label test is checked against the shadow scan too
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
         g, h = graph("fig1_h"), cochordal_corpus(1)[0]
         dcl_mls_clique_tree(g, mcs())
         complement_mls_generators(h, mcs())
-        with monkeypatch.context() as m:
-            m.setattr(BucketQueue, "grew_past", lambda self, x: False)
-            with pytest.raises(DebugInvariantError, match="less label test"):
-                dcl_mls_clique_tree(g, mcs())
-        monkeypatch.setattr(BucketQueue, "equals_last", lambda self, x: False)
+        monkeypatch.setattr(BucketQueue, "continues", lambda self, x: False)
+        with pytest.raises(DebugInvariantError, match="less label test"):
+            dcl_mls_clique_tree(g, mcs())
         with pytest.raises(DebugInvariantError, match="equal label test"):
             complement_mls_generators(h, mcs())
 
@@ -763,61 +761,23 @@ class TestSelectionQueue:
         # after c only d's {5, 3} strictly contains c's {5}
         g = from_edge_list([("a", "b"), ("a", "c"), ("a", "d"), ("b", "e"), ("c", "d")])
         moplex_mls(g, mns())
-        unnarrowed = lambda self: set().union(*(self.members[b] for b in self._extreme_classes()))
+        unnarrowed = lambda self: set().union(*(self.members[b] for b in self.ext))
         monkeypatch.setattr(InclusionPartition, "extreme", unnarrowed)
         with pytest.raises(DebugInvariantError, match="selection queue"):
             moplex_mls(g, mns())
 
     def test_inclusion_partition_matches_brute_force(self):
-        # the engine's protocol on random set labels: select, remove the
-        # pick, then bump some vertices at position i in the step's one
-        # call; a step may bump nothing, or whole classes. After each
-        # removal the block reach search runs on a random graph.
-        for minimize in (False, True):
-            for seed in range(100):
-                rng = random.Random(seed)
-                n = rng.randint(1, 40)
-                adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
-                prefer = rng.choice([None, "equal"] + ([] if minimize else ["greater"]))
-                q = InclusionPartition(n, minimize)
-                q.prefer = prefer
-                label, live, prev = [0] * n, set(range(n)), 0
-                for i in range(n, 0, -1):
-                    masks = {label[v] for v in live}
-                    if minimize:
-                        extreme = {m for m in masks if not any(k & m == k != m for k in masks)}
-                    else:
-                        extreme = {m for m in masks if not any(k & m == m != k for k in masks)}
-                    keep = {m for m in extreme if (m & prev == prev != m if prefer == "greater" else m == prev)}
-                    want = {v for v in live if label[v] in (keep if prefer and keep else extreme)}
-                    checks = [
-                        lambda: sorted(q.mask[b] for b in q._extreme_classes()) == sorted(extreme),
-                        lambda: set(q.extreme()) == want,
-                        lambda: q.lowest() == min(want),
-                    ]
-                    rng.shuffle(checks)
-                    assert all(check() for check in checks), (minimize, seed, i)
-                    # the label tests against the last removed label
-                    for v in want:
-                        assert q.grew_past(v) == (label[v] & prev == prev != label[v]), (minimize, seed, i, v)
-                        assert q.equals_last(v) == (label[v] == prev), (minimize, seed, i, v)
-                    x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
-                    q.remove(x)
-                    live.discard(x)
-                    prev = label[x]
-                    below = lambda y: {w for w in live if label[w] & label[y] == label[w] != label[y]}
-                    reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
-                    assert q.reach(x, nb) == reached, (minimize, seed, i)
-                    if rng.random() < 0.3:
-                        picked = {m for m in masks if rng.random() < 0.5}
-                        ys = [v for v in sorted(live) if label[v] in picked]
-                    else:
-                        p = rng.choice([0.0, 0.2, 0.5, 0.9])
-                        ys = [v for v in sorted(live) if rng.random() < p]
-                    for y in ys:
-                        label[y] |= 1 << i
-                    q.bump(ys, i)
-                    _assert_dead_blocks_released(q)
+        _check_set_label_queue(lambda n, adj, minimize: InclusionPartition(n, minimize))
+
+    def test_scan_queue_matches_brute_force(self):
+        # the ScanQueue that every debug run trusts, on the same protocol,
+        # over a custom structure with the mns labels as frozensets
+        def scan(n, adj, minimize):
+            names = [str(v) for v in range(n)]
+            g = from_vertices(names, [(names[u], names[v]) for u in range(n) for v in adj[u] if u < v])
+            return ScanQueue(_SetLabels(), g, minimize)
+
+        _check_set_label_queue(scan)
 
     @pytest.mark.parametrize("queue,initial,inc,key", [
         (BucketQueue, 0, lambda label, i: label + 1, lambda label: label),
@@ -827,7 +787,7 @@ class TestSelectionQueue:
     def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
         # the same protocol on count and tuple labels, totally ordered by
         # key, with the reach search after each removal on a random graph,
-        # and the label tests against the last removed label. Steps whose
+        # and the label test against the last removed label. Steps whose
         # removal empties its class, after which an equal label may come
         # back in another block (mcs), are counted to show they are met.
         emptied = returned = 0
@@ -846,8 +806,7 @@ class TestSelectionQueue:
                     rng.shuffle(checks)
                     assert all(check() for check in checks), (minimize, seed, i)
                     for v in want:
-                        assert q.grew_past(v) == (keys[v] > prev), (minimize, seed, i, v)
-                        assert q.equals_last(v) == (keys[v] == prev), (minimize, seed, i, v)
+                        assert q.continues(v) == (keys[v] == prev if minimize else keys[v] > prev), (minimize, seed, i, v)
                     returned += alone and best == prev
                     x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
                     alone = len(want) == 1
@@ -869,3 +828,60 @@ class TestSelectionQueue:
                     q.bump(ys, i)
                     _assert_dead_blocks_released(q)
         assert emptied and (returned or queue is not BucketQueue), (emptied, returned)
+
+
+def _check_set_label_queue(make):
+    """The engine's protocol on random set labels, for the queue that
+    ``make(n, adj, minimize)`` builds: select under a random prefer rule,
+    remove the pick, then bump some vertices at position i in the step's
+    one call; a step may bump nothing, or whole classes. After each removal
+    the reach search runs on the random graph adj, and each extreme vertex's
+    label test is checked against the last removed label."""
+    for minimize in (False, True):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(1, 40)
+            adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
+            prefer = rng.choice([False, True])
+            q = make(n, adj, minimize)
+            q.prefer = prefer
+            label, live, prev = [0] * n, set(range(n)), 0
+            if minimize:
+                continues = lambda m: m == prev
+            else:
+                continues = lambda m: m & prev == prev != m
+            for i in range(n, 0, -1):
+                masks = {label[v] for v in live}
+                if minimize:
+                    extreme = {m for m in masks if not any(k & m == k != m for k in masks)}
+                else:
+                    extreme = {m for m in masks if not any(k & m == m != k for k in masks)}
+                keep = {m for m in extreme if continues(m)}
+                want = {v for v in live if label[v] in (keep if prefer and keep else extreme)}
+                if isinstance(q, ScanQueue):
+                    kept = lambda: all(sum(1 << p for p in q.labels[v]) == label[v] for v in live)
+                else:
+                    kept = lambda: sorted(q.mask[b] for b in q.ext) == sorted(extreme)
+                checks = [kept, lambda: set(q.extreme()) == want, lambda: q.lowest() == min(want)]
+                rng.shuffle(checks)
+                assert all(check() for check in checks), (minimize, seed, i)
+                for v in want:
+                    assert q.continues(v) == continues(label[v]), (minimize, seed, i, v)
+                x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
+                q.remove(x)
+                live.discard(x)
+                prev = label[x]
+                below = lambda y: {w for w in live if label[w] & label[y] == label[w] != label[y]}
+                reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
+                assert q.reach(x, nb) == reached, (minimize, seed, i)
+                if rng.random() < 0.3:
+                    picked = {m for m in masks if rng.random() < 0.5}
+                    ys = [v for v in sorted(live) if label[v] in picked]
+                else:
+                    p = rng.choice([0.0, 0.2, 0.5, 0.9])
+                    ys = [v for v in sorted(live) if rng.random() < p]
+                for y in ys:
+                    label[y] |= 1 << i
+                q.bump(ys, i)
+                if not isinstance(q, ScanQueue):
+                    _assert_dead_blocks_released(q)
