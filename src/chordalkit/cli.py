@@ -82,10 +82,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _common_flags(sub, structure=True):
+def _common_flags(sub):
     sub.add_argument("input", help="edge-list file")
-    if structure:
-        sub.add_argument("--structure", choices=BUILTIN_TOKENS, default="mcs")
+    sub.add_argument("--structure", choices=BUILTIN_TOKENS, default="mcs")
     sub.add_argument("--tiebreak", default="lowest", help="lowest | seed:<u64> | script:<comma-names>")
     sub.add_argument("--format", choices=("json", "dot"), default="json")
     sub.add_argument("--validate", action="store_true", help="oracle-check the result (small graphs only)")
@@ -357,6 +356,10 @@ def _read_result(g: Graph, path: str):
     raise ParseError("result JSON has neither 'cliques' nor 'atoms'")
 
 
+_COMMANDS = {"cliquetree": _cmd_cliquetree, "triangulate": _cmd_triangulate, "atoms": _cmd_atoms,
+             "checkstructure": _cmd_checkstructure, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     saved_debug = os.environ.get("CHORDALKIT_DEBUG")
@@ -364,17 +367,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "debug_invariants", False):
             os.environ["CHORDALKIT_DEBUG"] = "1"
-        if args.command == "cliquetree":
-            return _cmd_cliquetree(args)
-        if args.command == "triangulate":
-            return _cmd_triangulate(args)
-        if args.command == "atoms":
-            return _cmd_atoms(args)
-        if args.command == "checkstructure":
-            return _cmd_checkstructure(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise ParseError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ChordalkitError as exc:
         print(f"error: {exc.token}: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 from . import debug
 from .errors import (
-    ComplementDisconnectedError,
     ComplementNotChordalError,
     DebugInvariantError,
     NotAPeoError,
@@ -33,15 +32,14 @@ from .graph import (
     Graph,
     Ordering,
     VertexSet,
-    complement_is_connected,
     materialize_complement,
+    require_complement_connected,
     require_connected,
 )
 from .labeling import (
     LabelingStructure,
     require_complement_reversing,
     require_dcl,
-    require_ic,
     structure_by_token,
 )
 from .search import LabelSearch, SearchTrace, TieBreak
@@ -281,7 +279,6 @@ def mls_clique_tree(
     fly with the set-based new-node test. Works for every labeling structure
     satisfying the inclusion condition."""
     require_connected(h)
-    require_ic(structure)
     run = LabelSearch(h, structure, tiebreak)
     adj, done = h.adj, run.done
     builder = _TreeBuilder()
@@ -309,7 +306,6 @@ def dcl_mls_clique_tree(
     (useful to reproduce the failure of structures that lack the property).
     """
     require_connected(h)
-    require_ic(structure)
     if enforce_dcl:
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
@@ -345,9 +341,7 @@ def complement_mls_clique_tree(
     numbered vertices minus g.adj[x] and x itself. Still, building the tree
     costs time proportional to the complement's size, not to g's.
     """
-    if not complement_is_connected(g):
-        raise ComplementDisconnectedError("complement of the input graph is not connected")
-    require_ic(structure)
+    require_complement_connected(g)
     require_complement_reversing(structure)
     view = ComplementView(g)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
@@ -412,9 +406,7 @@ def complement_mls_generators(
     complement is a trusted precondition here; the CLI checks it on the
     result's ordering in O(n + m) (``cli._require_complement_peo``), and the
     tree builder and the oracle validators check it too."""
-    if not complement_is_connected(g):
-        raise ComplementDisconnectedError("complement of the input graph is not connected")
-    require_ic(structure)
+    require_complement_connected(g)
     require_complement_reversing(structure)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
     gen_cli: list[int] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cliquetree import CliqueTreeResult, _anchor, _debug_step, _TreeBuilder
 from .errors import InputMismatchError
 from .graph import Graph, Ordering, VertexSet, is_clique_in, require_connected
-from .labeling import LabelingStructure, require_dcl, require_ic
+from .labeling import LabelingStructure, require_dcl
 from .search import LabelSearch, TieBreak, TriangulationResult
 
 
@@ -69,7 +69,6 @@ def dcl_mlsm_clique_tree(
     and a clique tree of H. Requires a structure that detects new cliques
     with labels."""
     require_connected(g)
-    require_ic(structure)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
     overlay, done = run.overlay, run.done
@@ -146,7 +145,6 @@ def dcl_atom_tree(
     the atom that contains the separator's earliest vertex. Between
     boundaries the current atom keeps growing."""
     require_connected(g)
-    require_ic(structure)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
     overlay, done = run.overlay, run.done

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    ComplementDisconnectedError,
     DisconnectedGraphError,
     EmptyInputError,
     ParseError,
@@ -347,3 +348,8 @@ def complement_is_connected(g: Graph) -> bool:
 def require_connected(g: Graph | ComplementView) -> None:
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
+
+
+def require_complement_connected(g: Graph) -> None:
+    if not complement_is_connected(g):
+        raise ComplementDisconnectedError("complement of the input graph is not connected")

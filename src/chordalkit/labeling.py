@@ -5,8 +5,9 @@ verifiers for the structural properties the algorithms rely on.
 A structure must satisfy the inclusion condition: folding the increase
 operation over a strictly larger set of positions yields a strictly greater
 label. Built-ins carry hard-coded property flags; user-defined structures are
-flagged Unknown and get verified exhaustively at a small bound before the
-search engine accepts them.
+flagged Unknown and get verified exhaustively at a small bound. The engine
+gates the inclusion condition when a run is built (``LabelSearch``), and the
+builders' label-test gates (dcl, complement-reversing) check it first.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ class LabelingStructure:
     """Interface: initial(), inc(label, i), compare(a, b) -> Cmp.
 
     compare must behave as a partial order on the labels actually produced;
-    Equal means value equality of labels. is_total promises Incomparable
-    never occurs. The engine does not branch on it: one queue answers
-    selection, the builders' label test and the triangulating reach
-    question, a built-in's own selection queue or, for any custom
-    structure, a scan of the labels, which only that scan keeps.
+    Equal means value equality of labels. One queue answers selection, the
+    builders' label test and the triangulating reach question, a
+    built-in's own selection queue or, for any custom structure, a scan of
+    the labels, which only that scan keeps.
     """
 
     name: str = "custom"
-    is_total: bool = False
     ic_known: Tri = Tri.UNKNOWN
     dcl_known: Tri = Tri.UNKNOWN
     complement_reversing_known: Tri = Tri.UNKNOWN
@@ -108,7 +107,6 @@ def _render_list(label: tuple[int, ...]) -> str:
 
 class _Mcs(LabelingStructure):
     name = "mcs"
-    is_total = True
     ic_known = Tri.YES
     dcl_known = Tri.YES
     complement_reversing_known = Tri.YES
@@ -136,7 +134,6 @@ class _Mcs(LabelingStructure):
 
 class _LexBfs(LabelingStructure):
     name = "lexbfs"
-    is_total = True
     ic_known = Tri.YES
     dcl_known = Tri.YES
     complement_reversing_known = Tri.YES
@@ -162,7 +159,6 @@ class _LexBfs(LabelingStructure):
 
 class _LexDfs(LabelingStructure):
     name = "lexdfs"
-    is_total = True
     ic_known = Tri.YES
     dcl_known = Tri.NO
     complement_reversing_known = Tri.YES
@@ -189,7 +185,6 @@ class _LexDfs(LabelingStructure):
 
 class _Mns(LabelingStructure):
     name = "mns"
-    is_total = False
     ic_known = Tri.YES
     dcl_known = Tri.YES
     complement_reversing_known = Tri.YES
@@ -250,13 +245,13 @@ class RevStructure(LabelingStructure):
 
     The dual of an inclusion-condition structure violates that condition by
     construction, so all property flags are Unknown; this object exists for
-    order-level reasoning and tests, not as a search-engine input.
+    order-level reasoning and tests, not as a search-engine input
+    (``LabelSearch`` rejects it).
     """
 
     def __init__(self, base: LabelingStructure):
         self.base = base
         self.name = f"rev({base.name})"
-        self.is_total = base.is_total
 
     def initial(self):
         return self.base.initial()
@@ -434,7 +429,10 @@ def check_report(structure: LabelingStructure, prop: str, n_max: int) -> dict:
 def _require(prop: str, structure: LabelingStructure) -> None:
     """Gate for the search engine: built-ins pass or fail on their flag,
     unknown structures get one exhaustive check of prop up to
-    ``DEFAULT_CHECK_BOUND`` vertices (cached on the instance)."""
+    ``DEFAULT_CHECK_BOUND`` vertices (cached on the instance). ``LabelSearch``
+    gates "ic" when a run is built, and the label-test gates check it first."""
+    if prop != "ic":
+        _require("ic", structure)
     check, flag, error, known_no, noun = _GATES[prop]
     known = getattr(structure, flag)
     if known is Tri.YES:

@@ -7,10 +7,11 @@ label (no other unnumbered label compares strictly greater), handing the step
 to the caller's loop body (the per-step sink: clique tree, generators, atom
 tree, or nothing for a bare ordering), then increasing the labels of affected
 unnumbered vertices with the current position. It is generic over any
-labeling structure that satisfies the inclusion condition. On chordal inputs
-the plain searches emit perfect elimination orderings; the moplex variants
-additionally emit perfect moplex orderings; the triangulating variants emit
-minimal elimination / moplex orderings together with the filled graph.
+labeling structure that satisfies the inclusion condition, checked when a
+run is built. On chordal inputs the plain searches emit perfect elimination
+orderings; the moplex variants additionally emit perfect moplex orderings;
+the triangulating variants emit minimal elimination / moplex orderings
+together with the filled graph.
 
 Costs: every search selects through one queue; its triangulating label
 increase asks the same queue which vertices the chosen vertex reaches, and
@@ -328,12 +329,14 @@ class LabelSearch:
     partial order, the debug hooks, and the loop ``steps`` that every
     search function runs, adding its per-step rule as the loop body.
 
-    The run stores no labels. Selection, the triangulating reach targets
-    and the builders' label test all come from one queue: the structure's
-    selection queue (``chordalkit.selection``), or a ``ScanQueue``, which
-    keeps the labels, when it has none. The run keeps the numbered
-    vertices as ``done``, so a builder reads a processed neighborhood as
-    ``adj[x] & done``.
+    Building a run gates the inclusion condition (``require_ic``), so a
+    structure that fails it raises ``IcViolationError`` before any state is
+    made. The run stores no labels. Selection, the triangulating reach
+    targets and the builders' label test all come from one queue: the
+    structure's selection queue (``chordalkit.selection``), or a
+    ``ScanQueue``, which keeps the labels, when it has none. The run keeps
+    the numbered vertices as ``done``, so a builder reads a processed
+    neighborhood as ``adj[x] & done``.
 
     Labels mirror the processed neighborhoods in g (for complement runs, g
     is the base graph), or, in a triangulating run, in the filled graph,
@@ -351,6 +354,7 @@ class LabelSearch:
         minimize: bool = False,
         triangulate: bool = False,
     ):
+        require_ic(structure)
         self.g = g
         self.structure = structure
         self.minimize = minimize
@@ -568,7 +572,6 @@ def _run(
 ) -> LabelSearch:
     """A whole search with no per-step sink."""
     require_connected(g)
-    require_ic(structure)
     run = LabelSearch(g, structure, tiebreak, minimize=minimize, triangulate=triangulate)
     for _ in run.steps(prefer):
         pass

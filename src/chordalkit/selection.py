@@ -69,8 +69,9 @@ class OrderedPartition:
     ``bump`` takes all of a step's label increases in one call and
     returns with the queue settled. It moves each vertex y bumped at
     position i into the block ``_target`` names for its block, cached for
-    the step in ``twins``. Here that is a twin linked just above the block: every live label holds only positions above i, so
-    label + (i,) is the immediate successor of label among them. No vertex
+    the step in ``twins``. Here that is a twin linked just above the
+    block: every live label holds only positions above i, so label + (i,)
+    is the immediate successor of label among them. No vertex
     ever re-enters a block it left, so each block finds its lowest index
     with a lazy min-heap that every arrival is pushed onto: an entry is
     live iff its vertex is still in the block. Block ids index flat lists,
@@ -80,7 +81,7 @@ class OrderedPartition:
     increase cost O(log n) amortized."""
 
     __slots__ = ("members", "heaps", "up", "down", "block_of", "top", "bottom",
-                 "minimize", "twins", "step", "prefer", "last", "__weakref__")
+                 "minimize", "twins", "prefer", "last", "__weakref__")
 
     def __init__(self, n: int, minimize: bool = False):
         self.members: list[set[int] | None] = [set(range(n))]
@@ -92,7 +93,6 @@ class OrderedPartition:
         self.bottom = 0
         self.minimize = minimize
         self.twins: dict[int, int] = {}  # block -> its target at this step
-        self.step = 0
         self.prefer = False  # the moplex rule
         self.last = 0  # the last removed vertex's block
 
@@ -104,7 +104,6 @@ class OrderedPartition:
             self._unlink(b)
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        self.step = i
         self.twins.clear()
         members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
         for v in vs:
@@ -325,11 +324,12 @@ class InclusionPartition(OrderedPartition):
 
     Equal position sets are equal list labels, so the blocks are the
     equal-label classes of mns and no two live blocks share a mask. A
-    twin's mask is its source's plus bit i, which no other block holds, so
-    a twin never dominates an older block, and dominates a twin exactly
-    when its source dominates that twin's source. Each live non-extreme
-    block keeps a witness, a live block that strictly dominates it.
-    ``bump`` settles the step:
+    twin's mask is its source's plus bit i (``bump`` keeps i as ``step``
+    for ``_new_block``), which no other block holds, so a twin never
+    dominates an older block, and dominates a twin exactly when its source
+    dominates that twin's source. Each live non-extreme block keeps a
+    witness, a live block that strictly dominates it. ``bump`` settles the
+    step:
 
     - the twin of an extreme source is extreme, unless (minimizing) the
       source survives and witnesses it; maximizing, a surviving extreme
@@ -357,7 +357,7 @@ class InclusionPartition(OrderedPartition):
     live block's maximal dominated blocks for the next step."""
 
     __slots__ = ("mask", "prev", "ext", "order", "entered", "held", "home",
-                 "grown", "emptied", "covers")
+                 "step", "emptied", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
@@ -369,7 +369,6 @@ class InclusionPartition(OrderedPartition):
         # by block id: the blocks it witnesses; if not extreme, the set holding it
         self.held: list[_Witnessed | None] = [None]
         self.home: list[_Witnessed | None] = [None]
-        self.grown: dict[int, int] = {}  # this step's extreme twins -> mask
         self.emptied: list[int] = []  # this step's emptied blocks
         self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
 
@@ -384,6 +383,7 @@ class InclusionPartition(OrderedPartition):
         return m == prev if self.minimize else m != prev and m & prev == prev
 
     def bump(self, vs: Iterable[int], i: int) -> None:
+        self.step = i
         super().bump(vs, i)
         self._settle()
 
@@ -472,7 +472,6 @@ class InclusionPartition(OrderedPartition):
         if len(entered) > len(ext):  # rebuilding the heap costs less
             self.order.clear()
             entered[:] = ext
-        self.grown = grown
         self.emptied.clear()
 
     def _narrowed(self) -> list[int]:
@@ -482,10 +481,10 @@ class InclusionPartition(OrderedPartition):
         its mask."""
         if not self.prefer:
             return []
+        ext, mask, prev = self.ext, self.mask, self.prev
         if self.minimize:
-            return [self.last] if self.last in self.ext else []
-        mask, prev = self.mask, self.prev
-        return [b for b in self.grown if mask[b] & prev == prev and mask[b] != prev]
+            return [self.last] if self.last in ext else []
+        return [b for b in self.twins.values() if b in ext and mask[b] & prev == prev and mask[b] != prev]
 
     def extreme(self) -> set[int]:
         """The union of the extreme label classes (maximal, or minimal with

@@ -128,22 +128,21 @@ def _dot_set(names: list[str]) -> str:
 
 
 def clique_tree_dot(g: AnyGraph, t: CliqueTreeResult) -> str:
-    lines = ["graph cliquetree {"]
-    for j, K in enumerate(t.cliques, start=1):
-        lines.append(f'  k{j} [label="{_dot_set(_names(g, K))}"];')
-    for p, q in t.tree_edges:
-        sep = _dot_set(_names(g, t.edge_separator(p, q)))
-        lines.append(f'  k{p} -- k{q} [label="{sep}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _tree_dot(g, "cliquetree", "k", t.cliques, t.tree_edges)
 
 
 def atom_tree_dot(g: AnyGraph, t: AtomTreeResult) -> str:
-    lines = ["graph atomtree {"]
-    for j, A in enumerate(t.atoms, start=1):
-        lines.append(f'  a{j} [label="{_dot_set(_names(g, A))}"];')
-    for p, q in t.tree_edges:
-        sep = _dot_set(_names(g, t.edge_separator(p, q)))
-        lines.append(f'  a{p} -- a{q} [label="{sep}"];')
+    return _tree_dot(g, "atomtree", "a", t.atoms, t.tree_edges)
+
+
+def _tree_dot(g: AnyGraph, kind: str, prefix: str, nodes, edges) -> str:
+    """A tree as a DOT graph: node j (1-based) labeled with its vertex set,
+    each edge with the intersection of its two nodes."""
+    lines = [f"graph {kind} {{"]
+    for j, K in enumerate(nodes, start=1):
+        lines.append(f'  {prefix}{j} [label="{_dot_set(_names(g, K))}"];')
+    for p, q in edges:
+        sep = _dot_set(_names(g, nodes[p - 1] & nodes[q - 1]))
+        lines.append(f'  {prefix}{p} -- {prefix}{q} [label="{sep}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -296,6 +296,22 @@ class TestCheck:
         code, out, _ = run(capsys, "check", files["c4"], str(result))
         assert code == 0 and out == "ok\n"
 
+    def test_result_without_tree(self, files, tmp_path, capsys):
+        result = tmp_path / "ordering.json"
+        result.write_text('{"ordering": ["a"]}', encoding="utf-8")
+        code, out, err = run(capsys, "check", files["fig1_h"], str(result))
+        assert (code, out) == (1, "")
+        assert err == "error: Parse: result JSON has neither 'cliques' nor 'atoms'\n"
+
+    def test_edge_out_of_range(self, files, tmp_path, capsys):
+        _, out, _ = run(capsys, "cliquetree", files["fig1_h"], "--structure", "mcs")
+        data = json.loads(out)
+        data["edges"][0] = [1, 99]
+        result = tmp_path / "bad.json"
+        result.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, "check", files["fig1_h"], str(result))
+        assert code == 2 and "violation: edge (1,99) out of range\n" in out
+
     @pytest.mark.parametrize("text", [
         "not json at all",
         '{"cliques": [["a"]], "edges": [["x", "y"]], "separators": []}',
@@ -362,6 +378,16 @@ class TestErrors:
     def test_seed_with_underscore(self, files, capsys):
         code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "seed:1_0")
         assert code == 1 and "bad seed" in err
+
+    def test_argparse_error_is_a_parse_error(self, files, capsys):
+        code, out, err = run(capsys, "cliquetree", files["fig1_h"], "--structure", "bogus")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Parse: ") and "bogus" in err
+
+    def test_empty_script(self, files, capsys):
+        code, out, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "script:")
+        assert (code, out) == (1, "")
+        assert err == "error: Parse: empty script in tie-break spec\n"
 
     def test_script_unknown_vertex(self, files, capsys):
         code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--tiebreak", "script:z,y")

@@ -103,6 +103,11 @@ class TestFromPeo:
         with pytest.raises(NotAPeoError):
             clique_tree_from_peo(c4, ordering_from_names(c4, ["a", "b", "c", "d"]))
 
+    def test_ordering_one_vertex_short_rejected(self):
+        g = graph("fig1_h")
+        with pytest.raises(ValueError):
+            clique_tree_from_peo(g, Ordering(range(g.n - 1)))
+
     def test_non_peo_sweep_matches_pairwise_reference(self):
         # the follower check must reject at the same step, with the same
         # message, as a pairwise test of every processed neighborhood

@@ -11,7 +11,7 @@ from chordalkit.decomposition import (
 )
 from chordalkit.errors import InputMismatchError, NonDclStructureError
 from chordalkit.fixtures import graph
-from chordalkit.graph import from_edge_list
+from chordalkit.graph import from_edge_list, from_vertices
 from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import (
     atoms_brute,
@@ -117,6 +117,13 @@ class TestMergeConstruction:
         bigger = from_edge_list(list(g.name_edges()) + [("5", "9")])
         with pytest.raises(InputMismatchError):
             atom_tree_from_clique_tree(bigger, bigger, res.clique_tree)
+
+    def test_triangulation_missing_a_base_edge_rejected(self):
+        g = graph("fig4_g")
+        res = dcl_mlsm_clique_tree(g, mcs())
+        short = from_vertices(g.names, g.name_edges()[1:])
+        with pytest.raises(InputMismatchError):
+            atom_tree_from_clique_tree(g, short, res.clique_tree)
 
 
 class TestDirectAtomTree:

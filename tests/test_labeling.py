@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordalkit.cliquetree import complement_mls_clique_tree, dcl_mls_clique_tree
 from chordalkit.errors import IcViolationError, NonDclStructureError
+from chordalkit.graph import from_edge_list
 from chordalkit.labeling import (
     Cmp,
     LabelingStructure,
@@ -19,11 +21,13 @@ from chordalkit.labeling import (
     mcs,
     mns,
     replay_witness,
+    require_complement_reversing,
     require_dcl,
     require_ic,
     rev,
     structure_by_token,
 )
+from chordalkit.search import LabelSearch
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 
@@ -135,10 +139,6 @@ class TestBuiltinependencyFlags:
         assert lexbfs().dcl_known is Tri.YES
         assert mns().dcl_known is Tri.YES
         assert lexdfs().dcl_known is Tri.NO
-
-    def test_totality_flags(self):
-        assert mcs().is_total and lexbfs().is_total and lexdfs().is_total
-        assert not mns().is_total
 
     def test_complement_reversing_flags(self):
         for f in ALL:
@@ -275,3 +275,21 @@ class TestEngineGates:
         require_ic(s)  # passes the bounded inclusion check
         with pytest.raises(NonDclStructureError):
             require_dcl(s)
+
+    def test_search_rejects_a_structure_failing_ic(self):
+        with pytest.raises(IcViolationError):
+            LabelSearch(from_edge_list([("a", "b")]), MaxInc())
+
+    # each structure fails the inclusion condition and the builder's
+    # label-test property too; the inclusion condition is reported first
+    @pytest.mark.parametrize("build,gate,structure,check", [
+        (dcl_mls_clique_tree, require_dcl, lambda: rev(mcs()), check_dcl),
+        (complement_mls_clique_tree, require_complement_reversing, MaxInc, check_complement_reversing),
+    ], ids=["dcl", "complement-reversing"])
+    def test_label_test_gates_check_ic_first(self, build, gate, structure, check):
+        assert check_ic(structure(), 6) is not None and check(structure(), 6) is not None
+        with pytest.raises(IcViolationError):
+            gate(structure())
+        path = from_edge_list([("a", "b"), ("b", "c"), ("c", "d")])  # its complement is a path too
+        with pytest.raises(IcViolationError):
+            build(path, structure())

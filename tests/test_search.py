@@ -241,6 +241,11 @@ class TestEliminationGame:
             alpha, _ = mls(g, mcs())
             assert triangulation_from_ordering(g, alpha).fill_edges == ()
 
+    def test_ordering_one_vertex_short_rejected(self):
+        g = from_edge_list([("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError):
+            triangulation_from_ordering(g, Ordering([0, 1]))
+
     def test_path_graph_middle_first(self):
         g = from_edge_list([("a", "b"), ("b", "c")])
         alpha = ordering_from_names(g, ["b", "a", "c"])
