@@ -4,7 +4,11 @@
 A quick eyeball check that the scripted searches reproduce their frozen
 annotations: the depth-first runs on the chordal graph and the non-chordal
 counterexamples, the complement run, and the breadth-first fill example.
+Exits 1 when any label or the fill example's minimality differs from its
+annotation, so CI fails on what the replay shows.
 """
+
+import sys
 
 import chordalkit as ck
 from chordalkit import fixtures, serialize
@@ -15,7 +19,15 @@ def scripted(fx):
     return ScriptedOrder(reversed(fx.script))
 
 
+def show_label(v, got, want) -> bool:
+    """Print v's final label, flagged when it is not the annotated one, and
+    return whether it is not."""
+    print(f"  {v}: {got}{'' if got == want else '  <-- MISMATCH'}")
+    return got != want
+
+
 def main() -> int:
+    mismatches = 0
     for name in ("fig1_h", "fig5_g", "fig6_g"):
         fx = fixtures.fixture(name)
         g = fx.graph()
@@ -23,8 +35,7 @@ def main() -> int:
         labels = serialize.final_labels(g, ck.lexdfs(), trace)
         print(f"{name}: ordering {alpha.names(g)}")
         for v in fx.script:
-            flag = "" if labels[v] == fx.final_labels[v] else "  <-- MISMATCH"
-            print(f"  {v}: {labels[v]}{flag}")
+            mismatches += show_label(v, labels[v], fx.final_labels[v])
 
     fx = fixtures.fixture("fig3_g")
     g = fx.graph()
@@ -33,8 +44,7 @@ def main() -> int:
     print(f"{fx.name} (complement run): cliques "
           f"{[sorted(g.names[v] for v in K) for K in t.cliques]}")
     for v in fx.script:
-        flag = "" if labels[v] == fx.complement_final_labels[v] else "  <-- MISMATCH"
-        print(f"  {v}: {labels[v]}{flag}")
+        mismatches += show_label(v, labels[v], fx.complement_final_labels[v])
     gens = ck.complement_mls_generators(g, ck.lexdfs(), scripted(fx))
     print(f"  generators: cliques {[g.names[v] for v in gens.gen_cliques]}, "
           f"separators {[g.names[v] for v in gens.gen_separators]}")
@@ -45,11 +55,15 @@ def main() -> int:
     tri = triangulation_from_ordering(g, alpha)
     fill = [tuple(sorted((g.names[u], g.names[v]))) for u, v in tri.fill_edges]
     minimal = ck.oracle.is_minimal_triangulation(g, tri.graph)
+    mismatches += minimal
+    flag = "  <-- MISMATCH" if minimal else ""
     print(f"{fx.name}: breadth-first elimination fill {fill} "
-          f"(minimal: {minimal}, expected False)")
+          f"(minimal: {minimal}, expected False){flag}")
     at = ck.dcl_atom_tree(g, ck.mcs())
     print(f"  atoms: {[sorted(g.names[v] for v in A) for A in at.atoms]}")
-    return 0
+    if mismatches:
+        print(f"{mismatches} mismatches", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 from . import oracle, serialize
 from .cliquetree import (
+    _require_complement_peo,
     clique_tree_from_peo,
     complement_mls_clique_tree,
     complement_mls_generators,
@@ -29,10 +30,9 @@ from .cliquetree import (
     mls_clique_tree,
 )
 from .decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
-from .errors import ChordalkitError, ComplementNotChordalError, ParseError
+from .errors import ChordalkitError, ParseError
 from .graph import (
     Graph,
-    Ordering,
     add_edges,
     higher_neighborhood,
     load_graph,
@@ -160,56 +160,31 @@ def _cmd_cliquetree(args) -> int:
                 violations = _validate_generators(g, args, res)
             return _validation_exit(violations)
         t = complement_mls_clique_tree(g, structure_by_token(args.structure), tb)
-        host = materialize_complement(g)
     elif args.from_peo:
         alpha = _read_ordering(args.from_peo, g)
         t = clique_tree_from_peo(g, alpha)
-        host = g
     elif args.dcl:
         t = dcl_mls_clique_tree(g, structure_by_token(args.structure), tb)
-        host = g
     else:
         t = mls_clique_tree(g, structure_by_token(args.structure), tb)
-        host = g
 
     if args.format == "dot":
         _emit(args, serialize.clique_tree_dot(g, t))
     else:
         _emit(args, serialize.dumps(serialize.clique_tree_json(g, t)))
     if args.validate:
-        violations = oracle.validate_clique_tree(host, t)
+        violations = oracle.validate_clique_tree(materialize_complement(g) if args.complement else g, t)
     return _validation_exit(violations)
-
-
-def _require_complement_peo(g: Graph, alpha: Ordering) -> None:
-    """Raise ComplementNotChordal unless alpha is a perfect elimination
-    ordering of g's complement: the follower test of Tarjan & Yannakakis
-    (1984), read on g's edges in O(n + m). The follower p of x is x's first
-    later complement neighbor, and x's other later complement neighbors
-    must be complement neighbors of p, i.e. p's later neighbors in g must
-    all be neighbors of x."""
-    pos, seq, adj = alpha.pos, alpha.seq, g.adj
-    later = [[u for u in adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-    for x in range(g.n):
-        j = pos[x]  # seq[j] sits just after x; the scan skips only neighbors
-        while j < g.n and seq[j] in adj[x]:
-            j += 1
-        if j < g.n:
-            lp = later[seq[j]]
-            if len(lp) > len(adj[x]) or not adj[x].issuperset(lp):
-                raise ComplementNotChordalError(
-                    f"later complement neighborhood of {g.names[x]!r} is not a complement clique"
-                )
 
 
 def _validate_generators(g: Graph, args, res) -> list[str]:
     violations = []
     if len(res.gen_cliques) != len(res.gen_separators) + 1:
         violations.append("generator counts are off by more than one")
-    t = complement_mls_clique_tree(g, structure_by_token(args.structure), _parse_tiebreak(args.tiebreak))
-    if extract_generators(t) != res:
-        violations.append("generators disagree with the complement clique-tree run")
     comp = materialize_complement(g)
+    # an independent tree: the peo walk on the materialized complement
+    if extract_generators(clique_tree_from_peo(comp, res.ordering)) != res:
+        violations.append("generators disagree with the complement clique tree")
     want_cliques = oracle.maximal_cliques(comp)
     got_cliques = {
         higher_neighborhood(comp, res.ordering, v, res.ordering.position_of(v), closed=True)

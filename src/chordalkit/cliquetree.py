@@ -4,9 +4,10 @@ Builders come in several flavors: from an arbitrary perfect elimination
 ordering, from a perfect moplex ordering (which completes each maximal clique
 before starting the next, enabling a simpler new-clique test), fused with the
 label searches (generic set test or pure label test for structures that can
-detect clique boundaries with labels), and the complement pair that builds
-the clique tree of the complement graph, or just its clique/separator
-generators, without ever materializing complement edges.
+detect clique boundaries with labels), and the complement pair: one
+minimizing search on g yields the generators of the complement's maximal
+cliques and minimal separators, and the complement's clique tree is read off
+them, without ever materializing complement edges.
 
 Clique indices are 1-based and append-only; node 1 starts empty and grows.
 Tree edges pair clique indices; each edge's intersection is a minimal
@@ -16,6 +17,7 @@ separator of the (possibly complement) chordal graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -28,7 +30,6 @@ from .errors import (
     NotMCCompError,
 )
 from .graph import (
-    ComplementView,
     Graph,
     Ordering,
     VertexSet,
@@ -88,10 +89,9 @@ def _anchor(sep: VertexSet, pos, x: int) -> int:
     step has nothing to check or open). A node opened for sep hangs off
     p's node, and p is the pivot of the follower check of Tarjan &
     Yannakakis: sep - {p} must lie in N(p), i.e. ``len(sep - N(p)) <= 1``
-    since p is not in N(p), which is O(|sep|); in a complement run, where
-    N is the complement's, it reads ``sep.isdisjoint(g.adj[p])``. Run at
-    every step in decreasing position order, it first fails at the same
-    step as a pairwise clique test: if sep(x) is the first non-clique but
+    since p is not in N(p), which is O(|sep|). Run at every step in
+    decreasing position order, it first fails at the same step as a
+    pairwise clique test: if sep(x) is the first non-clique but
     sep(x) - {p} lies in N(p), its non-adjacent pair lies in sep(p), and
     p was processed earlier."""
     return min(sep, key=pos.__getitem__) if sep else x
@@ -185,14 +185,13 @@ def _debug_check_partial(
             )
 
 
-def _debug_step(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet,
-                test: str = "label") -> None:
+def _debug_step(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet) -> None:
     """The engine builders' debug hooks after x's step, run in debug mode
-    only: the label ``test`` that chose the step agrees with the set test
+    only: the label test that chose the step agrees with the set test
     (x's node is sep plus x), and the partial tree passes
     ``_debug_check_partial``."""
     if builder.current() != sep | {x}:
-        raise DebugInvariantError(f"{test} test and set test disagree at position {run.pos[x]}")
+        raise DebugInvariantError(f"label test and set test disagree at position {run.pos[x]}")
     if run.n <= debug.ORACLE_CHECK_MAX_N:
         _debug_check_partial(builder, adjacent, run.alpha[run.pos[x]:], run.pos)
 
@@ -331,63 +330,91 @@ def complement_mls_clique_tree(
     structure: LabelingStructure,
     tiebreak: TieBreak | None = None,
 ) -> CliqueTreeResult:
-    """Clique tree and minimal separators of the complement of g, computed by
-    choosing label-minimal vertices (preferring a label that continues, here
-    equals, the previous one) and increasing labels along edges of g itself.
-    A new clique starts exactly when the chosen label does not continue the
-    previous minimum, for any complement-reversing structure.
-
-    The complement is never built: x's processed neighborhood in it is the
-    numbered vertices minus g.adj[x] and x itself. Still, building the tree
-    costs time proportional to the complement's size, not to g's.
+    """Clique tree and minimal separators of the complement of g, read off
+    the ``complement_mls_generators`` run once ``_require_complement_peo``
+    has checked its ordering. The complement is never built: walking
+    positions n down to 1, each separator generator x opens a node for its
+    later complement neighborhood S under its follower's node, and every
+    vertex joins the last node. Each vertex after x is x's complement
+    neighbor or its neighbor in g, so listing S costs O(|S| + deg x), and
+    the tree O(n + m + sum |K| + sum |S|) over its cliques and separators.
     """
-    require_complement_connected(g)
-    require_complement_reversing(structure)
-    view = ComplementView(g)
-    run = LabelSearch(g, structure, tiebreak, minimize=True)
-    adj, done = g.adj, run.done
-    builder = _TreeBuilder()
-    armed = True  # the equal-label debug hook, until the input is found at fault
-    for i, x in run.steps(True):
-        sep = frozenset(done.difference(adj[x], (x,)))
-        p = _anchor(sep, run.pos, x)
-        if not sep.isdisjoint(g.adj[p]):
+    gens = complement_mls_generators(g, structure, tiebreak)
+    _require_complement_peo(g, gens.ordering)
+    adj, seq, pos = g.adj, gens.ordering.seq, gens.ordering.pos
+    opens = set(gens.gen_separators)
+    cliques: list[list[int]] = [[]]
+    edges: list[tuple[int, int]] = []
+    seps: set[VertexSet] = set()
+    clique_of: dict[int, int] = {}
+    for x in reversed(seq):
+        if x in opens:
+            sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:]))
+            if not sep:
+                raise ComplementNotChordalError("empty boundary separator mid-run")
+            seps.add(frozenset(sep))
+            cliques.append(sep)  # sep[0] is x's follower
+            edges.append((clique_of[sep[0]], len(cliques)))
+        cliques[-1].append(x)
+        clique_of[x] = len(cliques)
+    result = CliqueTreeResult(tuple(map(frozenset, cliques)), tuple(edges), frozenset(seps),
+                              clique_of, gens.ordering, gens.trace)
+    if debug.enabled() and g.n <= debug.ORACLE_CHECK_MAX_N:
+        from . import oracle
+
+        violations = oracle.validate_clique_tree(materialize_complement(g), result)
+        if violations:
+            raise DebugInvariantError(f"complement clique tree: {'; '.join(violations)}")
+    return result
+
+
+def _require_complement_peo(g: Graph, alpha: Ordering) -> None:
+    """Raise ComplementNotChordal unless alpha is a perfect elimination
+    ordering of g's complement: the follower test of Tarjan & Yannakakis
+    (1984), read on g's edges in O(n + m). The follower p of x is x's first
+    later complement neighbor, and x's other later complement neighbors
+    must be complement neighbors of p, i.e. p's later neighbors in g must
+    all be neighbors of x. Checked in decreasing position order, the first
+    failure is at the first non-clique (see ``_anchor``)."""
+    adj, seq, n = g.adj, alpha.seq, g.n
+    # the scan from x's successor skips only neighbors: O(deg x + 1)
+    follower = [next(filterfalse(adj[x].__contains__, map(seq.__getitem__, range(i, n))), None)
+                for i, x in enumerate(seq, 1)]
+    followed = set(follower)
+    later: dict[int, set[int]] = {}  # a follower's later neighbors in g
+    done: set[int] = set()
+    for i in range(n, 0, -1):
+        x, p = seq[i - 1], follower[i - 1]
+        if p is not None and not later[p] <= adj[x]:
             raise ComplementNotChordalError(
                 f"complement neighborhood of {g.names[x]!r} is not a complement clique"
             )
-        new = run.boundary(x)
-        if new and not sep:
-            raise ComplementNotChordalError("empty boundary separator mid-run")
-        if run.shadow is not None and i < g.n and armed:
-            armed = _debug_equal_label_boundary(run, view, builder, x)
-        builder.step(x, sep, p, new)
-        if run.debug:
-            _debug_step(builder, view.adjacent, run, x, sep, "equal-label")
-    return builder.result(run.ordering(), run.trace)
+        if x in followed:
+            later[x] = adj[x] & done
+        done.add(x)
 
 
-def _debug_equal_label_boundary(run: LabelSearch, view: ComplementView, builder: _TreeBuilder, x: int) -> bool:
-    """Debug hook for the complement path (small n), run once x's step has
-    passed the builder's checks: a vertex unnumbered before x (x included)
-    has the previous minimal label, in the run's shadow ``ScanQueue``,
-    exactly when its complement neighborhood among the vertices numbered
-    before x equals the current clique. That holds on co-chordal inputs
-    only, so a disagreement raises only when the oracle finds the
-    complement chordal; otherwise the hook returns False, to be disarmed,
-    and the builder's own checks report the input."""
+def _debug_equal_label_boundary(run: LabelSearch, g: Graph, x: int) -> bool:
+    """Debug hook of the complement run (small n), at x's step: a vertex
+    unnumbered before x (x included) has the previous minimal label, in the
+    run's shadow ``ScanQueue``, exactly when its complement neighborhood
+    among the vertices numbered before x equals the previous vertex's closed
+    one, the clique that a clique-completing ordering is building. That
+    holds on co-chordal inputs only, so a disagreement raises only when the
+    oracle finds the complement chordal; otherwise the hook returns False,
+    to be disarmed, and ``_require_complement_peo`` reports the input."""
     from . import oracle
 
-    current = builder.current()
-    before = run.alpha[run.pos[x] + 1:]
+    i = run.pos[x]
+    before = set(run.alpha[i + 1:])
+    current = before.difference(g.adj[run.alpha[i + 1]])  # the previous vertex is in it
     shadow = run.shadow
     assert shadow is not None
     for y in range(run.n):
         if y in run.done and y != x:
             continue
-        hood = {v for v in before if view.adjacent(y, v)}
-        label_hit = shadow.continues(y)
-        if label_hit != (hood == current):
-            if not oracle.is_chordal(materialize_complement(view.base)):
+        if shadow.continues(y) != (before.difference(g.adj[y]) == current):
+            if not oracle.is_chordal(materialize_complement(g)):
                 return False
             raise DebugInvariantError(
                 f"equal-label test and clique-boundary test disagree on vertex {y}"
@@ -403,18 +430,21 @@ def complement_mls_generators(
     """Generators of the complement's maximal cliques and minimal separators
     w.r.t. the computed ordering, using edges of g only (the near-linear
     path: no complement adjacency is ever queried). Chordality of the
-    complement is a trusted precondition here; the CLI checks it on the
-    result's ordering in O(n + m) (``cli._require_complement_peo``), and the
-    tree builder and the oracle validators check it too."""
+    complement is a trusted precondition here; ``complement_mls_clique_tree``
+    and the CLI check it on the result's ordering with
+    ``_require_complement_peo``, in O(n + m)."""
     require_complement_connected(g)
     require_complement_reversing(structure)
     run = LabelSearch(g, structure, tiebreak, minimize=True)
+    armed = run.shadow is not None  # the equal-label debug hook, until the input is found at fault
     gen_cli: list[int] = []
     gen_sep: list[int] = []
     for i, x in run.steps(True):
         if run.boundary(x):
             gen_cli.append(run.alpha[i + 1])  # type: ignore[arg-type]
             gen_sep.append(x)
+        if armed and i < g.n:
+            armed = _debug_equal_label_boundary(run, g, x)
     gen_cli.append(run.alpha[1])  # type: ignore[arg-type]
     return GeneratorsResult(run.ordering(), tuple(gen_cli), tuple(gen_sep), run.trace)
 

@@ -332,16 +332,21 @@ def is_connected(g: Graph | ComplementView) -> bool:
 
 def complement_is_connected(g: Graph) -> bool:
     """Connectivity of the complement without materializing it: BFS keeping
-    the unvisited set, so total work stays near-linear in the base graph."""
+    the unvisited set, O(n + m) in the base graph. A set keeps its table as
+    it shrinks, so the set is copied below a quarter of its last size."""
     if g.n == 0:
         return False
     unvisited = set(range(1, g.n))
+    copied = len(unvisited)
     frontier = [0]
     while frontier:
         u = frontier.pop()
         reached = unvisited - g.adj[u]
         unvisited -= reached
         frontier.extend(reached)
+        if 4 * len(unvisited) < copied:
+            unvisited = set(unvisited)
+            copied = len(unvisited)
     return not unvisited
 
 

@@ -364,3 +364,29 @@ def test_complement_generators_scale():
             f"{name} took {timings[name]:.2f}s, over 3x mcs's {timings['mcs']:.2f}s")
     print(f"\n[scale] PASS: complement_mls_generators on n={g.n}, m={g.m}: "
           + ", ".join(f"{k} {v:.2f}s" for k, v in timings.items()))
+
+
+def test_complement_tree_scale():
+    # the tree is read off the generators run in O(n + m + sum |K| + sum |S|);
+    # listing each step's complement neighborhood took O(n^2), 0.2-0.3 s
+    # already at n = 3000 on this sparse co-chordal near-star
+    n = 50_000
+    g = from_edge_list([("c", f"v{i}") for i in range(1, n - 1)] + [("w", "v1")])
+
+    def best(call):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            out = call()
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    for factory in ALL:
+        tree, result = best(lambda: complement_mls_clique_tree(g, factory()))
+        gens, _ = best(lambda: complement_mls_generators(g, factory()))
+        name = factory.__name__
+        assert tree < 10.0, f"{name} took {tree:.1f}s"
+        assert tree <= 3 * gens, f"{name} took {tree:.2f}s, over 3x the generators' {gens:.2f}s"
+        assert result.size == 3
+        print(f"\n[scale] PASS: complement_mls_clique_tree {name} on the near-star with n={n} "
+              f"in {tree:.2f}s, generators {gens:.2f}s")

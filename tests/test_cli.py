@@ -117,6 +117,22 @@ class TestCliquetree:
         assert code == 0, err
         assert len(json.loads(out)["cliques"]) == 3
 
+    def test_complement_tree_builds_no_complement_without_validate(self, files, capsys, monkeypatch):
+        from chordalkit import cli, serialize
+
+        def refuse(g):
+            raise AssertionError("the complement was materialized")
+
+        monkeypatch.setattr(cli, "materialize_complement", refuse)
+        code, out, err = run(capsys, "cliquetree", files["fig3_g"], "--complement")
+        assert code == 0, err
+        assert out == serialize.dumps({
+            "cliques": [["a", "b", "f"], ["e", "f"], ["c", "d", "e"]],
+            "edges": [[1, 2], [2, 3]],
+            "ordering": ["d", "c", "e", "f", "b", "a"],
+            "separators": [["e"], ["f"]],
+        })
+
     def test_complement_disconnected(self, files, capsys):
         code, _, err = run(capsys, "cliquetree", files["k3"], "--complement")
         assert code == 1 and "ComplementDisconnected" in err

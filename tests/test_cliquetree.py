@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import chordal_corpus, cochordal_corpus, name_sets, names_of
+from conftest import chordal_corpus, cochordal_corpus, connected_corpus, name_sets, names_of
 
 from chordalkit import serialize
 from chordalkit.cliquetree import (
+    CliqueTreeResult,
     clique_tree_from_peo,
     clique_tree_from_pmo,
     complement_mls_clique_tree,
@@ -14,6 +15,7 @@ from chordalkit.cliquetree import (
     mls_clique_tree,
 )
 from chordalkit.errors import (
+    ChordalkitError,
     ComplementDisconnectedError,
     ComplementNotChordalError,
     DebugInvariantError,
@@ -24,11 +26,19 @@ from chordalkit.errors import (
     NotMCCompError,
 )
 from chordalkit.fixtures import fixture, graph
-from chordalkit.graph import Graph, Ordering, from_edge_list, from_vertices, materialize_complement, ordering_from_names
-from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
+from chordalkit.graph import (
+    Graph,
+    Ordering,
+    from_edge_list,
+    from_vertices,
+    materialize_complement,
+    ordering_from_names,
+    require_complement_connected,
+)
+from chordalkit.labeling import lexbfs, lexdfs, mcs, mns, require_complement_reversing
 from chordalkit.oracle import GeneratorConfig, gen, is_peo, maximal_cliques, minimal_separators, validate_clique_tree
 from chordalkit.rng import SplitMix64
-from chordalkit.search import LowestIndex, ScriptedOrder, SeededRandom
+from chordalkit.search import LabelSearch, LowestIndex, ScriptedOrder, SeededRandom
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 DCL = [mcs, lexbfs, mns]
@@ -259,6 +269,47 @@ class TestDclCliqueTree:
                     assert t1.separators == t2.separators
 
 
+def _stepwise_complement_tree(g: Graph, structure, tiebreak=None) -> CliqueTreeResult:
+    """The complement clique tree built during the search, one step per
+    vertex, as a reference independent of the generators: x's processed
+    complement neighborhood sep is the numbered vertices outside g.adj[x];
+    its earliest vertex p anchors it, and sep must miss g.adj[p] (the
+    follower check); x opens a node for sep under p's node when its label
+    does not equal the previous minimum, and joins the last node."""
+    require_complement_connected(g)
+    require_complement_reversing(structure)
+    run = LabelSearch(g, structure, tiebreak, minimize=True)
+    cliques: list[set[int]] = [set()]
+    edges: list[tuple[int, int]] = []
+    seps: set[frozenset[int]] = set()
+    clique_of: dict[int, int] = {}
+    for _, x in run.steps(True):
+        sep = frozenset(run.done.difference(g.adj[x], (x,)))
+        p = min(sep, key=run.pos.__getitem__) if sep else x
+        if not sep.isdisjoint(g.adj[p]):
+            raise ComplementNotChordalError(
+                f"complement neighborhood of {g.names[x]!r} is not a complement clique"
+            )
+        if run.boundary(x):
+            if not sep:
+                raise ComplementNotChordalError("empty boundary separator mid-run")
+            cliques.append(set(sep))
+            edges.append((clique_of[p], len(cliques)))
+            seps.add(sep)
+        cliques[-1].add(x)
+        clique_of[x] = len(cliques)
+    return CliqueTreeResult(tuple(map(frozenset, cliques)), tuple(edges), frozenset(seps),
+                            clique_of, run.ordering())
+
+
+def _outcome(call):
+    try:
+        t = call()
+    except ChordalkitError as e:
+        return type(e), str(e)
+    return t.cliques, t.tree_edges, t.separators, list(t.clique_of.items()), t.ordering
+
+
 class TestComplementCliqueTree:
     def test_fig3_exact(self):
         fx = fixture("fig3_g")
@@ -289,8 +340,9 @@ class TestComplementCliqueTree:
 
     def test_armed_equal_label_hook_leaves_a_bad_input_to_the_builder(self, monkeypatch):
         # the hook's test holds on co-chordal inputs only; on this graph it
-        # fails before the builder finds that the complement is not chordal,
-        # and it raises only when the oracle finds the complement chordal
+        # fails before the follower test finds that the complement is not
+        # chordal, and it raises only when the oracle finds the complement
+        # chordal
         from chordalkit import oracle
 
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
@@ -314,6 +366,24 @@ class TestComplementCliqueTree:
                 assert not validate_clique_tree(comp, t), f().name
                 replay = clique_tree_from_peo(comp, t.ordering)
                 assert replay.cliques == t.cliques and replay.tree_edges == t.tree_edges
+
+    def test_matches_stepwise_reference_sweep(self):
+        for g in cochordal_corpus(20):
+            for f in ALL:
+                for tb in (LowestIndex(), SeededRandom(11)):
+                    want = _outcome(lambda: _stepwise_complement_tree(g, f(), tb))
+                    assert len(want) == 5, (f().name, want)
+                    assert _outcome(lambda: complement_mls_clique_tree(g, f(), tb)) == want, f().name
+
+    def test_rejections_match_stepwise_reference(self):
+        rejected = 0
+        for g in chordal_corpus(20) + connected_corpus(20):
+            for f in ALL:
+                for tb in (LowestIndex(), SeededRandom(11)):
+                    want = _outcome(lambda: _stepwise_complement_tree(g, f(), tb))
+                    assert _outcome(lambda: complement_mls_clique_tree(g, f(), tb)) == want, f().name
+                    rejected += want[0] is ComplementNotChordalError
+        assert rejected >= 40
 
 
 class TestGenerators:

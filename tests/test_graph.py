@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from chordalkit.graph import (
     ComplementView,
     Graph,
     Ordering,
+    complement_is_connected,
     complement_view,
     from_edge_list,
     from_vertices,
@@ -20,6 +22,7 @@ from chordalkit.graph import (
     ordering_from_names,
     parse_edge_list,
 )
+from chordalkit.oracle import GeneratorConfig, gen
 
 
 def small_graphs(max_n=8):
@@ -206,6 +209,23 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(from_vertices(["a"]))
+
+    @settings(max_examples=60)
+    @given(small_graphs())
+    def test_complement_connectivity_agrees_with_materialization(self, g):
+        assert complement_is_connected(g) == is_connected(materialize_complement(g))
+
+    def test_complement_connectivity_scale(self):
+        # a set keeps its hash table as it drains, so without a copy every
+        # later difference walked all n slots: 2-5 s on each of these
+        near_star = from_edge_list([("c", f"v{i}") for i in range(1, 25_000 - 1)] + [("w", "v1")])
+        base = gen(GeneratorConfig(seed=1, n=200, param=4.0, family="random-co-chordal"))
+        padded = Graph(list(base.names) + [f"z{i}" for i in range(20_000 - base.n)], list(base.edges()))
+        for g in (near_star, padded):
+            start = time.perf_counter()
+            assert complement_is_connected(g)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.5, f"n={g.n} took {elapsed:.2f}s"
 
 
 class TestHigherNeighborhood:
