@@ -157,7 +157,7 @@ def _cmd_cliquetree(args) -> int:
             _require_complement_peo(g, res.ordering)
             _emit(args, serialize.dumps(serialize.generators_json(g, res)))
             if args.validate:
-                violations = _validate_generators(g, args, res)
+                violations = _validate_generators(g, res)
             return _validation_exit(violations)
         t = complement_mls_clique_tree(g, structure_by_token(args.structure), tb)
     elif args.from_peo:
@@ -173,15 +173,21 @@ def _cmd_cliquetree(args) -> int:
     else:
         _emit(args, serialize.dumps(serialize.clique_tree_json(g, t)))
     if args.validate:
-        violations = oracle.validate_clique_tree(materialize_complement(g) if args.complement else g, t)
+        violations = oracle.validate_clique_tree(_checked_complement(g) if args.complement else g, t)
     return _validation_exit(violations)
 
 
-def _validate_generators(g: Graph, args, res) -> list[str]:
+def _checked_complement(g: Graph) -> Graph:
+    """The complement for the oracle, refused above its cap before it is built."""
+    oracle._require_under_cap("maximal_cliques", g.n, oracle.CLIQUES_CAP)
+    return materialize_complement(g)
+
+
+def _validate_generators(g: Graph, res) -> list[str]:
     violations = []
     if len(res.gen_cliques) != len(res.gen_separators) + 1:
         violations.append("generator counts are off by more than one")
-    comp = materialize_complement(g)
+    comp = _checked_complement(g)
     # an independent tree: the peo walk on the materialized complement
     if extract_generators(clique_tree_from_peo(comp, res.ordering)) != res:
         violations.append("generators disagree with the complement clique tree")

@@ -185,15 +185,15 @@ def _debug_check_partial(
             )
 
 
-def _debug_step(builder: _TreeBuilder, adjacent, run: LabelSearch, x: int, sep: VertexSet) -> None:
+def _debug_step(builder: _TreeBuilder, run: LabelSearch, x: int, sep: VertexSet) -> None:
     """The engine builders' debug hooks after x's step, run in debug mode
     only: the label test that chose the step agrees with the set test
     (x's node is sep plus x), and the partial tree passes
-    ``_debug_check_partial``."""
+    ``_debug_check_partial`` on the run's adjacency."""
     if builder.current() != sep | {x}:
         raise DebugInvariantError(f"label test and set test disagree at position {run.pos[x]}")
     if run.n <= debug.ORACLE_CHECK_MAX_N:
-        _debug_check_partial(builder, adjacent, run.alpha[run.pos[x]:], run.pos)
+        _debug_check_partial(builder, lambda a, b: b in run.hood(a), run.alpha[run.pos[x]:], run.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +236,13 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
     """The walk of both builders above, positions n down to 1. Each vertex
     joins the current node, which with join_parent (an arbitrary peo) first
     moves to the node of the earliest vertex of the processed neighborhood
-    S; when that node is not S, the vertex opens a new node for S."""
-    require_connected(h)
+    S; when that node is not S, the vertex opens a new node for S. After
+    the length check, errors come in walk order: connectivity is checked
+    only at a stranded vertex (an empty S after the first), or on no vertex."""
     if len(alpha) != h.n:
         raise ValueError("ordering length does not match the graph")
+    if not h.n:
+        require_connected(h)
     builder = _TreeBuilder()
     adj, seq, pos = h.adj, alpha.seq, alpha.pos
     done: set[int] = set()
@@ -255,6 +258,7 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
         if i < h.n:
             if not sep:
                 # a peo of a connected graph never strands a vertex
+                require_connected(h)
                 raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
             if join_parent:
                 builder.at = builder.clique_of[p]
@@ -277,7 +281,6 @@ def mls_clique_tree(
     """Run the moplex-refined label search and build the clique tree on the
     fly with the set-based new-node test. Works for every labeling structure
     satisfying the inclusion condition."""
-    require_connected(h)
     run = LabelSearch(h, structure, tiebreak)
     adj, done = h.adj, run.done
     builder = _TreeBuilder()
@@ -287,7 +290,7 @@ def mls_clique_tree(
         _follower_check(h, x, sep, p)
         builder.step(x, sep, p, builder.current() != sep)
         if run.debug:
-            _debug_step(builder, h.adjacent, run, x, sep)
+            _debug_step(builder, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -304,7 +307,6 @@ def dcl_mls_clique_tree(
     enforce_dcl off the run proceeds regardless and the result can be invalid
     (useful to reproduce the failure of structures that lack the property).
     """
-    require_connected(h)
     if enforce_dcl:
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
@@ -317,7 +319,7 @@ def dcl_mls_clique_tree(
         _follower_check(h, x, sep, p)
         builder.step(x, sep, p, boundary(x))
         if checking:
-            _debug_step(builder, h.adjacent, run, x, sep)
+            _debug_step(builder, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -343,29 +345,17 @@ def complement_mls_clique_tree(
     _require_complement_peo(g, gens.ordering)
     adj, seq, pos = g.adj, gens.ordering.seq, gens.ordering.pos
     opens = set(gens.gen_separators)
-    cliques: list[list[int]] = [[]]
-    edges: list[tuple[int, int]] = []
-    seps: set[VertexSet] = set()
-    clique_of: dict[int, int] = {}
+    builder = _TreeBuilder()
     for x in reversed(seq):
-        if x in opens:
-            sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:]))
-            if not sep:
-                raise ComplementNotChordalError("empty boundary separator mid-run")
-            seps.add(frozenset(sep))
-            cliques.append(sep)  # sep[0] is x's follower
-            edges.append((clique_of[sep[0]], len(cliques)))
-        cliques[-1].append(x)
-        clique_of[x] = len(cliques)
-    result = CliqueTreeResult(tuple(map(frozenset, cliques)), tuple(edges), frozenset(seps),
-                              clique_of, gens.ordering, gens.trace)
+        new = x in opens
+        sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:])) if new else [x]
+        if not sep:
+            raise ComplementNotChordalError("empty boundary separator mid-run")
+        # an opening step hangs its node off sep[0], x's follower
+        builder.step(x, frozenset(sep), sep[0], new)
     if debug.enabled() and g.n <= debug.ORACLE_CHECK_MAX_N:
-        from . import oracle
-
-        violations = oracle.validate_clique_tree(materialize_complement(g), result)
-        if violations:
-            raise DebugInvariantError(f"complement clique tree: {'; '.join(violations)}")
-    return result
+        _debug_check_partial(builder, lambda a, b: a != b and b not in adj[a], seq, pos)
+    return builder.result(gens.ordering, gens.trace)
 
 
 def _require_complement_peo(g: Graph, alpha: Ordering) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cliquetree import CliqueTreeResult, _anchor, _debug_step, _TreeBuilder
 from .errors import InputMismatchError
-from .graph import Graph, Ordering, VertexSet, is_clique_in, require_connected
+from .graph import Graph, Ordering, VertexSet, is_clique_in
 from .labeling import LabelingStructure, require_dcl
 from .search import LabelSearch, TieBreak, TriangulationResult
 
@@ -68,16 +68,15 @@ def dcl_mlsm_clique_tree(
     one pass yields a minimal moplex ordering, the minimal triangulation H,
     and a clique tree of H. Requires a structure that detects new cliques
     with labels."""
-    require_connected(g)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    overlay, done = run.overlay, run.done
+    hood, done = run.hood, run.done
     builder = _TreeBuilder()
     for _, x in run.steps(True):
-        sep = frozenset(overlay[x] & done)
+        sep = frozenset(hood(x) & done)
         builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x))
         if run.debug:
-            _debug_step(builder, lambda a, b: b in overlay[a], run, x, sep)
+            _debug_step(builder, run, x, sep)
     tri = run.triangulation()
     return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
 
@@ -144,14 +143,13 @@ def dcl_atom_tree(
     is a clique in g itself (fill edges never count), otherwise keep growing
     the atom that contains the separator's earliest vertex. Between
     boundaries the current atom keeps growing."""
-    require_connected(g)
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    overlay, done = run.overlay, run.done
+    hood, done = run.hood, run.done
     builder = _TreeBuilder()
     history: list[int] = []
     for _, x in run.steps(True):
-        sep = frozenset(overlay[x] & done)
+        sep = frozenset(hood(x) & done)
         p = _anchor(sep, run.pos, x)
         new = False
         if run.boundary(x):
@@ -160,11 +158,6 @@ def dcl_atom_tree(
                 builder.at = builder.clique_of[p]
         builder.step(x, sep, p, new)
         history.append(builder.at)
-    return AtomTreeResult(
-        atoms=tuple(frozenset(a) for a in builder.cliques),
-        tree_edges=tuple(builder.edges),
-        clique_separators=frozenset(builder.seps),
-        atom_of=builder.clique_of,
-        triangulation=run.triangulation(),
-        current_atom_history=tuple(history),
-    )
+    tri = run.triangulation()
+    t = builder.result(tri.ordering)
+    return AtomTreeResult(t.cliques, t.tree_edges, t.separators, t.clique_of, tri, tuple(history))

@@ -29,6 +29,12 @@ ATOMS_CAP = 14
 CLIQUES_CAP = 20
 
 
+def _require_under_cap(fn: str, n: int, cap: int) -> None:
+    """The one size gate of the brute-force functions, named by fn."""
+    if n > cap:
+        raise OracleCapError(f"{fn} capped at n={cap}")
+
+
 def is_chordal(g: Graph) -> bool:
     """Exact: repeatedly strip any simplicial vertex; chordal iff the graph
     empties (the order of elimination does not matter)."""
@@ -63,8 +69,7 @@ def is_peo(g: Graph, alpha: Ordering) -> bool:
 
 def maximal_cliques(g: Graph) -> set[VertexSet]:
     """Exact enumeration (pivoted Bron-Kerbosch)."""
-    if g.n > CLIQUES_CAP:
-        raise OracleCapError(f"maximal_cliques capped at n={CLIQUES_CAP}")
+    _require_under_cap("maximal_cliques", g.n, CLIQUES_CAP)
     out: set[VertexSet] = set()
     if g.n == 0:
         return out
@@ -126,8 +131,7 @@ def _components(adj: list[set[int]], alive: set[int]) -> list[set[int]]:
 
 def minimal_separators(g: Graph) -> set[VertexSet]:
     """Exact: every subset with at least two components seeing all of it."""
-    if g.n > SEPARATOR_CAP:
-        raise OracleCapError(f"minimal_separators capped at n={SEPARATOR_CAP}")
+    _require_under_cap("minimal_separators", g.n, SEPARATOR_CAP)
     adj = [set(s) for s in g.adj]
     out: set[VertexSet] = set()
     verts = list(range(g.n))
@@ -172,8 +176,7 @@ def atoms_brute(g: Graph) -> set[VertexSet]:
     rest into component-plus-separator pieces and recurse; a piece with no
     clique minimal separator is an atom. The final set is deduplicated and
     independent of the choices made."""
-    if g.n > ATOMS_CAP:
-        raise OracleCapError(f"atoms_brute capped at n={ATOMS_CAP}")
+    _require_under_cap("atoms_brute", g.n, ATOMS_CAP)
 
     out: set[VertexSet] = set()
 

@@ -33,6 +33,8 @@ n-bit ints per step. The whole search then costs O(n^3 / w) word
 operations; MCS-M and LEX M take O(nm). MNS runs one bitset search per
 label block of its queue, O(blocks^2) mask tests per step at worst. A
 trace is built when its entries are first read (``SearchTrace``).
+Connectivity is the engine's to check: when a triangulating run or one on
+no vertex is built, else at the step that strands a vertex (``LabelSearch``).
 """
 
 from __future__ import annotations
@@ -329,20 +331,22 @@ class LabelSearch:
     partial order, the debug hooks, and the loop ``steps`` that every
     search function runs, adding its per-step rule as the loop body.
 
-    Building a run gates the inclusion condition (``require_ic``), so a
-    structure that fails it raises ``IcViolationError`` before any state is
-    made. The run stores no labels. Selection, the triangulating reach
-    targets and the builders' label test all come from one queue: the
-    structure's selection queue (``chordalkit.selection``), or a
-    ``ScanQueue``, which keeps the labels, when it has none. The run keeps
-    the numbered vertices as ``done``, so a builder reads a processed
-    neighborhood as ``adj[x] & done``.
+    Building a run gates the inclusion condition (``require_ic``) before
+    any state is made. The run stores no labels. Selection, the
+    triangulating reach targets and the builders' label test all come from
+    one queue: the structure's selection queue (``chordalkit.selection``),
+    or a ``ScanQueue``, which keeps the labels, when it has none.
 
-    Labels mirror the processed neighborhoods in g (for complement runs, g
-    is the base graph), or, in a triangulating run, in the filled graph,
-    which the run keeps as ``overlay`` (g's adjacency plus the fill so far)
-    next to the fill edges in insertion order. The label-order debug hook
-    reads the same adjacency.
+    Labels mirror the processed neighborhoods, ``hood(x) & done`` with the
+    numbered vertices ``done``, in one adjacency: ``hood`` is g's neighbors
+    function (for complement runs, the base graph's), or a triangulating
+    run's ``overlay`` (g's adjacency plus the fill so far) and then H's.
+
+    A maximizing run checks connectivity (``require_connected``) when built,
+    after the inclusion condition and before the script's names, if it
+    triangulates or g is empty; otherwise at the first step i < n whose
+    vertex has no numbered neighbor, which under the inclusion condition
+    comes only on a disconnected g, once the first component is done.
     """
 
     def __init__(
@@ -355,10 +359,12 @@ class LabelSearch:
         triangulate: bool = False,
     ):
         require_ic(structure)
+        n = g.n
+        if not minimize and (triangulate or not n):  # a search of O(nm), or none
+            require_connected(g)
         self.g = g
         self.structure = structure
         self.minimize = minimize
-        n = g.n
         self.n = n
         self.done: set[int] = set()
         self.queue: OrderedPartition | ScanQueue = (
@@ -368,8 +374,8 @@ class LabelSearch:
         self.pos = [0] * n
         self.completed = 0  # steps whose labels have grown
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
+        self.hood = g.neighbors if self.overlay is None else self.overlay.__getitem__
         self.fill: list[tuple[int, int]] = []
-        self.h: Graph | None = None  # the filled graph, once frozen
         # vertex bitset adjacency, for the queue's reach
         self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
         self.debug = debug.enabled()
@@ -379,15 +385,10 @@ class LabelSearch:
 
     @property
     def trace(self) -> SearchTrace:
-        """The trace of the steps completed so far, built when read. It
-        keeps g or H (once frozen), the positions, the fill edges and the
-        structure, never the run, its queue, its bitsets or (once H
-        exists) its overlay."""
-        if self.overlay is None:
-            hood = self.g.neighbors
-        else:
-            hood = self.overlay.__getitem__ if self.h is None else self.h.neighbors
-        return SearchTrace._lazy(self.structure, hood, self.pos, self.alpha, self.completed, self.fill)
+        """The trace of the steps completed so far, built when read. It keeps
+        ``hood`` (H's once frozen), the positions, the fill edges and the
+        structure, never the run, its queue or its bitsets."""
+        return SearchTrace._lazy(self.structure, self.hood, self.pos, self.alpha, self.completed, self.fill)
 
     # -- the search loop
 
@@ -408,11 +409,17 @@ class LabelSearch:
         if shadow is not None:
             shadow.prefer = prefer
         g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
-        for i in range(self.n, 0, -1):
+        hood, n = self.hood, self.n
+        stranding = not self.minimize and overlay is None
+        for i in range(n, 0, -1):
             if shadow is not None:
                 self._assert_label_order(i)
                 self._assert_queue_candidates(i)
             x = pick()
+            hx = hood(x)
+            if stranding and i < n and hx.isdisjoint(done):
+                require_connected(g)  # once: IC may break beyond the bounded check
+                stranding = False
             alpha[i] = x
             pos[x] = i
             done.add(x)
@@ -421,7 +428,7 @@ class LabelSearch:
             if shadow is not None:
                 shadow.remove(x)
             if overlay is None:
-                ys = g.neighbors(x) - done
+                ys = hx - done
             else:
                 ys = self.inc_targets(x, i)
                 # every fill edge has x as one end, and every other target
@@ -486,14 +493,14 @@ class LabelSearch:
         return Ordering(self.alpha[1:])  # type: ignore[arg-type]
 
     def triangulation(self) -> TriangulationResult:
-        """The finished triangulating run: its ordering and filled graph,
-        which is the overlay frozen under g's names, O(n + m + |fill|). The
-        run's trace reads the frozen graph from then on."""
+        """The finished triangulating run: its ordering and filled graph H,
+        which is the overlay frozen under g's names, O(n + m + |fill|).
+        ``hood``, and so the run's trace, reads H from then on."""
         g = self.g
         assert isinstance(g, Graph) and self.overlay is not None
-        if self.h is None:
-            self.h = Graph._from_adj(g.names, g._index, self.overlay)
-        return TriangulationResult(self.ordering(), self.h, tuple(self.fill))
+        h = Graph._from_adj(g.names, g._index, self.overlay)
+        self.hood = h.neighbors
+        return TriangulationResult(self.ordering(), h, tuple(self.fill))
 
     # -- debug hooks
 
@@ -513,8 +520,7 @@ class LabelSearch:
         equal labels."""
         done, labels = self.done, self.shadow.labels  # type: ignore[union-attr]
         unnumbered = [v for v in range(self.n) if v not in done]
-        hood = self.g.neighbors if self.overlay is None else self.overlay.__getitem__
-        hoods = {y: frozenset(hood(y) & done) for y in unnumbered}
+        hoods = {y: frozenset(self.hood(y) & done) for y in unnumbered}
         for y in unnumbered:
             for z in unnumbered:
                 if y == z:
@@ -544,7 +550,8 @@ def mls(
     minimize: bool = False,
 ) -> tuple[Ordering, SearchTrace]:
     """Plain maximal-label search (minimal with minimize=True, which runs the
-    search under the dual label order)."""
+    search under the dual label order). A maximizing search rejects a
+    disconnected g where it strands a vertex, a minimizing one up front."""
     run = _run(g, structure, tiebreak, False, minimize=minimize)
     return run.ordering(), run.trace
 
@@ -570,8 +577,9 @@ def _run(
     minimize: bool = False,
     triangulate: bool = False,
 ) -> LabelSearch:
-    """A whole search with no per-step sink."""
-    require_connected(g)
+    """A whole search with no per-step sink (a minimizing one checks connectivity first)."""
+    if minimize:
+        require_connected(g)
     run = LabelSearch(g, structure, tiebreak, minimize=minimize, triangulate=triangulate)
     for _ in run.steps(prefer):
         pass

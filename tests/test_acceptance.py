@@ -21,8 +21,9 @@ from chordalkit.cliquetree import (
     mls_clique_tree,
 )
 from chordalkit.decomposition import atom_tree_from_clique_tree, dcl_atom_tree, dcl_mlsm_clique_tree
+from chordalkit.errors import DisconnectedGraphError
 from chordalkit.fixtures import fixture, graph
-from chordalkit.graph import from_edge_list, materialize_complement
+from chordalkit.graph import Graph, from_edge_list, materialize_complement
 from chordalkit.labeling import check_dcl, lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import (
     GeneratorConfig,
@@ -390,3 +391,19 @@ def test_complement_tree_scale():
         assert result.size == 3
         print(f"\n[scale] PASS: complement_mls_clique_tree {name} on the near-star with n={n} "
               f"in {tree:.2f}s, generators {gens:.2f}s")
+
+
+def test_disconnected_rejection_scale():
+    # a plain search rejects a disconnected input at the step that strands a
+    # vertex, after searching the first vertex's whole component
+    a, b = (gen(GeneratorConfig(seed=s, n=20_000, param=8.0, family="random-chordal")) for s in (42, 43))
+    g = Graph([f"a{x}" for x in a.names] + [f"b{x}" for x in b.names],
+              list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+    for token in ("mcs", "lexbfs"):
+        start = time.perf_counter()
+        with pytest.raises(DisconnectedGraphError):
+            fast_clique_tree(g, token)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"fast_clique_tree {token} took {elapsed:.1f}s to reject"
+        print(f"\n[scale] PASS: fast_clique_tree {token} rejects two disjoint chordal graphs "
+              f"of n={a.n} in {elapsed:.2f}s, under 10s")

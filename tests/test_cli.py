@@ -415,6 +415,43 @@ class TestErrors:
         code, _, err = run(capsys, "cliquetree", str(p))
         assert code == 1 and "Disconnected" in err
 
+    # on a disconnected input the first failing check wins: the structure
+    # gates, then the script's names, then the search up to the step that
+    # strands a vertex, where a non-clique neighborhood comes first
+    @pytest.mark.parametrize("text,argv,message", [
+        ("a b\nc d\n", ("cliquetree", "--dcl", "--structure", "lexdfs"),
+         "NonDclStructure: lexdfs cannot detect new cliques with labels"),
+        ("a b\nc d\n", ("atoms", "--structure", "lexdfs"),
+         "NonDclStructure: lexdfs cannot detect new cliques with labels"),
+        ("a b\nb c\nc d\nd a\nx y\n", ("cliquetree",),
+         "NotChordal: processed neighborhood of 'd' is not a clique; input not chordal"),
+        ("x y\na b\nb c\nc d\nd a\n", ("cliquetree",), "DisconnectedGraph: graph is not connected"),
+        ("a b\nc d\n", ("cliquetree", "--tiebreak", "script:a,q"), "Parse: unknown vertex name 'q'"),
+        ("a b\nc d\n", ("triangulate", "--tiebreak", "script:a,q"), "DisconnectedGraph: graph is not connected"),
+    ], ids=["dcl-gate", "atoms-dcl-gate", "c4-first", "edge-first", "script-names", "triangulate-up-front"])
+    def test_disconnected_input_precedence(self, tmp_path, capsys, text, argv, message):
+        p = tmp_path / "disc.txt"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("mode", [(), ("--generators",)], ids=["tree", "generators"])
+    def test_complement_validate_refuses_before_building_the_complement(self, tmp_path, capsys,
+                                                                        monkeypatch, mode):
+        # the oracle's cap is n = 20; the near-star's complement is chordal
+        from chordalkit import cli
+
+        p = tmp_path / "near_star.txt"
+        p.write_text("".join(f"c v{i}\n" for i in range(1, 24)) + "w v1\n", encoding="utf-8")
+        _, want, _ = run(capsys, "cliquetree", str(p), "--complement", *mode)
+
+        def refuse(g):
+            raise AssertionError("the complement was materialized")
+
+        monkeypatch.setattr(cli, "materialize_complement", refuse)
+        code, out, err = run(capsys, "cliquetree", str(p), "--complement", *mode, "--validate")
+        assert (code, out, err) == (1, want, "error: OracleCap: maximal_cliques capped at n=20\n")
+
     def test_generators_with_mls_rejected(self, files, capsys):
         code, _, err = run(capsys, "cliquetree", files["fig1_h"], "--mls", "--generators")
         assert code == 1

@@ -9,7 +9,8 @@ case and field, so that a mismatch names the first case that moved and the
 field that differs.
 
 Re-pin only for an intended output change, and name that change and the
-cases it moves:
+cases it moves; the re-pin prints, before it writes, each key whose SHA it
+changes with that key's first moved case and field:
 
     PYTHONPATH=src python tests/test_digest.py --pin
 """
@@ -148,24 +149,41 @@ def _pins():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("key", KEYS)
-def test_digest_unchanged(key):
-    got, ids = digest(key)
-    want = _pins()[key]
+def moved(key, got, ids):
+    """None when ``digest(key)`` result ``got`` matches the pin, else where it
+    moved: the first case whose fingerprint differs and in which field, or
+    the case counts when no fingerprint does."""
+    want = _pins().get(key)
+    if want is None:
+        return f"{key}: not pinned"
     if got["sha256"] == want["sha256"]:
-        return
+        return None
     step = 2 * FINGERPRINT
     old, new = want["fingerprints"], got["fingerprints"]
     for k, case_id in enumerate(ids):
         a, b = old[k * step:(k + 1) * step], new[k * step:(k + 1) * step]
         if a != b:
             field = "result" if a[:FINGERPRINT] != b[:FINGERPRINT] else "trace"
-            pytest.fail(f"{key}: case {case_id!r} first differs, in its {field}")
-    pytest.fail(f"{key}: {len(ids)} cases now, {len(old) // step} pinned")
+            return f"{key}: case {case_id!r} first differs, in its {field}"
+    return f"{key}: {len(ids)} cases now, {len(old) // step} pinned"
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_digest_unchanged(key):
+    message = moved(key, *digest(key))
+    if message:
+        pytest.fail(message)
 
 
 def _pin():
-    pins = {key: digest(key)[0] for key in KEYS}
+    """Print every key whose SHA the new pins change, with its first moved
+    case and field, then write the pins."""
+    pins = {}
+    for key in KEYS:
+        pins[key], ids = digest(key)
+        message = moved(key, pins[key], ids)
+        if message:
+            print(message)
     with open(PINS, "w", encoding="utf-8") as fh:
         json.dump(pins, fh, indent=1, sort_keys=True)
         fh.write("\n")
