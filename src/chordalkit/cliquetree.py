@@ -89,11 +89,13 @@ def _anchor(sep: VertexSet, pos, x: int) -> int:
     step has nothing to check or open). A node opened for sep hangs off
     p's node, and p is the pivot of the follower check of Tarjan &
     Yannakakis: sep - {p} must lie in N(p), i.e. ``len(sep - N(p)) <= 1``
-    since p is not in N(p), which is O(|sep|). Run at every step in
-    decreasing position order, it first fails at the same step as a
-    pairwise clique test: if sep(x) is the first non-clique but
-    sep(x) - {p} lies in N(p), its non-adjacent pair lies in sep(p), and
-    p was processed earlier."""
+    since p is not in N(p), which is O(|sep|). Run in decreasing position
+    order, it first fails at the same step as a pairwise clique test: if
+    sep(x) is the first non-clique but sep(x) - {p} lies in N(p), its
+    non-adjacent pair lies in sep(p), and p was processed earlier. It may
+    skip a step that opens no node and whose sep equals the current node,
+    a known clique (opened from a checked sep, every later member joined
+    by such a step): the check would pass, and the node stays a clique."""
     return min(sep, key=pos.__getitem__) if sep else x
 
 
@@ -109,9 +111,9 @@ class _TreeBuilder:
     """Bookkeeping shared by every builder: the growing clique list, tree
     edges, separator store (canonical frozensets, so duplicates collapse),
     the vertex-to-clique map, and the current node ``at``, which each
-    vertex joins unless its step opens a node. The peo walker and the
-    atom-tree builder (whose nodes are atoms) may move ``at`` back to an
-    earlier node."""
+    vertex joins, after its step opens a node, if it does. The peo walker
+    and the atom-tree builder (whose nodes are atoms) may move ``at`` back
+    to an earlier node."""
 
     def __init__(self) -> None:
         self.cliques: list[set[int]] = [set()]
@@ -123,15 +125,14 @@ class _TreeBuilder:
     def current(self) -> set[int]:
         return self.cliques[self.at - 1]
 
-    def step(self, x: int, sep: VertexSet, p: int, new: bool) -> None:
-        """The one clique-tree step: x, with processed neighborhood sep
-        anchored at p (see ``_anchor``), joins the current node, after
-        opening a node for sep under p's node when new."""
-        if new:
-            self.cliques.append(set(sep))
-            self.at = len(self.cliques)
-            self.edges.append((self.clique_of[p], self.at))
-            self.seps.add(sep)
+    def open(self, sep: VertexSet, p: int) -> None:
+        """Open a node for sep under the node of its anchor p (``_anchor``)."""
+        self.cliques.append(set(sep))
+        self.at = len(self.cliques)
+        self.edges.append((self.clique_of[p], self.at))
+        self.seps.add(sep)
+
+    def join(self, x: int) -> None:
         self.cliques[self.at - 1].add(x)
         self.clique_of[x] = self.at
 
@@ -262,7 +263,9 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
                 raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
             if join_parent:
                 builder.at = builder.clique_of[p]
-        builder.step(x, sep, p, builder.current() != sep)
+        if builder.current() != sep:
+            builder.open(sep, p)
+        builder.join(x)
         done.add(x)
         if checking:
             _debug_check_partial(builder, h.adjacent, seq[i - 1:], pos)
@@ -280,15 +283,18 @@ def mls_clique_tree(
 ) -> CliqueTreeResult:
     """Run the moplex-refined label search and build the clique tree on the
     fly with the set-based new-node test. Works for every labeling structure
-    satisfying the inclusion condition."""
+    satisfying the inclusion condition. Only a step that opens a node is
+    follower-checked: every other joins a known clique (``_anchor``)."""
     run = LabelSearch(h, structure, tiebreak)
-    adj, done = h.adj, run.done
+    adj, done, pos = h.adj, run.done, run.pos
     builder = _TreeBuilder()
     for _, x in run.steps(True):
         sep = adj[x] & done
-        p = _anchor(sep, run.pos, x)
-        _follower_check(h, x, sep, p)
-        builder.step(x, sep, p, builder.current() != sep)
+        if sep != builder.current():
+            p = _anchor(sep, pos, x)
+            _follower_check(h, x, sep, p)
+            builder.open(sep, p)
+        builder.join(x)
         if run.debug:
             _debug_step(builder, run, x, sep)
     return builder.result(run.ordering(), run.trace)
@@ -306,18 +312,25 @@ def dcl_mls_clique_tree(
     one. Sound only for structures that detect new cliques with labels; with
     enforce_dcl off the run proceeds regardless and the result can be invalid
     (useful to reproduce the failure of structures that lack the property).
-    """
+    A step that opens no node and joins a known clique equal to its
+    processed neighborhood skips the follower check (``_anchor``)."""
     if enforce_dcl:
         require_dcl(structure)
     run = LabelSearch(h, structure, tiebreak)
     adj, done, pos, boundary = h.adj, run.done, run.pos, run.boundary
     checking = run.debug and enforce_dcl
     builder = _TreeBuilder()
+    known = True  # the current node is a known clique
     for _, x in run.steps(True):
         sep = adj[x] & done
-        p = _anchor(sep, pos, x)
-        _follower_check(h, x, sep, p)
-        builder.step(x, sep, p, boundary(x))
+        new = boundary(x)
+        if new or not known or sep != builder.current():
+            p = _anchor(sep, pos, x)
+            _follower_check(h, x, sep, p)
+            if new:
+                builder.open(sep, p)
+            known = new
+        builder.join(x)
         if checking:
             _debug_step(builder, run, x, sep)
     return builder.result(run.ordering(), run.trace)
@@ -347,12 +360,12 @@ def complement_mls_clique_tree(
     opens = set(gens.gen_separators)
     builder = _TreeBuilder()
     for x in reversed(seq):
-        new = x in opens
-        sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:])) if new else [x]
-        if not sep:
-            raise ComplementNotChordalError("empty boundary separator mid-run")
-        # an opening step hangs its node off sep[0], x's follower
-        builder.step(x, frozenset(sep), sep[0], new)
+        if x in opens:
+            sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:]))
+            if not sep:
+                raise ComplementNotChordalError("empty boundary separator mid-run")
+            builder.open(frozenset(sep), sep[0])  # under x's follower's node
+        builder.join(x)
     if debug.enabled() and g.n <= debug.ORACLE_CHECK_MAX_N:
         _debug_check_partial(builder, lambda a, b: a != b and b not in adj[a], seq, pos)
     return builder.result(gens.ordering, gens.trace)

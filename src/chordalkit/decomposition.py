@@ -67,16 +67,19 @@ def dcl_mlsm_clique_tree(
     """Triangulating search fused with the label-test clique-tree builder:
     one pass yields a minimal moplex ordering, the minimal triangulation H,
     and a clique tree of H. Requires a structure that detects new cliques
-    with labels."""
+    with labels. H is chordal, so no step is follower-checked, and only the
+    steps that open a node (all, in debug mode) read their separator."""
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    hood, done = run.hood, run.done
+    hood, done, pos = run.hood, run.done, run.pos
     builder = _TreeBuilder()
     for _, x in run.steps(True):
-        sep = frozenset(hood(x) & done)
-        builder.step(x, sep, _anchor(sep, run.pos, x), run.boundary(x))
+        if run.boundary(x):
+            sep = frozenset(hood(x) & done)
+            builder.open(sep, _anchor(sep, pos, x))
+        builder.join(x)
         if run.debug:
-            _debug_step(builder, run, x, sep)
+            _debug_step(builder, run, x, frozenset(hood(x) & done))
     tri = run.triangulation()
     return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
 
@@ -142,21 +145,21 @@ def dcl_atom_tree(
     label-detected clique boundary, start a new atom only when the separator
     is a clique in g itself (fill edges never count), otherwise keep growing
     the atom that contains the separator's earliest vertex. Between
-    boundaries the current atom keeps growing."""
+    boundaries the atom keeps growing, unchecked, as H is chordal."""
     require_dcl(structure)
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    hood, done = run.hood, run.done
+    hood, done, pos = run.hood, run.done, run.pos
     builder = _TreeBuilder()
     history: list[int] = []
     for _, x in run.steps(True):
-        sep = frozenset(hood(x) & done)
-        p = _anchor(sep, run.pos, x)
-        new = False
         if run.boundary(x):
-            new = is_clique_in(g, sep)
-            if not new:
+            sep = frozenset(hood(x) & done)
+            p = _anchor(sep, pos, x)
+            if is_clique_in(g, sep):
+                builder.open(sep, p)
+            else:
                 builder.at = builder.clique_of[p]
-        builder.step(x, sep, p, new)
+        builder.join(x)
         history.append(builder.at)
     tri = run.triangulation()
     t = builder.result(tri.ordering)

@@ -76,7 +76,7 @@ class LabelingStructure:
             value = self.inc(value, i)
         return value
 
-    def _selection_queue(self, n: int, minimize: bool) -> OrderedPartition | None:
+    def _selection_queue(self, n: int, minimize: bool) -> BucketQueue | OrderedPartition | None:
         """Internal: the selection queue that the search reads for selection,
         the label test and the triangulating reach targets. Each queue
         hard-codes one built-in structure's increase (see
@@ -89,16 +89,19 @@ class LabelingStructure:
         return f"<structure {self.name}>"
 
 
+# what the built-in compare functions return, read once rather than per call
+_LESS, _EQUAL, _GREATER, _INCOMPARABLE = Cmp.LESS, Cmp.EQUAL, Cmp.GREATER, Cmp.INCOMPARABLE
+
 
 def _lex_compare(a: tuple[int, ...], b: tuple[int, ...], reverse_ints: bool) -> Cmp:
     # element-wise lexicographic; a proper prefix is less than its extension
     for x, y in zip(a, b):
         if x != y:
             less = (x > y) if reverse_ints else (x < y)
-            return Cmp.LESS if less else Cmp.GREATER
+            return _LESS if less else _GREATER
     if len(a) == len(b):
-        return Cmp.EQUAL
-    return Cmp.LESS if len(a) < len(b) else Cmp.GREATER
+        return _EQUAL
+    return _LESS if len(a) < len(b) else _GREATER
 
 
 def _render_list(label: tuple[int, ...]) -> str:
@@ -122,8 +125,8 @@ class _Mcs(LabelingStructure):
 
     def compare(self, a: int, b: int) -> Cmp:
         if a == b:
-            return Cmp.EQUAL
-        return Cmp.LESS if a < b else Cmp.GREATER
+            return _EQUAL
+        return _LESS if a < b else _GREATER
 
     def _selection_queue(self, n: int, minimize: bool) -> BucketQueue:
         return BucketQueue(n, minimize)
@@ -200,12 +203,12 @@ class _Mns(LabelingStructure):
 
     def compare(self, a, b) -> Cmp:
         if a == b:
-            return Cmp.EQUAL
+            return _EQUAL
         if a < b:
-            return Cmp.LESS
+            return _LESS
         if a > b:
-            return Cmp.GREATER
-        return Cmp.INCOMPARABLE
+            return _GREATER
+        return _INCOMPARABLE
 
     def _selection_queue(self, n: int, minimize: bool) -> InclusionPartition:
         return InclusionPartition(n, minimize)
@@ -261,10 +264,10 @@ class RevStructure(LabelingStructure):
 
     def compare(self, a, b) -> Cmp:
         r = self.base.compare(a, b)
-        if r is Cmp.LESS:
-            return Cmp.GREATER
-        if r is Cmp.GREATER:
-            return Cmp.LESS
+        if r is _LESS:
+            return _GREATER
+        if r is _GREATER:
+            return _LESS
         return r
 
     def render(self, label):

@@ -23,7 +23,8 @@ queue's one ``bump``, and the queue answers the label test from its blocks
 in O(1) (O(n / w) word operations on an mns mask, with w the word size). The
 four built-in structures bring their own selection queues, whose designs
 and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
-search costs O((n + m) log n) with any of the three total orders. Any
+search costs O((n + m) log n) with any of the three total orders, the log
+being the heaps': an mcs increase moves a vertex between count buckets. Any
 other structure gets a ``ScanQueue``, the one place labels are kept: it
 applies the structure's increase, scans the unnumbered labels, O(n)
 comparisons per step, and searches once per candidate target,
@@ -52,7 +53,7 @@ from .graph import (
 )
 from .labeling import Cmp, Label, LabelingStructure, lab, require_ic
 from .rng import SplitMix64
-from .selection import OrderedPartition
+from .selection import BucketQueue, OrderedPartition
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ class TieBreak:
     class (for mns, the union of its extreme classes narrowed by prefer),
     which is the whole candidate set at that step."""
 
-    def start(self, g: Graph | ComplementView, queue: OrderedPartition | ScanQueue) -> Callable[[], int]:
+    def start(self, g: Graph | ComplementView, queue: BucketQueue | OrderedPartition | ScanQueue) -> Callable[[], int]:
         raise NotImplementedError
 
 
@@ -172,8 +173,8 @@ class SearchTrace:
     @classmethod
     def _lazy(cls, structure: LabelingStructure, *source) -> SearchTrace:
         """A trace whose entries are built on first read from ``source``:
-        (the neighbors function of the adjacency the labels grew along, pos,
-        alpha, the completed steps, the fill edges in insertion order)."""
+        (the neighbors function of the adjacency the labels grew along, seq
+        and pos as in ``Ordering``, the completed steps, the fill edges)."""
         trace = cls(structure.name)
         trace._entries, trace._source = None, (structure, *source)
         return trace
@@ -181,10 +182,10 @@ class SearchTrace:
     @property
     def entries(self) -> list[TraceEntry]:
         if self._entries is None:
-            structure, hood, pos, alpha, steps, fill = self._source  # type: ignore[misc]
+            structure, hood, seq, pos, steps, fill = self._source  # type: ignore[misc]
             entries, k = [], 0
             for i in range(len(pos), len(pos) - steps, -1):
-                x = alpha[i]
+                x = seq[i - 1]
                 hx = hood(x)
                 j = k
                 while j < len(fill) and x in fill[j]:
@@ -338,9 +339,10 @@ class LabelSearch:
     or a ``ScanQueue``, which keeps the labels, when it has none.
 
     Labels mirror the processed neighborhoods, ``hood(x) & done`` with the
-    numbered vertices ``done``, in one adjacency: ``hood`` is g's neighbors
-    function (for complement runs, the base graph's), or a triangulating
-    run's ``overlay`` (g's adjacency plus the fill so far) and then H's.
+    numbered vertices ``done``, in one adjacency: ``hood`` reads g's
+    adjacency sets (a ``ComplementView``'s ``neighbors``), or a
+    triangulating run's ``overlay`` (g's adjacency plus the fill so far)
+    and then H's.
 
     A maximizing run checks connectivity (``require_connected``) when built,
     after the inclusion condition and before the script's names, if it
@@ -367,14 +369,16 @@ class LabelSearch:
         self.minimize = minimize
         self.n = n
         self.done: set[int] = set()
-        self.queue: OrderedPartition | ScanQueue = (
+        self.queue: BucketQueue | OrderedPartition | ScanQueue = (
             structure._selection_queue(n, minimize) or ScanQueue(structure, g, minimize))
         self.pick = (tiebreak or LowestIndex()).start(g, self.queue)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
         self.completed = 0  # steps whose labels have grown
+        self._ordering: Ordering | None = None  # made once the run is complete
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
-        self.hood = g.neighbors if self.overlay is None else self.overlay.__getitem__
+        self.hood = (self.overlay.__getitem__ if self.overlay is not None
+                     else g.adj.__getitem__ if isinstance(g, Graph) else g.neighbors)
         self.fill: list[tuple[int, int]] = []
         # vertex bitset adjacency, for the queue's reach
         self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
@@ -387,8 +391,11 @@ class LabelSearch:
     def trace(self) -> SearchTrace:
         """The trace of the steps completed so far, built when read. It keeps
         ``hood`` (H's once frozen), the positions, the fill edges and the
-        structure, never the run, its queue or its bitsets."""
-        return SearchTrace._lazy(self.structure, self.hood, self.pos, self.alpha, self.completed, self.fill)
+        structure, never the run, its queue or its bitsets; once complete,
+        the positions of ``ordering()``, which the result holds too."""
+        order = self.ordering() if self.completed == self.n else None
+        seq, pos = (self.alpha[1:], self.pos) if order is None else (order.seq, order.pos)
+        return SearchTrace._lazy(self.structure, self.hood, seq, pos, self.completed, self.fill)
 
     # -- the search loop
 
@@ -490,7 +497,9 @@ class LabelSearch:
     # -- results
 
     def ordering(self) -> Ordering:
-        return Ordering(self.alpha[1:])  # type: ignore[arg-type]
+        if self._ordering is None:
+            self._ordering = Ordering(self.alpha[1:])  # type: ignore[arg-type]
+        return self._ordering
 
     def triangulation(self) -> TriangulationResult:
         """The finished triangulating run: its ordering and filled graph H,
@@ -499,7 +508,7 @@ class LabelSearch:
         g = self.g
         assert isinstance(g, Graph) and self.overlay is not None
         h = Graph._from_adj(g.names, g._index, self.overlay)
-        self.hood = h.neighbors
+        self.hood = h.adj.__getitem__
         return TriangulationResult(self.ordering(), h, tuple(self.fill))
 
     # -- debug hooks

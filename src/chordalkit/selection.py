@@ -2,21 +2,21 @@
 order as labels grow, so a search reads its extreme label class and that
 class's lowest index without comparing labels.
 
-Every built-in structure has one, and all four are one ordered partition:
-blocks of equal labels, linked in label order, each finding its lowest
-index with a lazy min-heap (Habib, McConnell, Paul & Viennot 2000). Count
-labels (mcs) keep one block per count in use, the buckets of Tarjan &
-Yannakakis (1984); list labels (lexbfs) refine the partition at each step,
-each bumped block's twin linked just above it (Rose, Tarjan & Lueker 1976);
-prepended list labels (lexdfs) stack each step's twins on top, since a
-lexdfs increase lifts every bumped label above all the others (Corneil &
-Krueger 2008); and set labels (mns) keep the lexbfs partition with an int
-bitmask per block. For the three total orders selection and label increase
-cost O(log n) amortized. Set labels are a partial order, so the mns queue
-keeps its maximal blocks between steps, each other block holding a witness
-that dominates it: a step costs O(twins) mask tests, plus O(maximal
-blocks) per block whose witness empties. It applies the search's
-moplex rule (``prefer``) itself. Custom structures get
+Every built-in structure has one. Count labels (mcs) keep the count
+buckets of Tarjan & Yannakakis (1984), indexed by count (``BucketQueue``).
+The other three are one ordered partition: blocks of equal labels, linked
+in label order, each finding its lowest index with a lazy min-heap (Habib,
+McConnell, Paul & Viennot 2000). List labels (lexbfs) refine the partition
+at each step, each bumped block's twin linked just above it (Rose, Tarjan
+& Lueker 1976); prepended list labels (lexdfs) stack each step's twins on
+top, since a lexdfs increase lifts every bumped label above all the others
+(Corneil & Krueger 2008); and set labels (mns) keep the lexbfs partition
+with an int bitmask per block. For the three total orders selection and
+label increase cost O(log n) amortized. Set labels are a partial order, so
+the mns queue keeps its maximal blocks between steps, each other block
+holding a witness that dominates it: a step costs O(twins) mask tests,
+plus O(maximal blocks) per block whose witness empties. It applies the
+search's moplex rule (``prefer``) itself. Custom structures get
 ``chordalkit.search.ScanQueue``, which keeps their labels and answers the
 same calls by scanning them. All queues are driven by the same calls, each
 step making one ``remove`` of the vertex it numbers, then exactly one
@@ -35,23 +35,22 @@ continue the previous one, and the moplex rule, ``prefer``, prefers the
 extreme labels that do. Each queue reads the block that ``remove``
 recorded, in O(1): equal labels share a block, and a vertex grew past it,
 maximizing, when the last ``bump`` moved it to that block's twin (lexbfs)
-or to any twin (lexdfs). The mcs queue compares its blocks' counts
-instead, since an emptied block's count can come back in a new block, and
-the mns queue compares masks. The answers are booleans because this
-module sits below ``chordalkit.labeling`` and its ``Cmp``.
+or to any twin (lexdfs). The mcs queue compares counts, and the mns queue
+compares masks. The answers are booleans because this module sits below
+``chordalkit.labeling`` and its ``Cmp``.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
-vertices labeled below them. Every queue's blocks form a chain in list
-label order, which for set labels extends strict inclusion, so
-``OrderedPartition.reach`` walks it once from the bottom, and
-``InclusionPartition.reach`` walks it once too, searching each block from
-the blocks it dominates. ``ScanQueue.reach`` searches once per candidate
-target instead.
+vertices labeled below them. Every queue's classes form a chain in list
+label order, which for set labels extends strict inclusion, so the mcs
+buckets and ``OrderedPartition.reach`` walk it once from the bottom
+(``_reach``), and ``InclusionPartition.reach`` walks it once too, searching
+each block from the blocks it dominates. ``ScanQueue.reach`` searches once
+per candidate target instead.
 
-Refinement creates blocks and never revives them, so block ids count up in
-creation order and are never reused. An emptied block is unlinked and its
-state released (member set and heap; for mns also its mask and witness
+The ordered partitions create blocks by refinement and never revive them,
+so block ids count up in creation order and are never reused. An emptied
+block is unlinked and its state released (member set and heap; for mns also its mask and witness
 links, once ``bump`` settles the step), so the per-block lists keep
 one small entry per block ever created: at most one per label increase,
 O(n + m + fill) over a search.
@@ -60,7 +59,7 @@ O(n + m + fill) over a search.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class OrderedPartition:
@@ -68,10 +67,10 @@ class OrderedPartition:
 
     ``bump`` takes all of a step's label increases in one call and
     returns with the queue settled. It moves each vertex y bumped at
-    position i into the block ``_target`` names for its block, cached for
-    the step in ``twins``. Here that is a twin linked just above the
-    block: every live label holds only positions above i, so label + (i,)
-    is the immediate successor of label among them. No vertex
+    position i into its block's twin, made at the step's first bump from
+    that block and cached for the step in ``twins``, and linked just above
+    the block: every live label holds only positions above i, so
+    label + (i,) is the immediate successor of label among them. No vertex
     ever re-enters a block it left, so each block finds its lowest index
     with a lazy min-heap that every arrival is pushed onto: an entry is
     live iff its vertex is still in the block. Block ids index flat lists,
@@ -110,7 +109,7 @@ class OrderedPartition:
             b = block_of[v]
             t = twins.get(b)
             if t is None:
-                t = twins[b] = self._target(b)
+                t = twins[b] = self._new_block(b)
             old = members[b]
             old.discard(v)
             members[t].add(v)
@@ -118,10 +117,6 @@ class OrderedPartition:
             block_of[v] = t
             if not old:
                 self._unlink(b)
-
-    def _target(self, b: int) -> int:
-        """The block that b's bumped vertices move to at this step."""
-        return self._new_block(b)
 
     def _new_block(self, below: int) -> int:
         """A new empty block, linked just above ``below``."""
@@ -175,35 +170,102 @@ class OrderedPartition:
         return b == self.last if self.minimize else b == self.twins.get(self.last)
 
     def reach(self, x: int, nb: list[int]) -> list[int]:
-        """The triangulating search's targets from x in ascending order:
-        the vertices y that x reaches through vertices labeled strictly
-        below y. ``nb[v]`` is v's neighborhood as a vertex bitset. Call it
-        once per step, between the step's removal of x and its bumps.
+        """The triangulating search's targets from x (see ``_reach``)."""
+        return _reach(self._chain(), x, nb)
 
-        The blocks are the label classes, linked in label order, so a
-        block allows on a path the members of the blocks below it, and the
-        region x reaches through them only grows on the way up. One walk
-        from the bottom suffices: a block's targets are its members
-        adjacent to x or to the region, and they are exactly what the
-        region gains from the block before it grows through the bitsets
-        again. A step costs one bitset union per vertex added to the
-        region, plus a few bitset operations per block and one bit set per
-        member: O(n) operations on n-bit ints."""
-        members, up = self.members, self.up
-        allowed = region = hit = 0
-        near = nb[x]  # the neighbors of x and of the region
+    def _chain(self) -> Iterator[set[int]]:
         b = self.bottom
         while b != -1:
-            bits = 0
-            for v in members[b]:
-                bits |= 1 << v
-            new = bits & near
-            hit |= new
-            allowed |= bits
-            if new:
-                near, region = _spread(new, near, region, allowed, nb)
-            b = up[b]
-        return _vertices(hit)
+            yield self.members[b]  # type: ignore[misc]
+            b = self.up[b]
+
+
+class BucketQueue:
+    """Count labels (mcs): the buckets of Tarjan & Yannakakis (1984).
+
+    ``count[v]`` is v's label. Each count up to the greatest has a member
+    set and a lazy min-heap, live while its vertex is in the set (counts
+    only grow; an emptied count clears its heap). ``top``, the extreme
+    non-empty count, rises at most one per bump and skips emptied counts,
+    O(n) moves in all, so a bump costs a set move and a push per vertex."""
+
+    __slots__ = ("count", "members", "heaps", "top", "minimize", "prefer", "last", "__weakref__")
+
+    def __init__(self, n: int, minimize: bool = False):
+        self.count = [0] * n
+        self.members: list[set[int]] = [set(range(n))]  # by count
+        self.heaps: list[list[int]] = [list(range(n))]  # by count; sorted, so a heap
+        self.top = 0
+        self.minimize = minimize
+        self.prefer = False  # the moplex rule
+        self.last = 0  # the last removed vertex's count
+
+    def remove(self, v: int) -> None:
+        c = self.last = self.count[v]
+        members = self.members[c]
+        members.discard(v)
+        if not members:
+            self.heaps[c].clear()
+
+    def bump(self, vs: Iterable[int], i: int) -> None:
+        count, members, heaps = self.count, self.members, self.heaps
+        for v in vs:
+            c = count[v]
+            old = members[c]
+            old.discard(v)
+            if not old:
+                heaps[c].clear()
+            c = count[v] = c + 1
+            if c == len(members):
+                members.append(set())
+                heaps.append([])
+            members[c].add(v)
+            heappush(heaps[c], v)
+        t, skip = self.top, 1 if self.minimize else -1
+        if skip < 0 and t + 1 < len(members) and members[t + 1]:
+            t += 1  # the greatest count rose
+        while not members[t] and 0 <= t + skip < len(members):
+            t += skip  # past an emptied count
+        self.top = t
+
+    def extreme(self) -> set[int]:
+        return self.members[self.top]
+
+    def lowest(self) -> int:
+        members, heap = self.members[self.top], self.heaps[self.top]
+        while heap[0] not in members:
+            heappop(heap)
+        return heap[0]
+
+    def continues(self, x: int) -> bool:
+        return self.count[x] == self.last if self.minimize else self.count[x] > self.last
+
+    def reach(self, x: int, nb: list[int]) -> list[int]:
+        """The triangulating search's targets from x (see ``_reach``)."""
+        return _reach(filter(None, self.members), x, nb)
+
+
+def _reach(classes: Iterable[set[int]], x: int, nb: list[int]) -> list[int]:
+    """The triangulating search's targets from x in ascending order, given
+    the label classes bottom up: the vertices y that x reaches through
+    vertices labeled strictly below y. ``nb[v]`` is v's neighborhood as a
+    vertex bitset; call it between the step's removal of x and its bumps.
+    A class allows the classes below it on a path, so the region x reaches
+    through them grows on the way up, and a class's targets are its
+    members adjacent to x or to the region. A step costs O(n) operations
+    on n-bit ints: a union per vertex added to the region, a bit per member."""
+    allowed = region = hit = 0
+    near = nb[x]  # the neighbors of x and of the region
+    for members in classes:
+        bits = 0
+        for v in members:
+            bits |= 1 << v
+        new = bits & near
+        hit |= new
+        allowed |= bits
+        if new:
+            near, region = _spread(new, near, region, allowed, nb)
+    return _vertices(hit)
 
 
 def _spread(new: int, near: int, region: int, allowed: int, nb: list[int]) -> tuple[int, int]:
@@ -231,36 +293,6 @@ def _vertices(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-class BucketQueue(OrderedPartition):
-    """Count labels (mcs): the ordered partition with one block per count
-    in use, linked in count order, so its blocks are the buckets of Tarjan
-    & Yannakakis (1984). A bumped vertex moves to the block just above its
-    own when that block counts one more, and otherwise to a new block
-    linked between the two. A block may gain members over many steps; the
-    lazy heaps need only that no vertex comes back to a block it left."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, n: int, minimize: bool = False):
-        super().__init__(n, minimize)
-        self.count = [0]  # by block id, parallel to members
-
-    def _target(self, b: int) -> int:
-        above, count = self.up[b], self.count
-        c = count[b] + 1
-        if above != -1 and count[above] == c:
-            return above
-        count.append(c)
-        return self._new_block(b)
-
-    # the counts answer for any vertex: an emptied block's count can come
-    # back in a new block, so block identity would not
-
-    def continues(self, x: int) -> bool:
-        c, last = self.count[self.block_of[x]], self.count[self.last]
-        return c == last if self.minimize else c > last
 
 
 class StackPartition(OrderedPartition):

@@ -6,6 +6,7 @@ n in [4, 9]); figure fixtures are exact, zero tolerance.
 """
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -281,16 +282,21 @@ def test_mns_triangulating_search_scale():
 
 def test_fast_path_star_scale():
     # lowest-index ties come from a lazy heap per bucket or a sorted list per
-    # block; a min() over the whole bucket or block made stars quadratic
+    # block; a min() over the whole bucket or block made stars quadratic. On
+    # the path a class of one vertex empties and refills at every step, and
+    # on the complete graph every step bumps every unnumbered vertex.
     star = from_edge_list([("c", f"v{i}") for i in range(100_000 - 1)])
-    for token in ("mcs", "lexbfs"):
-        start = time.perf_counter()
-        tree = fast_clique_tree(star, token)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0, f"{token} took {elapsed:.1f}s"
-        assert tree.size == star.n - 1
-        print(f"\n[scale] PASS: fast_clique_tree {token} on a star with n={star.n} "
-              f"in {elapsed:.1f}s, under 10s")
+    path = from_edge_list([(f"v{i}", f"v{i + 1}") for i in range(200_000 - 1)])
+    complete = from_edge_list([(f"v{a}", f"v{b}") for a, b in combinations(range(700), 2)])
+    for name, g, size in (("star", star, star.n - 1), ("path", path, path.n - 1), ("complete graph", complete, 1)):
+        for token in ("mcs", "lexbfs"):
+            start = time.perf_counter()
+            tree = fast_clique_tree(g, token)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 10.0, f"{token} on the {name} took {elapsed:.1f}s"
+            assert tree.size == size
+            print(f"\n[scale] PASS: fast_clique_tree {token} on a {name} with n={g.n} "
+                  f"in {elapsed:.1f}s, under 10s")
 
 
 def test_generic_label_test_builder_scale():

@@ -31,14 +31,23 @@ from chordalkit.graph import (
     Ordering,
     from_edge_list,
     from_vertices,
+    is_clique_in,
     materialize_complement,
     ordering_from_names,
     require_complement_connected,
 )
-from chordalkit.labeling import lexbfs, lexdfs, mcs, mns, require_complement_reversing
-from chordalkit.oracle import GeneratorConfig, gen, is_peo, maximal_cliques, minimal_separators, validate_clique_tree
+from chordalkit.labeling import Cmp, lexbfs, lexdfs, mcs, mns, require_complement_reversing
+from chordalkit.oracle import (
+    GeneratorConfig,
+    gen,
+    is_chordal,
+    is_peo,
+    maximal_cliques,
+    minimal_separators,
+    validate_clique_tree,
+)
 from chordalkit.rng import SplitMix64
-from chordalkit.search import LabelSearch, LowestIndex, ScriptedOrder, SeededRandom
+from chordalkit.search import LabelSearch, LowestIndex, ScriptedOrder, SeededRandom, moplex_mls
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 DCL = [mcs, lexbfs, mns]
@@ -486,6 +495,65 @@ class TestFastPaths:
             with pytest.raises(NotChordalError) as generic:
                 dcl_mls_clique_tree(h, factory(), LowestIndex())
             assert str(fast.value) == str(generic.value)
+
+
+def _error_parity_corpus() -> list[Graph]:
+    """Connected non-chordal graphs: seeded chordal graphs with a pendant
+    hole, and random connected graphs that are not chordal."""
+    graphs = []
+    for seed in range(10):
+        base = gen(GeneratorConfig(seed=7000 + seed, n=6 + 4 * (seed % 5), param=2.0 + seed % 3, family="random-chordal"))
+        graphs.append(_with_pendant_hole(base, SplitMix64(seed).below(base.n)))
+    graphs += connected_corpus(60)
+    for seed in range(16):
+        n = 10 + seed % 8
+        graphs.append(gen(GeneratorConfig(seed=7100 + seed, n=n, param=(3.0 + seed % 3) / n, family="random-connected")))
+    return [g for g in graphs if not is_chordal(g)]
+
+
+_PARITY_BUILDERS = (
+    [(mls_clique_tree, factory, {}) for factory in ALL]
+    + [(dcl_mls_clique_tree, factory, {}) for factory in DCL]
+    + [(dcl_mls_clique_tree, lexdfs, {"enforce_dcl": False})]
+)
+
+
+class TestErrorParity:
+    """The builders skip the follower check where a step joins a known
+    clique equal to its processed neighborhood; the first failure must
+    still come at the first non-clique processed neighborhood of the
+    search's ordering, found by a pairwise test."""
+
+    @pytest.mark.parametrize(
+        "fn,factory,kwargs", _PARITY_BUILDERS,
+        ids=[f"{fn.__name__}-{f.__name__}{'-unenforced' if kw else ''}" for fn, f, kw in _PARITY_BUILDERS],
+    )
+    def test_first_non_clique_is_named(self, fn, factory, kwargs):
+        structure = factory()
+        # steps before the first failure where the label continues the
+        # previous one while the processed neighborhood is not the node
+        # the dcl builder is growing: met with lexdfs alone, which cannot
+        # detect cliques with labels, so dcl_mls_clique_tree must check them
+        continued_apart = 0
+        for g in _error_parity_corpus():
+            for tb in (LowestIndex(), SeededRandom(1), SeededRandom(2)):
+                alpha, trace = moplex_mls(g, structure, tb)
+                done, node, prev, want = set(), set(), None, None
+                for e in trace.entries:
+                    sep = g.adj[e.vertex] & done
+                    if not is_clique_in(g, sep):
+                        want = g.names[e.vertex]
+                        break
+                    continues = prev is not None and structure.compare(prev, e.label) is Cmp.LESS
+                    continued_apart += continues and sep != node
+                    node = (node if continues else set(sep)) | {e.vertex}
+                    done.add(e.vertex)
+                    prev = e.label
+                assert want is not None, (g, tb)
+                with pytest.raises(NotChordalError) as err:
+                    fn(g, structure, tb, **kwargs)
+                assert str(err.value) == f"processed neighborhood of {want!r} is not a clique; input not chordal", (g, tb)
+        assert bool(continued_apart) == (factory is lexdfs), continued_apart
 
 
 class TestSerialization:

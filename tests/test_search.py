@@ -483,7 +483,7 @@ class TestReachSearch:
         # the debug cross-check would scan next to every queued step.
         monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
         calls = []
-        for owner in (ScanQueue, OrderedPartition, InclusionPartition):
+        for owner in (ScanQueue, BucketQueue, OrderedPartition, InclusionPartition):
             real = owner.reach
 
             def counted(self, *args, real=real, call=(owner.__name__, "reach")):
@@ -492,7 +492,7 @@ class TestReachSearch:
 
             monkeypatch.setattr(owner, "reach", counted)
         g = graph("fig4_g")
-        for factory, call in ((mcs, "OrderedPartition"), (lexbfs, "OrderedPartition"),
+        for factory, call in ((mcs, "BucketQueue"), (lexbfs, "OrderedPartition"),
                               (lexdfs, "OrderedPartition"), (mns, "InclusionPartition")):
             calls.clear()
             moplex_mlsm(g, factory())
@@ -506,11 +506,11 @@ class TestReachSearch:
         assert (got.ordering.seq, got.fill_edges) == (want.ordering.seq, want.fill_edges)
 
     def test_debug_cross_check_catches_a_bad_block_search(self, monkeypatch):
-        # every queued reach is cross-checked: the total queues' walk (mcs)
-        # and the mns block search
+        # every queued reach is cross-checked: the total queues' walk (mcs
+        # buckets) and the mns block search
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
         g = graph("fig4_g")
-        for factory, queue in ((mcs, OrderedPartition), (mns, InclusionPartition)):
+        for factory, queue in ((mcs, BucketQueue), (mns, InclusionPartition)):
             mlsm(g, factory())
             real = queue.reach
             with monkeypatch.context() as m:
@@ -593,6 +593,13 @@ def _reaches(adj, x, y, allowed):
 
 
 def _assert_dead_blocks_released(q):
+    if isinstance(q, BucketQueue):
+        # an emptied count holds an empty heap, and the extreme count is
+        # non-empty while any vertex is
+        for c, members in enumerate(q.members):
+            assert members or q.heaps[c] == [], c
+        assert q.members[q.top] or not any(q.members)
+        return
     # a block id not linked from the bottom is dead and holds nothing
     linked, b = [], q.bottom
     while b != -1:
@@ -707,7 +714,8 @@ class TestSelectionQueue:
                     continue
                 assert calls, (fn, g)
                 for q, seen in calls.items():
-                    n = len(q.labels if isinstance(q, ScanQueue) else q.block_of)
+                    per_vertex = {ScanQueue: "labels", BucketQueue: "count"}.get(type(q), "block_of")
+                    n = len(getattr(q, per_vertex))
                     assert seen == [c for i in range(n, 0, -1) for c in ("remove", i)], (fn, g)
 
     def test_other_structures_keep_the_scan(self, monkeypatch):
