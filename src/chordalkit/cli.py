@@ -41,7 +41,7 @@ from .graph import (
     read_text,
     token_rows,
 )
-from .labeling import BUILTIN_TOKENS, check_report, structure_by_token
+from .labeling import BUILTIN_TOKENS, DEFAULT_CHECK_BOUND, check_report, structure_by_token
 from .search import LowestIndex, ScriptedOrder, SeededRandom, mls, mlsm, moplex_mlsm, triangulation_from_ordering
 
 
@@ -125,7 +125,7 @@ def build_parser() -> _Parser:
     cs = subs.add_parser("checkstructure", help="bounded property checks for a labeling structure")
     cs.add_argument("structure", choices=BUILTIN_TOKENS)
     cs.add_argument("--property", required=True, choices=("ic", "dcl", "complement-reversing"))
-    cs.add_argument("--nmax", type=int, default=8)
+    cs.add_argument("--nmax", type=int, default=DEFAULT_CHECK_BOUND)
     cs.add_argument("--out", default=None)
 
     ck = subs.add_parser("check", help="validate a result JSON against a graph")

@@ -3,11 +3,19 @@
 Builders come in several flavors: from an arbitrary perfect elimination
 ordering, from a perfect moplex ordering (which completes each maximal clique
 before starting the next, enabling a simpler new-clique test), fused with the
-label searches (generic set test or pure label test for structures that can
-detect clique boundaries with labels), and the complement pair: one
-minimizing search on g yields the generators of the complement's maximal
-cliques and minimal separators, and the complement's clique tree is read off
-them, without ever materializing complement edges.
+label searches, and the complement pair: one minimizing search on g yields
+the generators of the complement's maximal cliques and minimal separators,
+and the complement's clique tree is read off them, without ever
+materializing complement edges.
+
+The fused builders share two loops, each with one switch. ``_mls_tree``
+runs the search on the input graph for ``mls_clique_tree`` and
+``dcl_mls_clique_tree``; its switch is the new-node rule, the set test or
+the label test for structures that detect clique boundaries with labels.
+``_mlsm_tree`` runs the triangulating search for the clique tree of the
+filled graph and the atom tree (``chordalkit.decomposition``); its switch is
+the graph in which a boundary separator must be a clique to open a node.
+All tree assembly is ``_TreeBuilder``'s.
 
 Clique indices are 1-based and append-only; node 1 starts empty and grows.
 Tree edges pair clique indices; each edge's intersection is a minimal
@@ -33,6 +41,7 @@ from .graph import (
     Graph,
     Ordering,
     VertexSet,
+    is_clique_in,
     materialize_complement,
     require_complement_connected,
     require_connected,
@@ -43,7 +52,7 @@ from .labeling import (
     require_dcl,
     structure_by_token,
 )
-from .search import LabelSearch, SearchTrace, TieBreak
+from .search import LabelSearch, SearchTrace, TieBreak, TriangulationResult
 
 
 @dataclass(frozen=True)
@@ -97,14 +106,6 @@ def _anchor(sep: VertexSet, pos, x: int) -> int:
     a known clique (opened from a checked sep, every later member joined
     by such a step): the check would pass, and the node stays a clique."""
     return min(sep, key=pos.__getitem__) if sep else x
-
-
-def _follower_check(h: Graph, x: int, sep: VertexSet, p: int) -> None:
-    """The follower check of x's step, anchored at p (see ``_anchor``)."""
-    if len(sep - h.adj[p]) > 1:
-        raise NotChordalError(
-            f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
-        )
 
 
 class _TreeBuilder:
@@ -282,22 +283,9 @@ def mls_clique_tree(
     tiebreak: TieBreak | None = None,
 ) -> CliqueTreeResult:
     """Run the moplex-refined label search and build the clique tree on the
-    fly with the set-based new-node test. Works for every labeling structure
-    satisfying the inclusion condition. Only a step that opens a node is
-    follower-checked: every other joins a known clique (``_anchor``)."""
-    run = LabelSearch(h, structure, tiebreak)
-    adj, done, pos = h.adj, run.done, run.pos
-    builder = _TreeBuilder()
-    for _, x in run.steps(True):
-        sep = adj[x] & done
-        if sep != builder.current():
-            p = _anchor(sep, pos, x)
-            _follower_check(h, x, sep, p)
-            builder.open(sep, p)
-        builder.join(x)
-        if run.debug:
-            _debug_step(builder, run, x, sep)
-    return builder.result(run.ordering(), run.trace)
+    fly with the set-based new-node test (``_mls_tree``). Works for every
+    labeling structure satisfying the inclusion condition."""
+    return _mls_tree(LabelSearch(h, structure, tiebreak), label_test=False)
 
 
 def dcl_mls_clique_tree(
@@ -311,22 +299,36 @@ def dcl_mls_clique_tree(
     clique starts exactly when the chosen label does not exceed the previous
     one. Sound only for structures that detect new cliques with labels; with
     enforce_dcl off the run proceeds regardless and the result can be invalid
-    (useful to reproduce the failure of structures that lack the property).
-    A step that opens no node and joins a known clique equal to its
-    processed neighborhood skips the follower check (``_anchor``)."""
+    (useful to reproduce the failure of structures that lack the property)."""
     if enforce_dcl:
         require_dcl(structure)
-    run = LabelSearch(h, structure, tiebreak)
+    return _mls_tree(LabelSearch(h, structure, tiebreak), label_test=True, checked=enforce_dcl)
+
+
+def _mls_tree(run: LabelSearch, label_test: bool, checked: bool = True) -> CliqueTreeResult:
+    """The loop of both builders above, on the run's graph h: a step opens a
+    node when its new-node rule says so, the label test
+    (``LabelSearch.boundary``) or the set test (the processed neighborhood
+    S differs from the current node). Only a step that may open a node is
+    anchored and follower-checked: one that opens none while S equals the
+    current node, a known clique, joins it unchecked (``_anchor``). Under
+    the set test ``known`` never clears, and S is compared with the node
+    once, by the rule itself. ``checked`` off disarms the debug step check,
+    which a label test trusted past its gate would fail."""
+    h = run.g
     adj, done, pos, boundary = h.adj, run.done, run.pos, run.boundary
-    checking = run.debug and enforce_dcl
+    checking = run.debug and checked
     builder = _TreeBuilder()
     known = True  # the current node is a known clique
     for _, x in run.steps(True):
         sep = adj[x] & done
-        new = boundary(x)
-        if new or not known or sep != builder.current():
+        new = boundary(x) if label_test else sep != builder.current()
+        if new or not known or label_test and sep != builder.current():
             p = _anchor(sep, pos, x)
-            _follower_check(h, x, sep, p)
+            if len(sep - adj[p]) > 1:
+                raise NotChordalError(
+                    f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
+                )
             if new:
                 builder.open(sep, p)
             known = new
@@ -334,6 +336,37 @@ def dcl_mls_clique_tree(
         if checking:
             _debug_step(builder, run, x, sep)
     return builder.result(run.ordering(), run.trace)
+
+
+def _mlsm_tree(g: Graph, structure: LabelingStructure, tiebreak: TieBreak | None,
+               clique_in: Graph | None) -> tuple[CliqueTreeResult, TriangulationResult]:
+    """The loop of the builders fused with the triangulating search
+    (``chordalkit.decomposition``): the moplex-refined search on g fills it
+    to a chordal H, whose tree it builds with the label test, and returns
+    that tree and the triangulation. At a label boundary the separator S
+    opens a node when it is a clique in ``clique_in`` (always when that is
+    None, for the clique tree of H; g for the atom tree), and otherwise the
+    step joins its anchor's node. H is chordal, so no step is
+    follower-checked, and only a boundary reads S, but for the debug step
+    check of the clique tree of H."""
+    require_dcl(structure)
+    run = LabelSearch(g, structure, tiebreak, triangulate=True)
+    hood, done, pos, boundary = run.hood, run.done, run.pos, run.boundary
+    checking = run.debug and clique_in is None
+    builder = _TreeBuilder()
+    for _, x in run.steps(True):
+        if boundary(x):
+            sep = frozenset(hood(x) & done)
+            p = _anchor(sep, pos, x)
+            if clique_in is None or is_clique_in(clique_in, sep):
+                builder.open(sep, p)
+            else:
+                builder.at = builder.clique_of[p]
+        builder.join(x)
+        if checking:
+            _debug_step(builder, run, x, frozenset(hood(x) & done))
+    tri = run.triangulation()
+    return builder.result(tri.ordering), tri
 
 
 # ---------------------------------------------------------------------------

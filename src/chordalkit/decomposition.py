@@ -6,18 +6,20 @@ the original graph, becomes the atom tree: nodes are the atoms (maximal
 connected subgraphs without a clique separator), edge intersections are the
 clique minimal separators. A fused single-pass builder constructs the atom
 tree directly, deciding at each label-detected clique boundary whether the
-separator is a clique in the original graph.
+separator is a clique in the original graph. Both fused builders here run
+one loop, ``cliquetree._mlsm_tree``, where all tree assembly lives; this
+module keeps their result types and the contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliquetree import CliqueTreeResult, _anchor, _debug_step, _TreeBuilder
+from .cliquetree import CliqueTreeResult, _mlsm_tree
 from .errors import InputMismatchError
 from .graph import Graph, Ordering, VertexSet, is_clique_in
-from .labeling import LabelingStructure, require_dcl
-from .search import LabelSearch, TieBreak, TriangulationResult
+from .labeling import LabelingStructure
+from .search import TieBreak, TriangulationResult
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,10 @@ def dcl_mlsm_clique_tree(
 ) -> MlsmCliqueTreeResult:
     """Triangulating search fused with the label-test clique-tree builder:
     one pass yields a minimal moplex ordering, the minimal triangulation H,
-    and a clique tree of H. Requires a structure that detects new cliques
-    with labels. H is chordal, so no step is follower-checked, and only the
-    steps that open a node (all, in debug mode) read their separator."""
-    require_dcl(structure)
-    run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    hood, done, pos = run.hood, run.done, run.pos
-    builder = _TreeBuilder()
-    for _, x in run.steps(True):
-        if run.boundary(x):
-            sep = frozenset(hood(x) & done)
-            builder.open(sep, _anchor(sep, pos, x))
-        builder.join(x)
-        if run.debug:
-            _debug_step(builder, run, x, frozenset(hood(x) & done))
-    tri = run.triangulation()
-    return MlsmCliqueTreeResult(tri.ordering, tri, builder.result(tri.ordering))
+    and a clique tree of H (``cliquetree._mlsm_tree``). Requires a
+    structure that detects new cliques with labels."""
+    t, tri = _mlsm_tree(g, structure, tiebreak, None)
+    return MlsmCliqueTreeResult(tri.ordering, tri, t)
 
 
 def atom_tree_from_clique_tree(g: Graph, h: Graph, t: CliqueTreeResult) -> AtomTreeResult:
@@ -141,26 +131,13 @@ def dcl_atom_tree(
     structure: LabelingStructure,
     tiebreak: TieBreak | None = None,
 ) -> AtomTreeResult:
-    """Single-pass atom tree: run the triangulating search; at each
-    label-detected clique boundary, start a new atom only when the separator
-    is a clique in g itself (fill edges never count), otherwise keep growing
-    the atom that contains the separator's earliest vertex. Between
-    boundaries the atom keeps growing, unchecked, as H is chordal."""
-    require_dcl(structure)
-    run = LabelSearch(g, structure, tiebreak, triangulate=True)
-    hood, done, pos = run.hood, run.done, run.pos
-    builder = _TreeBuilder()
-    history: list[int] = []
-    for _, x in run.steps(True):
-        if run.boundary(x):
-            sep = frozenset(hood(x) & done)
-            p = _anchor(sep, pos, x)
-            if is_clique_in(g, sep):
-                builder.open(sep, p)
-            else:
-                builder.at = builder.clique_of[p]
-        builder.join(x)
-        history.append(builder.at)
-    tri = run.triangulation()
-    t = builder.result(tri.ordering)
-    return AtomTreeResult(t.cliques, t.tree_edges, t.separators, t.clique_of, tri, tuple(history))
+    """Single-pass atom tree (``cliquetree._mlsm_tree``): run the
+    triangulating search; at each label-detected clique boundary, start a
+    new atom only when the separator is a clique in g itself (fill edges
+    never count), otherwise keep growing the atom that contains the
+    separator's earliest vertex. Between boundaries the atom keeps growing,
+    unchecked, as H is chordal. Each vertex is filed into the atom current
+    after its step, so the history is read off ``atom_of``."""
+    t, tri = _mlsm_tree(g, structure, tiebreak, g)
+    history = tuple(t.clique_of[x] for x in reversed(tri.ordering.seq))
+    return AtomTreeResult(t.cliques, t.tree_edges, t.separators, t.clique_of, tri, history)

@@ -175,12 +175,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of a file; invalid UTF-8 raises ParseError naming
-    the file and the byte offset."""
+    """The UTF-8 text of a file, less one leading byte order mark; invalid
+    UTF-8 raises ParseError naming the file and the byte offset, which
+    counts the mark's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
 

@@ -35,7 +35,8 @@ operations; MCS-M and LEX M take O(nm). MNS runs one bitset search per
 label block of its queue, O(blocks^2) mask tests per step at worst. A
 trace is built when its entries are first read (``SearchTrace``).
 Connectivity is the engine's to check: when a triangulating run or one on
-no vertex is built, else at the step that strands a vertex (``LabelSearch``).
+no vertex is built, else at the step that strands a vertex, which on a
+connected graph names a broken inclusion condition (``LabelSearch``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import debug
-from .errors import DebugInvariantError, ScriptConflictError
+from .errors import DebugInvariantError, IcViolationError, ScriptConflictError
 from .graph import (
     ComplementView,
     Graph,
@@ -348,7 +349,9 @@ class LabelSearch:
     after the inclusion condition and before the script's names, if it
     triangulates or g is empty; otherwise at the first step i < n whose
     vertex has no numbered neighbor, which under the inclusion condition
-    comes only on a disconnected g, once the first component is done.
+    comes only on a disconnected g, once the first component is done. Such
+    a step on a connected g ends the run with ``IcViolationError``: the
+    structure broke the condition beyond its bounded check.
     """
 
     def __init__(
@@ -416,17 +419,21 @@ class LabelSearch:
         if shadow is not None:
             shadow.prefer = prefer
         g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
-        hood, n = self.hood, self.n
-        stranding = not self.minimize and overlay is None
+        hood, n, maximize = self.hood, self.n, not self.minimize
         for i in range(n, 0, -1):
             if shadow is not None:
                 self._assert_label_order(i)
                 self._assert_queue_candidates(i)
             x = pick()
             hx = hood(x)
-            if stranding and i < n and hx.isdisjoint(done):
-                require_connected(g)  # once: IC may break beyond the bounded check
-                stranding = False
+            if maximize and i < n and hx.isdisjoint(done):
+                # g is disconnected, or the structure breaks the inclusion
+                # condition beyond its bounded check; a triangulating run
+                # checked connectivity when it was built
+                if overlay is None:
+                    require_connected(g)
+                raise IcViolationError(f"{self.structure.name} broke the inclusion condition: vertex "
+                                       f"{g.names[x]!r} at position {i} has no numbered neighbor")
             alpha[i] = x
             pos[x] = i
             done.add(x)

@@ -367,10 +367,27 @@ class TestErrors:
         good = tmp_path / "good.txt"
         good.write_text("a b\nb c\n", encoding="utf-8")
         bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"a b\nb \xff\n")
-        code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
-        assert (code, out) == (1, "")
-        assert err == f"error: Parse: {bad}: invalid UTF-8 at byte 6\n"
+        # the offset counts a leading byte order mark's 3 bytes
+        for prefix, offset in ((b"", 6), (b"\xef\xbb\xbf", 9)):
+            bad.write_bytes(prefix + b"a b\nb \xff\n")
+            code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
+            assert (code, out) == (1, "")
+            assert err == f"error: Parse: {bad}: invalid UTF-8 at byte {offset}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["cliquetree", "{graph}"],
+        ["cliquetree", "{graph}", "--from-peo", "{order}"],
+        ["triangulate", "{graph}", "--from-ordering", "{order}"],
+    ], ids=["edge-list", "from-peo", "from-ordering"])
+    def test_a_leading_bom_is_dropped(self, tmp_path, capsys, argv):
+        outs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            graph, order = tmp_path / f"g{len(bom)}.txt", tmp_path / f"o{len(bom)}.txt"
+            graph.write_bytes(bom + b"a b\nb c\n")
+            order.write_bytes(bom + b"a b c\n")
+            outs.append(run(capsys, *(a.format(graph=graph, order=order) for a in argv)))
+        assert outs[0][0] == 0 and outs[0][1] and "\ufeff" not in outs[1][1]
+        assert outs[1] == outs[0]
 
     def test_self_loop(self, tmp_path, capsys):
         p = tmp_path / "loop.txt"

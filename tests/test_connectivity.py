@@ -22,7 +22,7 @@ from chordalkit.cliquetree import (
     mls_clique_tree,
 )
 from chordalkit.decomposition import dcl_atom_tree, dcl_mlsm_clique_tree
-from chordalkit.errors import ChordalkitError
+from chordalkit.errors import ChordalkitError, IcViolationError
 from chordalkit.fixtures import graph
 from chordalkit.graph import Graph, Ordering, from_edge_list
 from chordalkit.labeling import Cmp, LabelingStructure, lexdfs, mcs
@@ -210,14 +210,21 @@ def test_minimizing_search_checks_before_any_run(monkeypatch):
 
 def test_a_structure_breaking_ic_beyond_the_bound_is_not_told_disconnected(monkeypatch):
     # vertex 0 goes first; no label grows above position 8, so vertex 1, no
-    # neighbor of 0, is stranded on a connected graph: one BFS clears it (the
-    # debug hooks, which would report the broken condition, stay off)
+    # neighbor of 0, is stranded on a connected graph: one BFS clears it, and
+    # the run names the broken condition (the debug hooks, which would report
+    # it earlier, stay off); a triangulating run made its one BFS when built
     monkeypatch.setenv("CHORDALKIT_DEBUG", "0")
     g = Graph([f"v{k}" for k in range(10)], [(0, 2), (2, 1)] + [(k, k + 1) for k in range(1, 9)])
     calls = _count_connectivity_checks(monkeypatch)
     run = LabelSearch(g, _CountBelow9())
     assert isinstance(run.queue, ScanQueue)
-    for _ in run.steps():
-        pass
-    assert run.ordering().seq[-2:] == (1, 0)
+    with pytest.raises(IcViolationError, match=r"count-below-9 .* 'v1' at position 9 "):
+        for _ in run.steps():
+            pass
+    assert run.alpha[10] == 0 and run.completed == 1
     assert calls == [g]
+    for product in (mls_clique_tree, dcl_mls_clique_tree, dcl_mlsm_clique_tree, dcl_atom_tree, mlsm):
+        calls.clear()
+        with pytest.raises(IcViolationError, match=r"'v1' at position 9 "):
+            product(g, _CountBelow9())
+        assert calls == [g], product.__name__

@@ -14,7 +14,9 @@ from chordalkit.fixtures import graph
 from chordalkit.graph import from_edge_list, from_vertices
 from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import (
+    GeneratorConfig,
     atoms_brute,
+    gen,
     is_minimal_triangulation,
     is_pmo,
     maximal_cliques,
@@ -153,11 +155,12 @@ class TestDirectAtomTree:
             assert at.clique_separators == frozenset(minimal_separators(g))
 
     def test_history_tracks_current_atom(self):
-        g = graph("fig4_g")
-        at = dcl_atom_tree(g, mcs())
-        assert at.current_atom_history is not None
-        assert len(at.current_atom_history) == g.n
-        assert all(1 <= q <= at.size for q in at.current_atom_history)
+        # the current atom after each step, from position n down; the seeded
+        # graph has six atoms, and its current atom moves back to an earlier one
+        seeded = gen(GeneratorConfig(seed=15, n=12, param=0.25, family="random-connected"))
+        for g, history in [(graph("fig4_g"), (1, 1, 1, 1, 2)),
+                           (seeded, (1, 1, 2, 2, 3, 4, 4, 4, 4, 3, 5, 6))]:
+            assert dcl_atom_tree(g, mcs()).current_atom_history == history
 
     def test_atom_of_is_consistent(self):
         g = graph("fig4_g")
