@@ -295,8 +295,7 @@ def _read_result(g: Graph, path: str):
     against: g plus the fill edges for triangulate --tree output."""
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_text(path))
 
     def listed(value, kind, what, length=None):
         # a JSON string or object would iterate as names; a bool is no int

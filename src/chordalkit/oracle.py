@@ -16,6 +16,7 @@ from .graph import (
     Graph,
     Ordering,
     VertexSet,
+    complement_is_connected,
     higher_neighborhood,
     induced_subgraph,
     is_clique_in,
@@ -306,13 +307,15 @@ class GeneratorConfig:
 
     param means: edge probability for random-connected; mean clique
     attachment size for the chordal families (each new vertex attaches to a
-    random clique of size uniform in [1, min(v, 2*param-1)]).
+    random clique of size uniform in [1, min(v, 2*param-1)]); the clique
+    size k = int(param) for random-split (each other vertex attaches to a
+    uniform number in [1, k] of distinct clique vertices).
     """
 
     seed: int
     n: int
     param: float
-    family: str  # random-connected | random-chordal | random-co-chordal
+    family: str  # random-connected | random-chordal | random-co-chordal | random-split
 
 
 def _grow_chordal(rng: SplitMix64, n: int, param: float) -> Graph:
@@ -340,10 +343,26 @@ def _grow_chordal(rng: SplitMix64, n: int, param: float) -> Graph:
     return Graph(names, edges)
 
 
+def _split(rng: SplitMix64, n: int, k: int) -> Graph:
+    # vertices 0..k-1 are the clique; each later vertex draws how many clique
+    # vertices it attaches to, then picks them by a partial shuffle of pool
+    pool = list(range(k))
+    edges = list(combinations(pool, 2))
+    for v in range(k, n):
+        c = 1 + rng.below(k)
+        for j in range(c):
+            r = j + rng.below(k - j)
+            pool[j], pool[r] = pool[r], pool[j]
+            edges.append((pool[j], v))
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
 def gen(config: GeneratorConfig) -> Graph:
     """Seeded graph families: chordal growth (chordal and connected by
     construction), its complement (retried until that complement is
-    connected), and connectivity-conditioned uniform random graphs."""
+    connected), split graphs (a clique and an independent set, so chordal
+    and co-chordal, and sparse; retried until the complement is connected),
+    and connectivity-conditioned uniform random graphs."""
     rng = SplitMix64(config.seed)
     if config.n < 1:
         raise ValueError("n must be positive")
@@ -356,6 +375,15 @@ def gen(config: GeneratorConfig) -> Graph:
             h = _grow_chordal(rng, config.n, config.param)
             g = materialize_complement(h)
             if is_connected(g):
+                return g
+        raise OracleCapError("could not draw a connected complement; adjust param")
+    if config.family == "random-split":
+        k = int(config.param)
+        if not 2 <= k <= config.n - 2:
+            raise ValueError("split family needs 2 <= int(param) <= n - 2")
+        for _ in range(10_000):
+            g = _split(rng, config.n, k)
+            if complement_is_connected(g):
                 return g
         raise OracleCapError("could not draw a connected complement; adjust param")
     if config.family == "random-connected":

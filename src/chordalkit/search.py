@@ -20,7 +20,7 @@ previous one (strictly greater when maximizing, equal when minimizing),
 which the moplex rule prefers. The engine stores no labels: a step hands
 the chosen vertex's unnumbered neighbors, one set difference, to the
 queue's one ``bump``, and the queue answers the label test from its blocks
-in O(1) (O(n / w) word operations on an mns mask, with w the word size). The
+in O(1), with no label comparison, for every built-in structure. The
 four built-in structures bring their own selection queues, whose designs
 and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
 search costs O((n + m) log n) with any of the three total orders, the log

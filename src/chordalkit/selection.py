@@ -34,10 +34,11 @@ vertex, that is, is strictly greater than it (maximizing) or equal to it
 continue the previous one, and the moplex rule, ``prefer``, prefers the
 extreme labels that do. Each queue reads the block that ``remove``
 recorded, in O(1): equal labels share a block, and a vertex grew past it,
-maximizing, when the last ``bump`` moved it to that block's twin (lexbfs)
-or to any twin (lexdfs). The mcs queue compares counts, and the mns queue
-compares masks. The answers are booleans because this module sits below
-``chordalkit.labeling`` and its ``Cmp``.
+maximizing, when the last ``bump`` moved it to that block's twin (lexbfs
+and mns: a set label strictly containing a maximal one holds the step's
+position, so it is that label's twin) or to any twin (lexdfs). The mcs
+queue compares counts. The answers are booleans because this module sits
+below ``chordalkit.labeling`` and its ``Cmp``.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
@@ -165,7 +166,8 @@ class OrderedPartition:
         as a twin's label holds a position that no older label holds.
         Maximizing, it is strictly greater: x's label did not exceed it
         before the step's bump, so x grew past it exactly when it moved
-        from that vertex's block to the block's twin."""
+        from that vertex's block to the block's twin. Set labels (mns)
+        read the same test (see ``InclusionPartition._narrowed``)."""
         b = self.block_of[x]
         return b == self.last if self.minimize else b == self.twins.get(self.last)
 
@@ -376,25 +378,24 @@ class InclusionPartition(OrderedPartition):
 
     ``lowest`` reads a lazy heap of (lowest index, block) over the extreme
     set; an entry whose vertex has left moves up to the block's new lowest,
-    as no vertex enters an older block. ``prefer`` keeps the extreme blocks
-    whose label continues the last removed vertex's, when that leaves any:
-    minimizing, the block it left, if live; maximizing, the extreme blocks
-    that strictly contain its label, which only the step's extreme twins
-    can. A step costs O(twins) mask tests, plus O(extreme blocks) per block
-    re-tested.
+    as no vertex enters an older block. The label test is the ordered
+    partition's, read off ``twins`` with no mask test, and ``prefer`` reads
+    the same block: at most one extreme block continues the last removed
+    vertex's label, the block it left (minimizing) or that block's twin
+    (maximizing), and ``prefer`` keeps that block alone when it is extreme
+    (``_narrowed``). A step costs
+    O(twins) mask tests, plus O(extreme blocks) per block re-tested.
 
     The blocks and masks also serve the triangulating search: ``reach``
     finds a step's targets with one bitset search per live block, each
     starting from the regions of the blocks it dominates, and keeps each
     live block's maximal dominated blocks for the next step."""
 
-    __slots__ = ("mask", "prev", "ext", "order", "entered", "held", "home",
-                 "step", "emptied", "covers")
+    __slots__ = ("mask", "ext", "order", "entered", "held", "home", "step", "emptied", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
         self.mask = [0]  # by block id, parallel to members
-        self.prev = 0  # the last removed vertex's mask
         self.ext = {0: 0}  # extreme block -> its mask
         self.order: list[tuple[int, int]] = []  # the lazy heap
         self.entered = [0]  # extreme blocks not yet pushed on the heap
@@ -403,16 +404,6 @@ class InclusionPartition(OrderedPartition):
         self.home: list[_Witnessed | None] = [None]
         self.emptied: list[int] = []  # this step's emptied blocks
         self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
-
-    def remove(self, v: int) -> None:
-        self.prev = self.mask[self.block_of[v]]
-        super().remove(v)
-
-    # the masks answer for any vertex: they are the labels
-
-    def continues(self, x: int) -> bool:
-        m, prev = self.mask[self.block_of[x]], self.prev
-        return m == prev if self.minimize else m != prev and m & prev == prev
 
     def bump(self, vs: Iterable[int], i: int) -> None:
         self.step = i
@@ -506,25 +497,32 @@ class InclusionPartition(OrderedPartition):
             entered[:] = ext
         self.emptied.clear()
 
-    def _narrowed(self) -> list[int]:
-        """The extreme blocks whose labels continue the last removed
-        vertex's, when ``prefer`` is on: minimizing, the live block it
-        left; maximizing, the step's extreme twins that strictly contain
-        its mask."""
+    def _narrowed(self) -> int | None:
+        """The one extreme block whose label continues the last removed
+        vertex's, when ``prefer`` is on and there is one: minimizing, the
+        block that vertex left; maximizing, that block's twin.
+
+        Let E be the block that the vertex x removed at step i left, and L
+        its mask. Maximizing, a live block whose mask strictly contains L
+        holds bit i: an older one was live beside E and would have
+        dominated it, yet E was maximal. So it is a twin s + {i} with s
+        containing L, and s = E, as E was maximal. E's twin is thus the
+        only label that continues x's, and it is extreme whenever it
+        exists, since its source was. Minimizing, equal masks are the same
+        block, since no two live blocks share a mask, and a twin holds bit
+        i, which L does not."""
         if not self.prefer:
-            return []
-        ext, mask, prev = self.ext, self.mask, self.prev
-        if self.minimize:
-            return [self.last] if self.last in ext else []
-        return [b for b in self.twins.values() if b in ext and mask[b] & prev == prev and mask[b] != prev]
+            return None
+        b = self.last if self.minimize else self.twins.get(self.last)
+        return b if b in self.ext else None
 
     def extreme(self) -> set[int]:
         """The union of the extreme label classes (maximal, or minimal with
         minimize), narrowed by ``prefer`` (do not mutate)."""
-        classes = self._narrowed() or list(self.ext)
-        if len(classes) == 1:
-            return self.members[classes[0]]
-        return set().union(*(self.members[b] for b in classes))
+        b = self._narrowed()
+        if b is None and len(self.ext) > 1:
+            return set().union(*(self.members[e] for e in self.ext))
+        return self.members[next(iter(self.ext)) if b is None else b]
 
     def reach(self, x: int, nb: list[int]) -> list[int]:
         """The triangulating search's targets from x in ascending order:
@@ -612,9 +610,9 @@ class InclusionPartition(OrderedPartition):
         return _vertices(hit)
 
     def lowest(self) -> int:
-        narrowed = self._narrowed()
-        if narrowed:
-            return min(map(self._lowest_of, narrowed))
+        b = self._narrowed()
+        if b is not None:
+            return self._lowest_of(b)
         order, ext, members = self.order, self.ext, self.members
         for b in self.entered:
             if b in ext:

@@ -5,6 +5,7 @@ criterion. Sweeps use the seeded corpora from conftest (100 graphs each,
 n in [4, 9]); figure fixtures are exact, zero tolerance.
 """
 
+import gc
 import time
 from itertools import combinations
 
@@ -397,6 +398,46 @@ def test_complement_tree_scale():
         assert result.size == 3
         print(f"\n[scale] PASS: complement_mls_clique_tree {name} on the near-star with n={n} "
               f"in {tree:.2f}s, generators {gens:.2f}s")
+
+
+def _cpu_time(call):
+    """The CPU seconds of one call with the collector off, and its result.
+    The collector's full passes walk the whole test session's heap, which
+    does not grow with the input."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.process_time()
+        out = call()
+        return time.process_time() - start, out
+    finally:
+        gc.enable()
+
+
+def test_complement_split_scale():
+    # a sparse co-chordal family that the edge-list format can express; the
+    # complement products bump along g's edges only, so each doubling of n
+    # (and of m) should cost about 2x: 3.8-4.7x over two doublings here.
+    # The two sizes alternate within each round, so a slow stretch of a
+    # shared machine slows both; the best of 3 rounds is kept, and up to 9
+    # rounds are run while it reads over the bound, which a path that grows
+    # faster than the bound never meets
+    graphs = {n: gen(GeneratorConfig(seed=1, n=n, param=8.0, family="random-split")) for n in (4000, 16_000)}
+    for factory in ALL:
+        for product in (complement_mls_generators, complement_mls_clique_tree):
+            best = dict.fromkeys(graphs, float("inf"))
+            for rounds in range(1, 10):
+                for n, g in graphs.items():
+                    elapsed, result = _cpu_time(lambda: product(g, factory()))
+                    assert len(result.ordering) == n
+                    best[n] = min(best[n], elapsed)
+                if rounds >= 3 and best[16_000] <= 2.4 ** 2 * best[4000]:
+                    break
+            name = f"{product.__name__} {factory.__name__}"
+            small, large = best[4000], best[16_000]
+            assert large < 10.0, f"{name} took {large:.1f}s"
+            assert large <= 2.4 ** 2 * small, f"{name} took {large:.3f}s at n=16000, {small:.3f}s at n=4000"
+            print(f"\n[scale] PASS: {name} on random-split n=4000 / 16000 in {small:.3f} / {large:.3f}s")
 
 
 def test_disconnected_rejection_scale():

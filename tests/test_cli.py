@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from chordalkit import cli
 from chordalkit.cli import main
+from chordalkit.cliquetree import complement_mls_generators
 from chordalkit.fixtures import fixture
 from chordalkit.graph import complement_is_connected, materialize_complement, parse_edge_list
 from chordalkit.oracle import is_chordal
@@ -362,7 +366,8 @@ class TestErrors:
         ["cliquetree", "{bad}"],
         ["cliquetree", "{good}", "--from-peo", "{bad}"],
         ["triangulate", "{good}", "--from-ordering", "{bad}"],
-    ], ids=["edge-list", "from-peo", "from-ordering"])
+        ["check", "{good}", "{bad}"],
+    ], ids=["edge-list", "from-peo", "from-ordering", "check"])
     def test_invalid_utf8(self, tmp_path, capsys, argv):
         good = tmp_path / "good.txt"
         good.write_text("a b\nb c\n", encoding="utf-8")
@@ -378,14 +383,17 @@ class TestErrors:
         ["cliquetree", "{graph}"],
         ["cliquetree", "{graph}", "--from-peo", "{order}"],
         ["triangulate", "{graph}", "--from-ordering", "{order}"],
-    ], ids=["edge-list", "from-peo", "from-ordering"])
+        ["check", "{graph}", "{result}"],
+    ], ids=["edge-list", "from-peo", "from-ordering", "check"])
     def test_a_leading_bom_is_dropped(self, tmp_path, capsys, argv):
         outs = []
         for bom in (b"", b"\xef\xbb\xbf"):
             graph, order = tmp_path / f"g{len(bom)}.txt", tmp_path / f"o{len(bom)}.txt"
+            result = tmp_path / f"r{len(bom)}.json"
             graph.write_bytes(bom + b"a b\nb c\n")
             order.write_bytes(bom + b"a b c\n")
-            outs.append(run(capsys, *(a.format(graph=graph, order=order) for a in argv)))
+            result.write_bytes(bom + run(capsys, "cliquetree", str(graph))[1].encode())
+            outs.append(run(capsys, *(a.format(graph=graph, order=order, result=result) for a in argv)))
         assert outs[0][0] == 0 and outs[0][1] and "\ufeff" not in outs[1][1]
         assert outs[1] == outs[0]
 
@@ -507,6 +515,56 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["cliques"]) == 3
+
+
+def _oracle_with(**wrong):
+    """The oracle module as ``cli`` reads it, with some checks answering wrong."""
+    from chordalkit import oracle
+
+    return SimpleNamespace(**{**vars(oracle), **wrong})
+
+
+def _repeat_a_separator(res):
+    return dataclasses.replace(res, gen_separators=res.gen_separators + res.gen_separators[:1])
+
+
+class TestValidationFailures:
+    """Every --validate failure exits 2, prints one ``violation:`` line per
+    failed check on stderr, and leaves stdout as the command writes it
+    without --validate. The wrong answers are fed through the names that
+    ``cli`` imports."""
+
+    GENERATORS = ["cliquetree", "{fig3_g}", "--complement", "--generators"]
+    CLIQUES = "closed higher neighborhoods do not match the complement's maximal cliques"
+    SEPARATORS = "open higher neighborhoods do not match the complement's minimal separators"
+    DISAGREE = "generators disagree with the complement clique tree"
+
+    @pytest.mark.parametrize("argv,name,wrong,lines", [
+        (["cliquetree", "{fig1_h}"], "oracle", _oracle_with(validate_clique_tree=lambda g, t: ["made up"]),
+         ["made up"]),
+        (["atoms", "{fig4_g}"], "oracle", _oracle_with(validate_atom_tree=lambda g, t: ["made up", "twice"]),
+         ["made up", "twice"]),
+        (["triangulate", "{c4}"], "oracle", _oracle_with(is_chordal=lambda g: False),
+         ["result graph is not chordal"]),
+        (["triangulate", "{c4}"], "oracle", _oracle_with(is_minimal_triangulation=lambda g, h: False),
+         ["result graph is not a minimal triangulation"]),
+        (["triangulate", "{c4}", "--tree"], "oracle",
+         _oracle_with(is_chordal=lambda g: False, validate_clique_tree=lambda g, t: ["made up"]),
+         ["result graph is not chordal", "made up"]),
+        (GENERATORS, "complement_mls_generators",
+         lambda *a: _repeat_a_separator(complement_mls_generators(*a)),
+         ["generator counts are off by more than one", DISAGREE]),
+        (GENERATORS, "extract_generators", lambda t: None, [DISAGREE]),
+        (GENERATORS, "oracle", _oracle_with(maximal_cliques=lambda g: set()), [CLIQUES]),
+        (GENERATORS, "oracle", _oracle_with(minimal_separators=lambda g: set()), [SEPARATORS]),
+    ], ids=["cliquetree", "atoms", "not-chordal", "not-minimal", "tree", "generator-counts",
+            "generators-disagree", "generator-cliques", "generator-separators"])
+    def test_a_wrong_result_is_reported(self, files, capsys, monkeypatch, argv, name, wrong, lines):
+        argv = [a.format(**files) for a in argv]
+        monkeypatch.setattr(cli, name, wrong)
+        _, normal, _ = run(capsys, *argv)
+        assert normal
+        assert run(capsys, *argv, "--validate") == (2, normal, "".join(f"violation: {v}\n" for v in lines))
 
 
 class TestExitCodeMatrix:

@@ -313,6 +313,19 @@ class TestGenerators:
             comp = materialize_complement(g)
             assert is_chordal(comp) and is_connected(comp)
 
+    def test_split_is_chordal_and_co_chordal(self):
+        # a clique v0..v(k-1) and an independent set: the complement swaps them
+        for s in range(26):
+            n = 4 + s % 13
+            k = 2 + s % (n - 3)
+            g = gen(GeneratorConfig(seed=s, n=n, param=float(k), family="random-split"))
+            comp = materialize_complement(g)
+            assert g.n == n and all(g.adj[v].isdisjoint(range(k, n)) for v in range(k, n))
+            assert is_chordal(g) and is_connected(g)
+            assert is_chordal(comp) and is_connected(comp)
+        with pytest.raises(ValueError):
+            gen(GeneratorConfig(seed=1, n=5, param=4.0, family="random-split"))
+
     def test_connected_family(self):
         for s in range(12):
             g = gen(GeneratorConfig(seed=s, n=5, param=0.5, family="random-connected"))
