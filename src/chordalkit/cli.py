@@ -15,6 +15,7 @@ the last-listed vertex first, so the finished ordering reads as written.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -342,8 +343,11 @@ _COMMANDS = {"cliquetree": _cmd_cliquetree, "triangulate": _cmd_triangulate, "at
 
 def main(argv=None) -> int:
     parser = build_parser()
-    saved_debug = os.environ.get("CHORDALKIT_DEBUG")
+    saved_debug, saved_gc = os.environ.get("CHORDALKIT_DEBUG"), gc.isenabled()
     try:
+        # one command builds no cycles worth collecting, while full
+        # collections rescan every adjacency and result set
+        gc.disable()
         args = parser.parse_args(argv)
         if getattr(args, "debug_invariants", False):
             os.environ["CHORDALKIT_DEBUG"] = "1"
@@ -359,6 +363,8 @@ def main(argv=None) -> int:
             os.environ.pop("CHORDALKIT_DEBUG", None)
         else:
             os.environ["CHORDALKIT_DEBUG"] = saved_debug
+        if saved_gc:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -464,8 +464,11 @@ def complement_mls_generators(
     tiebreak: TieBreak | None = None,
 ) -> GeneratorsResult:
     """Generators of the complement's maximal cliques and minimal separators
-    w.r.t. the computed ordering, using edges of g only (the near-linear
-    path: no complement adjacency is ever queried). Chordality of the
+    w.r.t. the computed ordering, from one minimizing search that never
+    builds the complement: it reads g's rows, or on a graph with more
+    edges than its complement the complement's rows, one set difference
+    each (see ``LabelSearch``), O(n + min(m, m')) interpreted work over
+    the m' complement edges. Chordality of the
     complement is a trusted precondition here; ``complement_mls_clique_tree``
     and the CLI check it on the result's ordering with
     ``_require_complement_peo``, in O(n + m)."""

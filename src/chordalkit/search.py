@@ -24,7 +24,13 @@ in O(1), with no label comparison, for every built-in structure. The
 four built-in structures bring their own selection queues, whose designs
 and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
 search costs O((n + m) log n) with any of the three total orders, the log
-being the heaps': an mcs increase moves a vertex between count buckets. Any
+being the heaps': an mcs increase moves a vertex between count buckets.
+A minimizing search on a graph with more edges m than its complement's m'
+(4m > n(n - 1)) selects on the complement side when its structure has a
+queue: the queue maximizes, and a step bumps x's complement row less the
+numbered vertices, two set differences in C (``ComplementView.neighbors``).
+Such a search does O(n + min(m, m')) interpreted work instead of O(n + m),
+plus O(n) in C per step (``LabelSearch``). Any
 other structure gets a ``ScanQueue``, the one place labels are kept: it
 applies the structure's increase, scans the unnumbered labels, O(n)
 comparisons per step, and searches once per candidate target,
@@ -87,6 +93,12 @@ class LowestIndex(TieBreak):
 
 @dataclass(frozen=True)
 class SeededRandom(TieBreak):
+    """Seeded uniform pick: the ``rng.below(k)``-th smallest member of the
+    extreme class of k vertices, drawn from a SplitMix64 stream. Each pick
+    copies and sorts the class, O(k log k) per step, so on inputs with
+    large classes (a star) a run costs O(n^2 log n) where ``LowestIndex``
+    reads the queue's heap."""
+
     seed: int
 
     def start(self, g, queue):
@@ -236,8 +248,9 @@ class ScanQueue:
     label comparisons per step when the extreme labels are few; ``reach``
     runs one search per candidate target, O(n (n + m)) per step; the label
     test compares two labels. With ``CHORDALKIT_DEBUG=1`` the search also
-    runs one next to any other queue, fed the same calls, as the debug
-    hooks' reference, and ``bump`` checks that every label grows."""
+    runs one next to any other queue, fed the same calls (a flipped run's
+    bumps read g's rows), as the debug hooks' reference, and ``bump``
+    checks that every label grows."""
 
     def __init__(self, structure: LabelingStructure, g: Graph | ComplementView, minimize: bool):
         self.structure = structure
@@ -345,6 +358,18 @@ class LabelSearch:
     triangulating run's ``overlay`` (g's adjacency plus the fill so far)
     and then H's.
 
+    A plain minimizing run on a Graph with more edges than its complement
+    (4m > n(n - 1)), whose structure has its own queue, is flipped: its
+    queue maximizes over complement labels, fed each step's complement row
+    less ``done`` (``rows``). A vertex's complement label folds the
+    numbered vertices outside its g-label, and the four built-ins are
+    complement-reversing, so at every step the least g-labels are the
+    greatest complement labels and the extreme class is the same. A label
+    equal to the last removed one is then one that grew from the same
+    block at the last bump, which the queue's twin test (``twinned``)
+    answers. ``hood``, the trace, the debug shadow (fed g's rows) and
+    every error stay on the g side.
+
     A maximizing run checks connectivity (``require_connected``) when built,
     after the inclusion condition and before the script's names, if it
     triangulates or g is empty; otherwise at the first step i < n whose
@@ -372,8 +397,13 @@ class LabelSearch:
         self.minimize = minimize
         self.n = n
         self.done: set[int] = set()
-        self.queue: BucketQueue | OrderedPartition | ScanQueue = (
-            structure._selection_queue(n, minimize) or ScanQueue(structure, g, minimize))
+        # a minimizing run on a graph denser than its complement selects on
+        # the complement side (see above)
+        dense = minimize and not triangulate and isinstance(g, Graph) and 4 * g.m > n * (n - 1)
+        queue = structure._selection_queue(n, minimize and not dense)
+        self.flip = dense and queue is not None
+        self.queue: BucketQueue | OrderedPartition | ScanQueue = queue or ScanQueue(structure, g, minimize)
+        self.continues = self.queue.twinned if self.flip else self.queue.continues
         self.pick = (tiebreak or LowestIndex()).start(g, self.queue)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
@@ -382,6 +412,8 @@ class LabelSearch:
         self.overlay: list[set[int]] | None = [set(s) for s in g.adj] if triangulate else None
         self.hood = (self.overlay.__getitem__ if self.overlay is not None
                      else g.adj.__getitem__ if isinstance(g, Graph) else g.neighbors)
+        # the rows whose unnumbered members a step bumps
+        self.rows = ComplementView(g).neighbors if self.flip else self.hood  # type: ignore[arg-type]
         self.fill: list[tuple[int, int]] = []
         # vertex bitset adjacency, for the queue's reach
         self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
@@ -419,13 +451,13 @@ class LabelSearch:
         if shadow is not None:
             shadow.prefer = prefer
         g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
-        hood, n, maximize = self.hood, self.n, not self.minimize
+        hood, rows, flip, n, maximize = self.hood, self.rows, self.flip, self.n, not self.minimize
         for i in range(n, 0, -1):
             if shadow is not None:
                 self._assert_label_order(i)
                 self._assert_queue_candidates(i)
             x = pick()
-            hx = hood(x)
+            hx = rows(x)
             if maximize and i < n and hx.isdisjoint(done):
                 # g is disconnected, or the structure breaks the inclusion
                 # condition beyond its bounded check; a triangulating run
@@ -455,7 +487,7 @@ class LabelSearch:
                         fill.append((x, y) if x < y else (y, x))
             queue.bump(ys, i)
             if shadow is not None:
-                shadow.bump(ys, i)
+                shadow.bump(hood(x) - done if flip else ys, i)
             self.completed += 1
 
     def boundary(self, x: int) -> bool:
@@ -466,7 +498,7 @@ class LabelSearch:
         answers it from the blocks, in O(1)."""
         if self.pos[x] == self.n:
             return False
-        new = not self.queue.continues(x)
+        new = not self.continues(x)
         shadow = self.shadow
         if shadow is not None and new == shadow.continues(x):
             raise DebugInvariantError(

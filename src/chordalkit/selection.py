@@ -37,8 +37,17 @@ recorded, in O(1): equal labels share a block, and a vertex grew past it,
 maximizing, when the last ``bump`` moved it to that block's twin (lexbfs
 and mns: a set label strictly containing a maximal one holds the step's
 position, so it is that label's twin) or to any twin (lexdfs). The mcs
-queue compares counts. The answers are booleans because this module sits
-below ``chordalkit.labeling`` and its ``Cmp``.
+queue compares counts. A minimizing search on a graph denser than its
+complement runs a maximizing queue over complement labels (see
+``chordalkit.search.LabelSearch``) and asks the twin test ``twinned(x)``
+instead: whether x is in the twin of the block that the last removed
+vertex left, i.e. x's complement label is that vertex's plus the last
+position, which is exactly x's g-label being equal to that vertex's. For
+lexbfs and mns that is the maximizing ``continues``, and for mcs a count
+one above the last; the lexdfs ``continues`` accepts any twin, so
+``StackPartition`` keeps its step's twins for this test. The answers are
+booleans because this module sits below ``chordalkit.labeling`` and its
+``Cmp``.
 
 Every queue also answers the triangulating search's reach question with
 ``reach``: which unnumbered vertices the chosen vertex reaches through
@@ -171,6 +180,12 @@ class OrderedPartition:
         b = self.block_of[x]
         return b == self.last if self.minimize else b == self.twins.get(self.last)
 
+    def twinned(self, x: int) -> bool:
+        """The twin test: whether x is in the twin of the block that the
+        last removed vertex left, i.e. shared its label and grew at the
+        last bump. The maximizing ``continues`` of lexbfs and mns."""
+        return self.block_of[x] == self.twins.get(self.last)
+
     def reach(self, x: int, nb: list[int]) -> list[int]:
         """The triangulating search's targets from x (see ``_reach``)."""
         return _reach(self._chain(), x, nb)
@@ -242,6 +257,10 @@ class BucketQueue:
     def continues(self, x: int) -> bool:
         return self.count[x] == self.last if self.minimize else self.count[x] > self.last
 
+    def twinned(self, x: int) -> bool:
+        """The twin test of ``OrderedPartition.twinned``, on counts."""
+        return self.count[x] == self.last + 1
+
     def reach(self, x: int, nb: list[int]) -> list[int]:
         """The triangulating search's targets from x (see ``_reach``)."""
         return _reach(filter(None, self.members), x, nb)
@@ -311,7 +330,9 @@ class StackPartition(OrderedPartition):
     O(k log k). Removal, emptied blocks and the lazy heaps are the ordered
     partition's; a twin's heap is seeded with its members sorted. The
     step's twins are the blocks from id ``fresh`` on, so a vertex grew past
-    the last removed label, maximizing, exactly when it is in one."""
+    the last removed label, maximizing, exactly when it is in one: that is
+    ``continues``, strictly greater. ``twins`` still maps each source to
+    its twin, for the twin test (``twinned``), which is narrower."""
 
     __slots__ = ("fresh",)
 
@@ -324,8 +345,9 @@ class StackPartition(OrderedPartition):
         return b == self.last if self.minimize else b >= self.fresh
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        members, heaps, block_of = self.members, self.heaps, self.block_of
+        members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
         self.fresh = len(members)
+        twins.clear()
         groups: dict[int, list[int]] = {}
         for v in vs:
             b = block_of[v]
@@ -334,7 +356,7 @@ class StackPartition(OrderedPartition):
             else:
                 groups[b] = [v]
         for b in sorted(groups):
-            t = self._new_block(self.top)
+            t = twins[b] = self._new_block(self.top)
             old, moved = members[b], groups[b]
             old.difference_update(moved)
             members[t].update(moved)

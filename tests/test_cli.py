@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -184,6 +185,28 @@ class TestCliquetree:
         code, _, err = run(capsys, "cliquetree", files["c4"], "--debug-invariants")
         assert code == 1, err
         assert os.environ["CHORDALKIT_DEBUG"] == "0"
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    def test_collector_state_is_restored(self, files, capsys, monkeypatch, was_enabled):
+        # main runs its command with the collector off and leaves the
+        # caller's setting as it found it, on success and on every error exit
+        seen = []
+        command = cli._COMMANDS["cliquetree"]
+        monkeypatch.setitem(cli._COMMANDS, "cliquetree",
+                            lambda args: seen.append(gc.isenabled()) or command(args))
+        cases = [(0, ("cliquetree", files["fig1_h"])),  # success
+                 (1, ("cliquetree", files["c4"])),  # ChordalkitError
+                 (1, ("cliquetree", "/nonexistent/file.txt")),  # OSError
+                 (1, ("cliquetree", files["fig1_h"], "--structure", "bogus"))]  # argparse
+        try:
+            (gc.enable if was_enabled else gc.disable)()
+            for want, argv in cases:
+                code, _, err = run(capsys, *argv)
+                assert code == want, err
+                assert gc.isenabled() is was_enabled, argv
+        finally:
+            gc.enable()
+        assert seen == [False, False, False]  # the argparse error comes before the command
 
     def test_out_file(self, files, tmp_path, capsys):
         target = tmp_path / "result.json"

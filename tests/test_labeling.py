@@ -144,6 +144,19 @@ class TestBuiltinependencyFlags:
         for f in ALL:
             assert f().complement_reversing_known is Tri.YES
 
+    def test_every_queued_builtin_is_complement_reversing(self):
+        # a minimizing search on a dense graph runs a structure's own queue
+        # on the complement side, which is sound only for complement-reversing
+        # structures: a built-in that brings a queue must be one
+        import chordalkit.labeling as labeling
+
+        queued = [cls for cls in LabelingStructure.__subclasses__()
+                  if cls.__module__ == labeling.__name__
+                  and cls._selection_queue is not LabelingStructure._selection_queue]
+        assert {cls.name for cls in queued} == set(labeling.BUILTIN_TOKENS)
+        for cls in queued:
+            assert cls.complement_reversing_known is Tri.YES, cls.name
+
     def test_token_lookup(self):
         assert structure_by_token("mns").name == "mns"
         with pytest.raises(KeyError):

@@ -22,7 +22,17 @@ from chordalkit.errors import (
     ScriptConflictError,
 )
 from chordalkit.fixtures import fixture, fixtures, graph
-from chordalkit.graph import Ordering, add_edges, complement_view, from_edge_list, from_vertices, ordering_from_names
+from chordalkit.graph import (
+    Ordering,
+    add_edges,
+    complement_is_connected,
+    complement_view,
+    from_edge_list,
+    from_vertices,
+    is_connected,
+    materialize_complement,
+    ordering_from_names,
+)
 from chordalkit.labeling import Cmp, LabelingStructure, Tri, lab, lexbfs, lexdfs, mcs, mns
 from chordalkit.oracle import GeneratorConfig, gen, is_chordal, is_minimal_triangulation, is_peo, is_pmo
 from chordalkit.search import (
@@ -173,6 +183,102 @@ class TestMinimizeDuality:
             for f in ALL:
                 alpha_min, _ = mls(g, f(), minimize=True)
                 assert is_peo(comp, alpha_min), f().name
+
+
+def _unqueued(structure):
+    """The built-in structure with no selection queue of its own, so that
+    every run of it keeps and scans its labels on g's side (``ScanQueue``)."""
+    cls = type(structure)
+    return type(f"Unqueued{cls.__name__}", (cls,), {"_selection_queue": lambda self, n, minimize: None})()
+
+
+def _edges_exactly(rng, n, m):
+    """A graph on n vertices with exactly m edges, it and its complement
+    connected."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = from_vertices([f"v{v}" for v in range(n)],
+                          [(f"v{u}", f"v{v}") for u, v in rng.sample(pairs, m)])
+        if is_connected(g) and complement_is_connected(g):
+            return g
+
+
+def _dense_corpus():
+    """Dense co-chordal graphs, dense graphs whose complement is connected
+    but not chordal, and graphs at the flip threshold 4m = n(n - 1) and one
+    edge either side of it."""
+    cochordal = [gen(GeneratorConfig(seed=6000 + s, n=n, param=param, family="random-co-chordal"))
+                 for s, (n, param) in enumerate([(10, 1.5), (14, 2.0), (19, 3.0), (24, 2.5), (30, 4.0)])]
+    holed = []
+    for s in range(40):
+        n = 10 + s % 4 * 5
+        h = gen(GeneratorConfig(seed=6100 + s, n=n, param=3.5 / n, family="random-connected"))
+        g = materialize_complement(h)
+        if is_connected(g) and not is_chordal(h):
+            holed.append(g)
+    rng = random.Random(6200)
+    threshold = [_edges_exactly(rng, n, n * (n - 1) // 4 + d) for n in (8, 9, 12, 13) for d in (-1, 0, 1)]
+    assert len(holed) >= 6
+    return cochordal + holed[:6] + threshold
+
+
+_MINIMIZING_PRODUCTS = [
+    ("mls-min", lambda g, s, tb: mls(g, s, tb, minimize=True)),
+    ("complement_mls_generators", complement_mls_generators),
+    ("complement_mls_clique_tree", complement_mls_clique_tree),
+]
+
+
+class TestComplementSide:
+    """A minimizing run with a built-in structure on a graph with more edges
+    than its complement selects on the complement side; it must give what
+    the g-side label scan gives."""
+
+    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("name,fn", _MINIMIZING_PRODUCTS, ids=[p[0] for p in _MINIMIZING_PRODUCTS])
+    def test_matches_the_g_side_scan(self, factory, name, fn):
+        def outcome(structure, g, tb):
+            try:
+                out = fn(g, structure, tb)
+            except ChordalkitError as e:
+                return type(e), str(e)
+            # the mls pair, or a result (whose own == skips its trace)
+            return (out[0], out[1].entries) if isinstance(out, tuple) else (out, out.trace.entries)
+
+        structure, scanned = factory(), _unqueued(factory())
+        flipped = errors = 0
+        for g in _dense_corpus():
+            run = LabelSearch(g, structure, minimize=True)
+            assert run.flip == (4 * g.m > g.n * (g.n - 1))
+            assert not LabelSearch(g, scanned, minimize=True).flip
+            flipped += run.flip
+            for tb in _queue_tiebreaks(g, True):
+                got = outcome(structure, g, tb)
+                assert got == outcome(scanned, g, tb), (name, g, tb)
+                errors += isinstance(got[0], type)
+        # the generators trust the input, so only the tree rejects the holed ones
+        assert flipped == 15 and (errors >= 6 or name != "complement_mls_clique_tree"), (flipped, errors)
+
+    @pytest.mark.parametrize("factory", ALL, ids=lambda f: f.__name__)
+    def test_a_flipped_run_bumps_the_complement_edges(self, factory, monkeypatch):
+        # each step bumps its vertex's unnumbered neighbors on the side it
+        # runs on, so a run bumps once per edge of that side
+        structure = factory()
+        queue = type(structure._selection_queue(1, False))
+        bumped = []
+        real = queue.bump
+        monkeypatch.setattr(queue, "bump", lambda self, vs, i: bumped.append(len(vs)) or real(self, vs, i))
+        dense = gen(GeneratorConfig(seed=6300, n=40, param=3.0, family="random-co-chordal"))
+        sparse = gen(GeneratorConfig(seed=6301, n=40, param=3.0, family="random-chordal"))
+        dense_bar = dense.n * (dense.n - 1) // 2 - dense.m
+        assert dense_bar < dense.m and sparse.m * 4 < sparse.n * (sparse.n - 1)
+        for run, want in [(lambda: mls(dense, structure, minimize=True), dense_bar),
+                          (lambda: complement_mls_generators(dense, structure), dense_bar),
+                          (lambda: mls(dense, structure), dense.m),
+                          (lambda: mls(sparse, structure, minimize=True), sparse.m)]:
+            bumped.clear()
+            run()
+            assert (len(bumped), sum(bumped)) == (40, want)  # one bump per step
 
 
 class TestMlsm:
@@ -760,6 +866,12 @@ class TestSelectionQueue:
             dcl_mls_clique_tree(g, mcs())
         with pytest.raises(DebugInvariantError, match="equal label test"):
             complement_mls_generators(h, mcs())
+        # on a graph denser than its complement the run asks the twin test
+        dense = gen(GeneratorConfig(seed=6300, n=12, param=2.0, family="random-co-chordal"))
+        complement_mls_generators(dense, mcs())
+        monkeypatch.setattr(BucketQueue, "twinned", lambda self, x: False)
+        with pytest.raises(DebugInvariantError, match="equal label test"):
+            complement_mls_generators(dense, mcs())
 
     def test_debug_cross_check_catches_a_bad_mns_queue(self, monkeypatch):
         monkeypatch.setenv("CHORDALKIT_DEBUG", "1")
@@ -800,7 +912,8 @@ class TestSelectionQueue:
     def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
         # the same protocol on count and tuple labels, totally ordered by
         # key, with the reach search after each removal on a random graph,
-        # and the label test against the last removed label. Steps whose
+        # and the label and twin tests against the last removed label
+        # (the twin test only maximizing, as a flipped run asks it). Steps whose
         # removal empties its class, after which an equal label may come
         # back in another block (mcs), are counted to show they are met.
         emptied = returned = 0
@@ -811,6 +924,7 @@ class TestSelectionQueue:
                 adj, nb = _random_adjacency(random.Random(10_000 + seed), n)
                 q = queue(n, minimize)
                 label, live, prev, alone = [initial] * n, set(range(n)), key(initial), False
+                grown = None  # the last removed label, increased at its position
                 for i in range(n, 0, -1):
                     keys = {v: key(label[v]) for v in live}
                     best = (min if minimize else max)(keys.values())
@@ -820,11 +934,13 @@ class TestSelectionQueue:
                     assert all(check() for check in checks), (minimize, seed, i)
                     for v in want:
                         assert q.continues(v) == (keys[v] == prev if minimize else keys[v] > prev), (minimize, seed, i, v)
+                        if not minimize:
+                            assert q.twinned(v) == (label[v] == grown), (seed, i, v)
                     returned += alone and best == prev
                     x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
                     alone = len(want) == 1
                     emptied += alone
-                    prev = keys[x]
+                    prev, grown = keys[x], inc(label[x], i)
                     q.remove(x)
                     live.discard(x)
                     below = lambda y: {w for w in live if keys[w] < keys[y]}
@@ -858,7 +974,7 @@ def _check_set_label_queue(make):
             prefer = rng.choice([False, True])
             q = make(n, adj, minimize)
             q.prefer = prefer
-            label, live, prev = [0] * n, set(range(n)), 0
+            label, live, prev, grown = [0] * n, set(range(n)), 0, None
             if minimize:
                 continues = lambda m: m == prev
             else:
@@ -880,10 +996,12 @@ def _check_set_label_queue(make):
                 assert all(check() for check in checks), (minimize, seed, i)
                 for v in want:
                     assert q.continues(v) == continues(label[v]), (minimize, seed, i, v)
+                    if not (minimize or isinstance(q, ScanQueue)):
+                        assert q.twinned(v) == (label[v] == grown), (seed, i, v)
                 x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
                 q.remove(x)
                 live.discard(x)
-                prev = label[x]
+                prev, grown = label[x], label[x] | 1 << i
                 below = lambda y: {w for w in live if label[w] & label[y] == label[w] != label[y]}
                 reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
                 assert q.reach(x, nb) == reached, (minimize, seed, i)
