@@ -70,6 +70,16 @@ from .decomposition import (
     dcl_mlsm_clique_tree,
     is_clique_in,
 )
-from . import errors, fixtures, oracle, serialize
+from . import errors, serialize
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the oracle and the fixtures load on first use: a CLI command needs
+    # them only to validate
+    if name in ("fixtures", "oracle"):
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import oracle, serialize
+from . import serialize
 from .cliquetree import (
     _require_complement_peo,
     clique_tree_from_peo,
@@ -44,6 +44,20 @@ from .graph import (
 )
 from .labeling import BUILTIN_TOKENS, DEFAULT_CHECK_BOUND, check_report, structure_by_token
 from .search import LowestIndex, ScriptedOrder, SeededRandom, mls, mlsm, moplex_mlsm, triangulation_from_ordering
+
+
+def __getattr__(name: str):
+    # the oracle loads on first use: only --validate and check run it
+    if name == "oracle":
+        from . import oracle
+
+        return oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _oracle():
+    """The oracle module as ``cli.oracle``, the name a caller may set."""
+    return sys.modules[__name__].oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,12 +188,13 @@ def _cmd_cliquetree(args) -> int:
     else:
         _emit(args, serialize.dumps(serialize.clique_tree_json(g, t)))
     if args.validate:
-        violations = oracle.validate_clique_tree(_checked_complement(g) if args.complement else g, t)
+        violations = _oracle().validate_clique_tree(_checked_complement(g) if args.complement else g, t)
     return _validation_exit(violations)
 
 
 def _checked_complement(g: Graph) -> Graph:
     """The complement for the oracle, refused above its cap before it is built."""
+    oracle = _oracle()
     oracle._require_under_cap("maximal_cliques", g.n, oracle.CLIQUES_CAP)
     return materialize_complement(g)
 
@@ -192,6 +207,7 @@ def _validate_generators(g: Graph, res) -> list[str]:
     # an independent tree: the peo walk on the materialized complement
     if extract_generators(clique_tree_from_peo(comp, res.ordering)) != res:
         violations.append("generators disagree with the complement clique tree")
+    oracle = _oracle()
     want_cliques = oracle.maximal_cliques(comp)
     got_cliques = {
         higher_neighborhood(comp, res.ordering, v, res.ordering.position_of(v), closed=True)
@@ -243,6 +259,7 @@ def _cmd_triangulate(args) -> int:
 
     violations: list[str] = []
     if args.validate:
+        oracle = _oracle()
         if not oracle.is_chordal(tri.graph):
             violations.append("result graph is not chordal")
         elif minimal_expected and not oracle.is_minimal_triangulation(g, tri.graph):
@@ -260,7 +277,7 @@ def _cmd_atoms(args) -> int:
         _emit(args, serialize.atom_tree_dot(g, t))
     else:
         _emit(args, serialize.dumps(serialize.atom_tree_json(g, t)))
-    violations = oracle.validate_atom_tree(g, t) if args.validate else []
+    violations = _oracle().validate_atom_tree(g, t) if args.validate else []
     return _validation_exit(violations)
 
 
@@ -282,6 +299,7 @@ def _cmd_check(args) -> int:
     except (ValueError, TypeError) as exc:
         # json.JSONDecodeError is a ValueError too
         raise ParseError(f"malformed result JSON: {exc}") from None
+    oracle = _oracle()
     if hasattr(t, "atoms"):
         violations = oracle.validate_atom_tree(g, t)
     else:

@@ -24,7 +24,6 @@ separator of the (possibly complement) chordal graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -52,11 +51,11 @@ from .labeling import (
     require_dcl,
     structure_by_token,
 )
+from .record import Record, field
 from .search import LabelSearch, SearchTrace, TieBreak, TriangulationResult
 
 
-@dataclass(frozen=True)
-class CliqueTreeResult:
+class CliqueTreeResult(Record):
     """Cliques K_1..K_s, tree edges on 1-based indices, the deduplicated
     separator set, the clique each vertex was filed into, and the ordering
     that produced everything."""
@@ -80,8 +79,7 @@ class CliqueTreeResult:
         return self.clique(p) & self.clique(q)
 
 
-@dataclass(frozen=True)
-class GeneratorsResult:
+class GeneratorsResult(Record):
     """Vertices generating the maximal cliques / minimal separators of the
     complement graph: closed (resp. open) higher neighborhoods in the
     complement of the listed vertices, taken in order, are exactly those."""

@@ -13,17 +13,15 @@ module keeps their result types and the contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cliquetree import CliqueTreeResult, _mlsm_tree
 from .errors import InputMismatchError
 from .graph import Graph, Ordering, VertexSet, is_clique_in
 from .labeling import LabelingStructure
+from .record import Record
 from .search import TieBreak, TriangulationResult
 
 
-@dataclass(frozen=True)
-class MlsmCliqueTreeResult:
+class MlsmCliqueTreeResult(Record):
     """A minimal moplex ordering, its minimal triangulation, and the clique
     tree of that triangulation (not of the input graph)."""
 
@@ -36,8 +34,7 @@ class MlsmCliqueTreeResult:
         return self.clique_tree.separators
 
 
-@dataclass(frozen=True)
-class AtomTreeResult:
+class AtomTreeResult(Record):
     """Atoms A_1..A_s, tree edges on 1-based indices, the clique minimal
     separators, the atom each vertex was filed into, the triangulation the
     construction went through, and (for the single-pass builder) the current

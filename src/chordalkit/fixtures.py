@@ -10,13 +10,11 @@ order-breaking examples on non-chordal inputs (fig4_g through fig6_g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import Graph, from_edge_list
+from .record import Record, field
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     name: str
     edges: tuple[tuple[str, str], ...]
     # script = the ordering to reproduce, position 1 first

@@ -320,37 +320,44 @@ def induced_subgraph(g: Graph, sub: Iterable[int]) -> Graph:
 
 
 def is_connected(g: Graph | ComplementView) -> bool:
-    """True iff every vertex is reachable from vertex 0 (single vertex: True)."""
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    """True iff every vertex is reachable from vertex 0 (single vertex:
+    True). A search keeping the unvisited set: each visit takes its
+    unvisited neighbours by one set intersection in C, which walks the
+    smaller set, so the search costs O(n) interpreted steps and O(n + m) in
+    C. A visit costs about what a per-edge search pays for five edges: a
+    path takes about 3x that search's time, a dense graph a few hundredths
+    of it. A view asks ``complement_is_connected`` of its base graph."""
+    if isinstance(g, ComplementView):
+        return complement_is_connected(g.base)
+    return _drains(g, set.intersection)
 
 
 def complement_is_connected(g: Graph) -> bool:
-    """Connectivity of the complement without materializing it: BFS keeping
-    the unvisited set, O(n + m) in the base graph. A set keeps its table as
-    it shrinks, so the set is copied below a quarter of its last size."""
+    """Connectivity of the complement without materializing it: the same
+    search, each visit taking its unvisited non-neighbours by one set
+    difference in C, which walks the unvisited set."""
+    return _drains(g, set.difference)
+
+
+def _drains(g: Graph, take) -> bool:
+    """Whether the search from vertex 0 reaches every vertex, a visit to u
+    reaching ``take(unvisited, g.adj[u])``. A set keeps its table as it
+    shrinks, and walking it costs the table, so the set is copied below a
+    quarter of its last size."""
     if g.n == 0:
         return False
     unvisited = set(range(1, g.n))
     copied = len(unvisited)
     frontier = [0]
+    adj = g.adj
     while frontier:
-        u = frontier.pop()
-        reached = unvisited - g.adj[u]
-        unvisited -= reached
-        frontier.extend(reached)
-        if 4 * len(unvisited) < copied:
-            unvisited = set(unvisited)
-            copied = len(unvisited)
+        reached = take(unvisited, adj[frontier.pop()])
+        if reached:
+            unvisited -= reached
+            frontier += reached
+            if 4 * len(unvisited) < copied:
+                unvisited = set(unvisited)
+                copied = len(unvisited)
     return not unvisited
 
 

@@ -12,12 +12,12 @@ builders' label-test gates (dcl, complement-reversing) check it first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import IcViolationError, NonDclStructureError, NotComplementReversingError
+from .record import Record
 from .selection import BucketQueue, InclusionPartition, OrderedPartition, StackPartition
 
 Label = Any
@@ -285,8 +285,7 @@ def lab(structure: LabelingStructure, positions: Iterable[int]) -> Label:
     return structure._fold(sorted(set(positions), reverse=True))
 
 
-@dataclass(frozen=True)
-class PropertyWitness:
+class PropertyWitness(Record):
     """Counterexample to one of the bounded property checks. Replaying the
     two sets through lab reproduces the offending comparison."""
 

@@ -8,7 +8,6 @@ against themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OracleCapError
@@ -23,6 +22,7 @@ from .graph import (
     is_connected,
     materialize_complement,
 )
+from .record import Record
 from .rng import SplitMix64
 
 SEPARATOR_CAP = 16
@@ -301,8 +301,7 @@ def _tree_violations(g: Graph, nodes: list[VertexSet], tree_edges, noun: str,
 # seeded generators
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     """Deterministic instance recipe: same config, same graph, anywhere.
 
     param means: edge probability for random-connected; mean clique

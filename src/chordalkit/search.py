@@ -47,7 +47,6 @@ connected graph names a broken inclusion condition (``LabelSearch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import debug
@@ -59,6 +58,7 @@ from .graph import (
     require_connected,
 )
 from .labeling import Cmp, Label, LabelingStructure, lab, require_ic
+from .record import Record
 from .rng import SplitMix64
 from .selection import BucketQueue, OrderedPartition
 
@@ -91,8 +91,7 @@ class LowestIndex(TieBreak):
         return "LowestIndex()"
 
 
-@dataclass(frozen=True)
-class SeededRandom(TieBreak):
+class SeededRandom(TieBreak, Record):
     """Seeded uniform pick: the ``rng.below(k)``-th smallest member of the
     extreme class of k vertices, drawn from a SplitMix64 stream. Each pick
     copies and sorts the class, O(k log k) per step, so on inputs with
@@ -111,8 +110,7 @@ class SeededRandom(TieBreak):
         return pick
 
 
-@dataclass(frozen=True)
-class ScriptedOrder(TieBreak):
+class ScriptedOrder(TieBreak, Record):
     """Explicit pick sequence by vertex name, first pick first (so the list
     reads from position n downward). A scripted vertex that is not a legal
     candidate at its turn is an error, never a silent override; after the
@@ -150,8 +148,7 @@ class ScriptedOrder(TieBreak):
 # traces and results
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     i: int
     vertex: int
     label: Label
@@ -222,8 +219,7 @@ class SearchTrace:
         return f"SearchTrace(structure={self.structure!r}, entries={self.entries!r})"
 
 
-@dataclass(frozen=True)
-class TriangulationResult:
+class TriangulationResult(Record):
     """An ordering, the input graph plus its fill (chordal), and the fill
     edges in insertion order, which the result JSON keeps.
 

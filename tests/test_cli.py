@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -11,7 +10,7 @@ import pytest
 
 from chordalkit import cli
 from chordalkit.cli import main
-from chordalkit.cliquetree import complement_mls_generators
+from chordalkit.cliquetree import GeneratorsResult, complement_mls_generators
 from chordalkit.fixtures import fixture
 from chordalkit.graph import complement_is_connected, materialize_complement, parse_edge_list
 from chordalkit.oracle import is_chordal
@@ -540,6 +539,35 @@ class TestEntryPoint:
         assert len(json.loads(proc.stdout)["cliques"]) == 3
 
 
+class TestStartup:
+    """A CLI process imports only what its command runs: the oracle and the
+    fixtures load for --validate and check, and no result type needs
+    ``dataclasses`` (which also imports ``inspect``). Modules that site
+    loaded before the import do not count."""
+
+    SKIPPED = {"dataclasses", "inspect", "chordalkit.oracle", "chordalkit.fixtures"}
+
+    @staticmethod
+    def _newly_loaded(statements):
+        code = ("import sys\nbefore = set(sys.modules)\n" + statements
+                + "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_importing_the_cli_loads_no_oracle_and_no_dataclasses(self):
+        loaded = self._newly_loaded("import chordalkit.cli")
+        assert "chordalkit.cli" in loaded
+        assert not loaded & self.SKIPPED
+
+    def test_validating_loads_the_oracle(self, tmp_path):
+        p = tmp_path / "fig1.txt"
+        p.write_text(fixture("fig1_h").edge_list_text(), encoding="utf-8")
+        argv = ["cliquetree", str(p), "--out", str(tmp_path / "tree.json"), "--validate"]
+        loaded = self._newly_loaded(f"from chordalkit.cli import main\nassert main({argv!r}) == 0")
+        assert "chordalkit.oracle" in loaded
+
+
 def _oracle_with(**wrong):
     """The oracle module as ``cli`` reads it, with some checks answering wrong."""
     from chordalkit import oracle
@@ -548,7 +576,7 @@ def _oracle_with(**wrong):
 
 
 def _repeat_a_separator(res):
-    return dataclasses.replace(res, gen_separators=res.gen_separators + res.gen_separators[:1])
+    return GeneratorsResult(res.ordering, res.gen_cliques, res.gen_separators + res.gen_separators[:1], res.trace)
 
 
 class TestValidationFailures:

@@ -200,6 +200,21 @@ class TestEdgeListFormat:
             parse_edge_list("# only a comment\n\n   # another\n")
 
 
+def _edge_by_edge_search(g):
+    """The search ``is_connected`` ran before its set operations: a stack
+    over ``neighbors``, one interpreted step per edge."""
+    if g.n == 0:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
 class TestConnectivity:
     def test_fig1_connected(self):
         assert is_connected(graph("fig1_h"))
@@ -209,6 +224,24 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(from_vertices(["a"]))
+
+    @pytest.mark.parametrize("g", [
+        Graph([], []),
+        from_vertices(["a"]),
+        from_edge_list([("a", "b"), ("c", "d")]),
+        from_edge_list([("a", "b"), ("b", "c"), ("c", "d")]),
+        graph("fig1_h"),
+        gen(GeneratorConfig(seed=3, n=40, param=3.0, family="random-co-chordal")),
+    ], ids=["n0", "n1", "disconnected", "path", "fig1_h", "co-chordal"])
+    def test_is_connected_agrees_with_an_edge_by_edge_search(self, g):
+        for h in (g, complement_view(g), materialize_complement(g)):
+            assert is_connected(h) == _edge_by_edge_search(h)
+
+    @settings(max_examples=60)
+    @given(small_graphs())
+    def test_is_connected_agrees_with_an_edge_by_edge_search_on_small_graphs(self, g):
+        assert is_connected(g) == _edge_by_edge_search(g)
+        assert is_connected(complement_view(g)) == _edge_by_edge_search(complement_view(g))
 
     @settings(max_examples=60)
     @given(small_graphs())
@@ -221,9 +254,13 @@ class TestConnectivity:
         near_star = from_edge_list([("c", f"v{i}") for i in range(1, 25_000 - 1)] + [("w", "v1")])
         base = gen(GeneratorConfig(seed=1, n=200, param=4.0, family="random-co-chordal"))
         padded = Graph(list(base.names) + [f"z{i}" for i in range(20_000 - base.n)], list(base.edges()))
-        for g in (near_star, padded):
+        # the star's first visit drains the set, and every later one
+        # intersects it with a one-vertex row
+        star = from_edge_list([("c", f"v{i}") for i in range(1, 25_000)])
+        for g, connected in ((near_star, complement_is_connected), (padded, complement_is_connected),
+                             (star, is_connected)):
             start = time.perf_counter()
-            assert complement_is_connected(g)
+            assert connected(g)
             elapsed = time.perf_counter() - start
             assert elapsed < 0.5, f"n={g.n} took {elapsed:.2f}s"
 
