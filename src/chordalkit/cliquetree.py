@@ -140,7 +140,7 @@ class _TreeBuilder:
             cliques=tuple(frozenset(c) for c in self.cliques),
             tree_edges=tuple(self.edges),
             separators=frozenset(self.seps),
-            clique_of=dict(self.clique_of),
+            clique_of=self.clique_of,
             ordering=ordering,
             trace=trace,
         )
@@ -219,16 +219,15 @@ def clique_tree_from_pmo(h: Graph, alpha: Ordering, *, validate: bool = False) -
     neighborhood against the current node only. Cliques other than the
     current one are maximal at every intermediate step.
 
-    With validate on, the finished node set is checked against the exact
-    maximal cliques and a mismatch raises (the ordering was not
-    clique-completing); otherwise the precondition is trusted.
+    With validate on, at any n, a node contained in a child raises
+    NotMCComp (the ordering was not clique-completing), in O(sum |K|) after
+    the walk: a node stops being maximal exactly when a later node is
+    opened under it with that node as its separator. Otherwise the
+    precondition is trusted.
     """
     result = _walk_ordering(h, alpha, join_parent=False)
-    if validate:
-        from . import oracle
-
-        if set(result.cliques) != oracle.maximal_cliques(h):
-            raise NotMCCompError("ordering does not complete maximal cliques one by one")
+    if validate and any(result.clique(p) <= result.clique(q) for p, q in result.tree_edges):
+        raise NotMCCompError("ordering does not complete maximal cliques one by one")
     return result
 
 
@@ -392,9 +391,9 @@ def complement_mls_clique_tree(
     builder = _TreeBuilder()
     for x in reversed(seq):
         if x in opens:
+            # never empty: alpha is a peo of the connected complement, where
+            # every vertex before position n, as a generator is, has a later neighbor
             sep = list(filterfalse(adj[x].__contains__, seq[pos[x]:]))
-            if not sep:
-                raise ComplementNotChordalError("empty boundary separator mid-run")
             builder.open(frozenset(sep), sep[0])  # under x's follower's node
         builder.join(x)
     if debug.enabled() and g.n <= debug.ORACLE_CHECK_MAX_N:

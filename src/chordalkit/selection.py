@@ -2,28 +2,28 @@
 order as labels grow, so a search reads its extreme label class and that
 class's lowest index without comparing labels.
 
-Every built-in structure has one. Count labels (mcs) keep the count
-buckets of Tarjan & Yannakakis (1984), indexed by count (``BucketQueue``).
-The other three are one ordered partition: blocks of equal labels, linked
-in label order, each finding its lowest index with a lazy min-heap (Habib,
+Every built-in structure has one. Count labels (mcs) keep the count buckets
+of Tarjan & Yannakakis (1984), indexed by count (``BucketQueue``). The
+other three are one ordered partition: blocks of equal labels, linked in
+label order, each finding its lowest index with a lazy min-heap (Habib,
 McConnell, Paul & Viennot 2000). List labels (lexbfs) refine the partition
-at each step, each bumped block's twin linked just above it (Rose, Tarjan
-& Lueker 1976); prepended list labels (lexdfs) stack each step's twins on
-top, since a lexdfs increase lifts every bumped label above all the others
-(Corneil & Krueger 2008); and set labels (mns) keep the lexbfs partition
-with an int bitmask per block. For the three total orders selection and
-label increase cost O(log n) amortized. Set labels are a partial order, so
-the mns queue keeps its maximal blocks between steps, each other block
-holding a witness that dominates it: a step costs O(twins) mask tests,
-plus O(maximal blocks) per block whose witness empties. It applies the
-search's moplex rule (``prefer``) itself. Custom structures get
-``chordalkit.search.ScanQueue``, which keeps their labels and answers the
-same calls by scanning them. All queues are driven by the same calls, each
-step making one ``remove`` of the vertex it numbers, then exactly one
-``bump``, possibly empty, with every vertex whose label grows at position
-i. ``bump`` returns with the queue settled, so ``lowest`` (or ``extreme``)
-selects by reading it. With ``minimize`` they read the least class instead
-of the greatest. The engine gets them through
+at each step, each bumped block's twin linked just above it (Rose, Tarjan &
+Lueker 1976); prepended list labels (lexdfs) run the same bump with each
+twin linked on top instead, since a lexdfs increase lifts every bumped
+label above all the others (Corneil & Krueger 2008); and set labels (mns)
+keep the lexbfs partition with an int bitmask per block. For the three
+total orders selection and label increase cost O(log n) amortized. Set
+labels are a partial order, so the mns queue keeps its maximal blocks
+between steps, each other block holding a witness that dominates it: a step
+costs O(twins) mask tests, plus O(maximal blocks) per block whose witness
+empties. It applies the search's moplex rule (``prefer``) itself. Custom
+structures get ``chordalkit.search.ScanQueue``, which keeps their labels
+and answers the same calls by scanning them. All queues are driven by the
+same calls, each step making one ``remove`` of the vertex it numbers, then
+exactly one ``bump``, possibly empty, with every vertex whose label grows
+at position i. ``bump`` returns with the queue settled, so ``lowest`` (or
+``extreme``) selects by reading it. With ``minimize`` they read the least
+class instead of the greatest. The engine gets them through
 ``LabelingStructure._selection_queue``.
 
 The queues also answer the one label test of the clique-tree builders,
@@ -325,14 +325,14 @@ class StackPartition(OrderedPartition):
     step, while two bumped labels keep their order. The twins of a step's
     source blocks are therefore linked above the top block, in the order of
     their sources. Blocks only ever enter at the top, so the block order is
-    creation order, which is id order. ``bump`` groups the step's vertices
-    by block, sorts the k source blocks by id and places their twins,
-    O(k log k). Removal, emptied blocks and the lazy heaps are the ordered
-    partition's; a twin's heap is seeded with its members sorted. The
-    step's twins are the blocks from id ``fresh`` on, so a vertex grew past
-    the last removed label, maximizing, exactly when it is in one: that is
-    ``continues``, strictly greater. ``twins`` still maps each source to
-    its twin, for the twin test (``twinned``), which is narrower."""
+    creation order, which is id order. ``bump`` is the ordered partition's,
+    run over the step's vertices sorted by block, with ``_new_block``
+    linking each twin on top: the twins are made, and so stacked, in their
+    sources' order. The step's twins are the blocks from id ``fresh`` on,
+    so a vertex grew past the last removed label, maximizing, exactly when
+    it is in one: that is ``continues``, strictly greater. ``twins`` maps
+    each source to its twin, for the twin test (``twinned``), which is
+    narrower."""
 
     __slots__ = ("fresh",)
 
@@ -345,26 +345,11 @@ class StackPartition(OrderedPartition):
         return b == self.last if self.minimize else b >= self.fresh
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
-        self.fresh = len(members)
-        twins.clear()
-        groups: dict[int, list[int]] = {}
-        for v in vs:
-            b = block_of[v]
-            if b in groups:
-                groups[b].append(v)
-            else:
-                groups[b] = [v]
-        for b in sorted(groups):
-            t = twins[b] = self._new_block(self.top)
-            old, moved = members[b], groups[b]
-            old.difference_update(moved)
-            members[t].update(moved)
-            heaps[t] = sorted(moved)
-            for v in moved:
-                block_of[v] = t
-            if not old:
-                self._unlink(b)
+        self.fresh = len(self.members)
+        super().bump(sorted(vs, key=self.block_of.__getitem__), i)
+
+    def _new_block(self, below: int) -> int:
+        return super()._new_block(self.top)
 
 
 class _Witnessed(set):
@@ -399,8 +384,9 @@ class InclusionPartition(OrderedPartition):
       dominators are settled first.
 
     ``lowest`` reads a lazy heap of (lowest index, block) over the extreme
-    set; an entry whose vertex has left moves up to the block's new lowest,
-    as no vertex enters an older block. The label test is the ordered
+    set, pushed as a block enters it; an entry whose block has left the set
+    is dropped, and one whose vertex has left moves up to the block's new
+    lowest, as no vertex enters an older block. The label test is the ordered
     partition's, read off ``twins`` with no mask test, and ``prefer`` reads
     the same block: at most one extreme block continues the last removed
     vertex's label, the block it left (minimizing) or that block's twin
@@ -413,14 +399,13 @@ class InclusionPartition(OrderedPartition):
     starting from the regions of the blocks it dominates, and keeps each
     live block's maximal dominated blocks for the next step."""
 
-    __slots__ = ("mask", "ext", "order", "entered", "held", "home", "step", "emptied", "covers")
+    __slots__ = ("mask", "ext", "order", "held", "home", "step", "emptied", "covers")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
         self.mask = [0]  # by block id, parallel to members
         self.ext = {0: 0}  # extreme block -> its mask
-        self.order: list[tuple[int, int]] = []  # the lazy heap
-        self.entered = [0]  # extreme blocks not yet pushed on the heap
+        self.order = [(0, 0)]  # the lazy heap of (lowest index, extreme block)
         # by block id: the blocks it witnesses; if not extreme, the set holding it
         self.held: list[_Witnessed | None] = [None]
         self.home: list[_Witnessed | None] = [None]
@@ -466,7 +451,7 @@ class InclusionPartition(OrderedPartition):
     def _settle(self) -> None:
         """Apply the step's removal and bumps by the rules above."""
         mask, members, ext, minimize = self.mask, self.members, self.ext, self.minimize
-        held, home, entered, grown = self.held, self.home, self.entered, {}
+        held, home, order, grown = self.held, self.home, self.order, {}
         fresh = self.twins  # this step's source -> twin
         tested: list[int] = []
         orphans: list[int] = []
@@ -476,7 +461,7 @@ class InclusionPartition(OrderedPartition):
                 self._witness(t, s)
             elif s in ext:
                 ext[t] = grown[t] = mask[t]
-                entered.append(t)
+                heappush(order, (self._lowest_of(t), t))
                 if members[s]:
                     del ext[s]
                     self._witness(s, t)
@@ -513,10 +498,7 @@ class InclusionPartition(OrderedPartition):
                         break
                 else:
                     ext[b] = pool[b] = m
-                    entered.append(b)
-        if len(entered) > len(ext):  # rebuilding the heap costs less
-            self.order.clear()
-            entered[:] = ext
+                    heappush(order, (self._lowest_of(b), b))
         self.emptied.clear()
 
     def _narrowed(self) -> int | None:
@@ -636,10 +618,6 @@ class InclusionPartition(OrderedPartition):
         if b is not None:
             return self._lowest_of(b)
         order, ext, members = self.order, self.ext, self.members
-        for b in self.entered:
-            if b in ext:
-                heappush(order, (self._lowest_of(b), b))
-        self.entered.clear()
         while True:
             v, b = order[0]
             if b not in ext:

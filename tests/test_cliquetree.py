@@ -198,6 +198,48 @@ class TestFromPmo:
                 t2 = clique_tree_from_pmo(g, alpha)
                 assert t1.cliques == t2.cliques and t1.tree_edges == t2.tree_edges
 
+    def test_validate_accepts_a_large_pmo(self):
+        # past the oracle's n cap: the check reads the tree, not the oracle
+        g = gen(GeneratorConfig(seed=3, n=240, param=4.0, family="random-chordal"))
+        for f in ALL:
+            alpha, _ = moplex_mls(g, f())
+            t = clique_tree_from_pmo(g, alpha, validate=True)
+            assert t == clique_tree_from_peo(g, alpha)
+
+    def test_validate_rejects_a_large_peo_that_does_not_complete(self, monkeypatch):
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
+        from chordalkit.search import mls
+
+        # mns orderings of this graph are peos that leave a node non-maximal
+        g = gen(GeneratorConfig(seed=5, n=40, param=3.0, family="random-chordal"))
+        for seed in range(5):
+            alpha, _ = mls(g, mns(), SeededRandom(seed))
+            assert is_peo(g, alpha)
+            cliques = clique_tree_from_pmo(g, alpha).cliques
+            assert any(a < b for a in cliques for b in cliques)
+            with pytest.raises(NotMCCompError, match="does not complete maximal cliques"):
+                clique_tree_from_pmo(g, alpha, validate=True)
+
+    def test_validate_matches_the_oracle(self, monkeypatch):
+        monkeypatch.delenv("CHORDALKIT_DEBUG", raising=False)
+        from chordalkit.search import mls
+
+        rejected = 0
+        for seed in range(30):
+            g = gen(GeneratorConfig(seed=8000 + seed, n=6 + seed % 12, param=2.0 + seed % 3,
+                                    family="random-chordal"))
+            for f in ALL:
+                for tb in (LowestIndex(), SeededRandom(seed)):
+                    alpha, _ = mls(g, f(), tb)
+                    completes = set(clique_tree_from_pmo(g, alpha).cliques) == maximal_cliques(g)
+                    if completes:
+                        clique_tree_from_pmo(g, alpha, validate=True)
+                    else:
+                        with pytest.raises(NotMCCompError):
+                            clique_tree_from_pmo(g, alpha, validate=True)
+                        rejected += 1
+        assert rejected > 10
+
 
 class TestMlsCliqueTree:
     def test_edge_graph(self):
