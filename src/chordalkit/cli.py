@@ -338,20 +338,10 @@ def _read_result(g: Graph, path: str):
     else:
         host = g
 
-    if "atoms" in data:
-        t = SimpleNamespace(
-            atoms=to_sets(data["atoms"]),
-            tree_edges=to_edges(data["edges"]),
-            clique_separators=frozenset(to_sets(data["clique_separators"])),
-        )
-        return host, t
-    if "cliques" in data:
-        t = SimpleNamespace(
-            cliques=to_sets(data["cliques"]),
-            tree_edges=to_edges(data["edges"]),
-            separators=frozenset(to_sets(data["separators"])),
-        )
-        return host, t
+    for nodes, seps in (("atoms", "clique_separators"), ("cliques", "separators")):
+        if nodes in data:
+            return host, SimpleNamespace(**{nodes: to_sets(data[nodes]), "tree_edges": to_edges(data["edges"]),
+                                            seps: frozenset(to_sets(data[seps]))})
     raise ParseError("result JSON has neither 'cliques' nor 'atoms'")
 
 

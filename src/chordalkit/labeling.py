@@ -104,15 +104,20 @@ def _lex_compare(a: tuple[int, ...], b: tuple[int, ...], reverse_ints: bool) -> 
     return _LESS if len(a) < len(b) else _GREATER
 
 
+class _Builtin:
+    """The property flags of the built-in structures, stated once; each
+    built-in lists it before ``LabelingStructure`` and overrides a flag
+    that does not hold for it."""
+
+    ic_known = dcl_known = complement_reversing_known = Tri.YES
+
+
 def _render_list(label: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in label) + ")"
 
 
-class _Mcs(LabelingStructure):
+class _Mcs(_Builtin, LabelingStructure):
     name = "mcs"
-    ic_known = Tri.YES
-    dcl_known = Tri.YES
-    complement_reversing_known = Tri.YES
 
     def initial(self) -> int:
         return 0
@@ -135,11 +140,8 @@ class _Mcs(LabelingStructure):
         return label
 
 
-class _LexBfs(LabelingStructure):
+class _LexBfs(_Builtin, LabelingStructure):
     name = "lexbfs"
-    ic_known = Tri.YES
-    dcl_known = Tri.YES
-    complement_reversing_known = Tri.YES
 
     def initial(self) -> tuple[int, ...]:
         return ()
@@ -160,11 +162,9 @@ class _LexBfs(LabelingStructure):
         return _render_list(label)
 
 
-class _LexDfs(LabelingStructure):
+class _LexDfs(_Builtin, LabelingStructure):
     name = "lexdfs"
-    ic_known = Tri.YES
     dcl_known = Tri.NO
-    complement_reversing_known = Tri.YES
 
     def initial(self) -> tuple[int, ...]:
         return ()
@@ -186,11 +186,8 @@ class _LexDfs(LabelingStructure):
         return _render_list(label)
 
 
-class _Mns(LabelingStructure):
+class _Mns(_Builtin, LabelingStructure):
     name = "mns"
-    ic_known = Tri.YES
-    dcl_known = Tri.YES
-    complement_reversing_known = Tri.YES
 
     def initial(self) -> frozenset[int]:
         return frozenset()
@@ -233,14 +230,14 @@ def mns() -> LabelingStructure:
     return _Mns()
 
 
-BUILTIN_TOKENS = ("mcs", "lexbfs", "lexdfs", "mns")
+_BUILTINS = {"mcs": mcs, "lexbfs": lexbfs, "lexdfs": lexdfs, "mns": mns}
+BUILTIN_TOKENS = tuple(_BUILTINS)
 
 
 def structure_by_token(token: str) -> LabelingStructure:
-    factories = {"mcs": mcs, "lexbfs": lexbfs, "lexdfs": lexdfs, "mns": mns}
-    if token not in factories:
+    if token not in _BUILTINS:
         raise KeyError(f"unknown structure token {token!r}; expected one of {BUILTIN_TOKENS}")
-    return factories[token]()
+    return _BUILTINS[token]()
 
 
 class RevStructure(LabelingStructure):

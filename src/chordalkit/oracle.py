@@ -356,45 +356,45 @@ def _split(rng: SplitMix64, n: int, k: int) -> Graph:
     return Graph([f"v{i}" for i in range(n)], edges)
 
 
+def _redraw(draw, accept, what: str) -> Graph:
+    """The first of up to 10,000 draws that ``accept`` passes; past the
+    cap, OracleCapError says that ``what`` could not be drawn."""
+    for _ in range(10_000):
+        g = draw()
+        if accept(g):
+            return g
+    raise OracleCapError(f"could not draw {what}")
+
+
 def gen(config: GeneratorConfig) -> Graph:
     """Seeded graph families: chordal growth (chordal and connected by
-    construction), its complement (retried until that complement is
-    connected), split graphs (a clique and an independent set, so chordal
-    and co-chordal, and sparse; retried until the complement is connected),
-    and connectivity-conditioned uniform random graphs."""
+    construction), its complement (the growth redrawn until its complement
+    is connected, which is then built once), split graphs (a clique and an
+    independent set, so chordal and co-chordal, and sparse; redrawn until
+    the complement is connected), and connectivity-conditioned uniform
+    random graphs. Every redraw stops at 10,000 tries (``_redraw``)."""
     rng = SplitMix64(config.seed)
-    if config.n < 1:
+    n, param = config.n, config.param
+    if n < 1:
         raise ValueError("n must be positive")
     if config.family == "random-chordal":
-        return _grow_chordal(rng, config.n, config.param)
+        return _grow_chordal(rng, n, param)
     if config.family == "random-co-chordal":
-        if config.n < 4:
+        if n < 4:
             raise ValueError("co-chordal family needs n >= 4")
-        for _ in range(10_000):
-            h = _grow_chordal(rng, config.n, config.param)
-            g = materialize_complement(h)
-            if is_connected(g):
-                return g
-        raise OracleCapError("could not draw a connected complement; adjust param")
+        h = _redraw(lambda: _grow_chordal(rng, n, param), complement_is_connected,
+                    "a connected complement; adjust param")
+        return materialize_complement(h)
     if config.family == "random-split":
-        k = int(config.param)
-        if not 2 <= k <= config.n - 2:
+        k = int(param)
+        if not 2 <= k <= n - 2:
             raise ValueError("split family needs 2 <= int(param) <= n - 2")
-        for _ in range(10_000):
-            g = _split(rng, config.n, k)
-            if complement_is_connected(g):
-                return g
-        raise OracleCapError("could not draw a connected complement; adjust param")
+        return _redraw(lambda: _split(rng, n, k), complement_is_connected,
+                       "a connected complement; adjust param")
     if config.family == "random-connected":
-        for _ in range(10_000):
-            edges = [
-                (u, v)
-                for u in range(config.n)
-                for v in range(u + 1, config.n)
-                if rng.unit() < config.param
-            ]
-            g = Graph([f"v{i}" for i in range(config.n)], edges)
-            if is_connected(g):
-                return g
-        raise OracleCapError("could not draw a connected graph; raise param")
+        def draw() -> Graph:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.unit() < param]
+            return Graph([f"v{i}" for i in range(n)], edges)
+
+        return _redraw(draw, is_connected, "a connected graph; raise param")
     raise ValueError(f"unknown family {config.family!r}")

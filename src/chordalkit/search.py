@@ -491,7 +491,8 @@ class LabelSearch:
         unless it is the first vertex or its label continues the previous
         one, being greater (a maximizing run, for dcl structures) or equal
         (a minimizing run, for complement-reversing ones). The queue
-        answers it from the blocks, in O(1)."""
+        answers it from the blocks, in O(1) (a maximizing lexdfs queue,
+        which only an unchecked dcl run asks, scans the step's twins)."""
         if self.pos[x] == self.n:
             return False
         new = not self.continues(x)

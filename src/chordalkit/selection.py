@@ -33,19 +33,20 @@ vertex, that is, is strictly greater than it (maximizing) or equal to it
 (minimizing). A new clique starts exactly where the chosen label does not
 continue the previous one, and the moplex rule, ``prefer``, prefers the
 extreme labels that do. Each queue reads the block that ``remove``
-recorded, in O(1): equal labels share a block, and a vertex grew past it,
+recorded: equal labels share a block, and a vertex grew past it,
 maximizing, when the last ``bump`` moved it to that block's twin (lexbfs
-and mns: a set label strictly containing a maximal one holds the step's
-position, so it is that label's twin) or to any twin (lexdfs). The mcs
-queue compares counts. A minimizing search on a graph denser than its
-complement runs a maximizing queue over complement labels (see
+and mns, in O(1): a set label strictly containing a maximal one holds the
+step's position, so it is that label's twin) or to any of the step's
+twins (lexdfs, which reads them off ``twins``). The mcs queue compares
+counts. A minimizing search on a graph denser than its complement runs a
+maximizing queue over complement labels (see
 ``chordalkit.search.LabelSearch``) and asks the twin test ``twinned(x)``
 instead: whether x is in the twin of the block that the last removed
 vertex left, i.e. x's complement label is that vertex's plus the last
 position, which is exactly x's g-label being equal to that vertex's. For
 lexbfs and mns that is the maximizing ``continues``, and for mcs a count
-one above the last; the lexdfs ``continues`` accepts any twin, so
-``StackPartition`` keeps its step's twins for this test. The answers are
+one above the last; the lexdfs ``continues`` accepts any of the step's
+twins, which it reads off the same ``twins`` map. The answers are
 booleans because this module sits below ``chordalkit.labeling`` and its
 ``Cmp``.
 
@@ -328,24 +329,20 @@ class StackPartition(OrderedPartition):
     creation order, which is id order. ``bump`` is the ordered partition's,
     run over the step's vertices sorted by block, with ``_new_block``
     linking each twin on top: the twins are made, and so stacked, in their
-    sources' order. The step's twins are the blocks from id ``fresh`` on,
-    so a vertex grew past the last removed label, maximizing, exactly when
-    it is in one: that is ``continues``, strictly greater. ``twins`` maps
-    each source to its twin, for the twin test (``twinned``), which is
-    narrower."""
+    sources' order. The shared bump records the step's twins as the values
+    of ``twins``, so a vertex grew past the last removed label, maximizing,
+    exactly when it is in one of them: that is ``continues``, strictly
+    greater, a scan of the step's twins (only a dcl run with its gate off
+    asks it). The twin test (``twinned``) is narrower: the twin of the
+    block that the last removed vertex left."""
 
-    __slots__ = ("fresh",)
-
-    def __init__(self, n: int, minimize: bool = False):
-        super().__init__(n, minimize)
-        self.fresh = 1  # the first block id made by the last bump
+    __slots__ = ()
 
     def continues(self, x: int) -> bool:
         b = self.block_of[x]
-        return b == self.last if self.minimize else b >= self.fresh
+        return b == self.last if self.minimize else b in self.twins.values()
 
     def bump(self, vs: Iterable[int], i: int) -> None:
-        self.fresh = len(self.members)
         super().bump(sorted(vs, key=self.block_of.__getitem__), i)
 
     def _new_block(self, below: int) -> int:

@@ -86,6 +86,11 @@ class TestMlsmCliqueTree:
         with pytest.raises(NonDclStructureError):
             dcl_mlsm_clique_tree(c4(), lexdfs())
 
+    def test_separators_read_the_clique_tree(self):
+        res = dcl_mlsm_clique_tree(graph("fig4_g"), mcs())
+        assert res.separators is res.clique_tree.separators
+        assert len(res.separators) == 2
+
 
 class TestMergeConstruction:
     def test_chordal_identity_merge(self):

@@ -23,6 +23,7 @@ from chordalkit.graph import (
     parse_edge_list,
 )
 from chordalkit.oracle import GeneratorConfig, gen
+from chordalkit.rng import SplitMix64
 
 
 def small_graphs(max_n=8):
@@ -64,6 +65,15 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             from_edge_list([])
+
+    def test_equality_with_another_type(self):
+        g = from_edge_list([("a", "b")])
+        assert g != ("a", "b") and g.__eq__(g.adj) is NotImplemented
+        assert g == from_vertices(["a", "b"], [("b", "a")])
+
+    def test_seeded_draw_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match="positive bound"):
+            SplitMix64(1).below(0)
 
     def test_duplicate_edges_collapse(self):
         g = from_edge_list([("a", "b"), ("b", "a"), ("a", "b")])
@@ -335,6 +345,71 @@ class TestComplement:
         for a in range(g.n):
             for b in range(g.n):
                 assert v.adjacent(a, b) == comp.adjacent(a, b)
+
+
+def _pair_loop_complement(g):
+    """The complement built pair by pair through the edge-list
+    constructor: the reference for ``materialize_complement``."""
+    return Graph(g.names, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adjacent(u, v)])
+
+
+def _complement_corpus():
+    rng = random.Random(29)
+    graphs = [Graph((), ()), Graph(["v"], ())]
+    for n in (2, 3, 5, 9, 17, 40, 100, 300):
+        names = [f"v{i}" for i in range(n)]
+        for p in (0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0):
+            graphs.append(Graph(names, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for seed in range(1, 6):
+        for n in (4, 10, 30, 120):
+            for family in ("random-co-chordal", "random-split"):
+                graphs.append(gen(GeneratorConfig(seed=seed, n=n, param=2.0, family=family)))
+    return graphs
+
+
+def _products(x, structure, tiebreak):
+    """A few products on x with their JSON text: the searches' orderings
+    and traces, and the trees where the structure and x allow them."""
+    from chordalkit import serialize
+    from chordalkit.cliquetree import mls_clique_tree
+    from chordalkit.decomposition import dcl_atom_tree
+    from chordalkit.oracle import is_chordal
+    from chordalkit.search import mls, moplex_mlsm
+
+    alpha, trace = mls(x, structure, tiebreak())
+    out = [((alpha, trace.entries), serialize.dumps(serialize.trace_json(x, structure, trace)))]
+    if structure.name != "lexdfs":
+        tri, _ = moplex_mlsm(x, structure, tiebreak())
+        out.append((tri, serialize.dumps(serialize.triangulation_json(x, tri))))
+        t = dcl_atom_tree(x, structure, tiebreak())
+        out.append((t, serialize.dumps(serialize.atom_tree_json(x, t))))
+    if is_chordal(x):
+        t = mls_clique_tree(x, structure, tiebreak())
+        out.append((t, serialize.dumps(serialize.clique_tree_json(x, t))))
+    return out
+
+
+class TestMaterializeComplement:
+    def test_matches_the_pair_loop(self):
+        # the rows are built differently, so they may iterate in another
+        # order: on the inputs where they do, the products on both agree
+        from chordalkit.labeling import lexbfs, lexdfs, mcs, mns
+        from chordalkit.search import LowestIndex, SeededRandom
+
+        compared = 0
+        for g in _complement_corpus():
+            got, want = materialize_complement(g), _pair_loop_complement(g)
+            assert (got.names, got.adj, got.m, got.n) == (want.names, want.adj, want.m, want.n)
+            assert [got.index(name) for name in got.names] == list(range(got.n))
+            if [list(r) for r in got.adj] == [list(r) for r in want.adj]:
+                continue
+            if got.n > 17 or not is_connected(got):
+                continue
+            compared += 1
+            for structure in (mcs, lexbfs, lexdfs, mns):
+                for tiebreak in (LowestIndex, lambda: SeededRandom(3)):
+                    assert _products(got, structure(), tiebreak) == _products(want, structure(), tiebreak)
+        assert compared
 
 
 class TestInducedSubgraph:

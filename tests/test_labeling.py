@@ -10,6 +10,7 @@ from chordalkit.graph import from_edge_list
 from chordalkit.labeling import (
     Cmp,
     LabelingStructure,
+    PropertyWitness,
     Tri,
     check_complement_reversing,
     check_dcl,
@@ -306,3 +307,67 @@ class TestEngineGates:
         path = from_edge_list([("a", "b"), ("b", "c"), ("c", "d")])  # its complement is a path too
         with pytest.raises(IcViolationError):
             build(path, structure())
+
+
+class TestUnusualCalls:
+    def test_unknown_property(self):
+        with pytest.raises(ValueError, match="unknown property 'chordal'"):
+            check_report(mcs(), "chordal", 4)
+        w = PropertyWitness("chordal", 3, 1, (), (3,), Cmp.LESS)
+        with pytest.raises(ValueError, match="unknown property 'chordal'"):
+            replay_witness(mcs(), w)
+
+    def test_complement_reversing_witness_whose_labels_do_not_compare_at_most(self):
+        # lab({1, 2}) = 2 is not <= lab({3}) = 1 under mcs, so the pair is no
+        # witness whatever the complements do
+        w = PropertyWitness("complement-reversing", 3, 1, (1, 2), (3,), Cmp.GREATER)
+        assert not replay_witness(mcs(), w)
+
+    def test_render(self):
+        assert MaxInc().render(3) == "3"
+        assert ConstantInc().render((1, 2)) == "(1, 2)"
+        assert rev(mcs()).render(3) == 3
+        assert rev(lexbfs()).render((3, 1)) == "(3,1)"
+        assert rev(mns()).render(frozenset({2, 1})) == "{1,2}"
+
+
+class _Unassignable:
+    """A structure that takes no attributes: the gate cannot cache its
+    bounded check, so the check runs again on every call."""
+
+    checks = 0
+
+    def initial(self):
+        type(self).checks += 1
+        return super().initial()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(name)
+
+
+class TestGateWithoutCache:
+    def test_a_passing_structure_is_checked_on_every_call(self):
+        class Counting(_Unassignable, MaxInc):
+            def inc(self, label, i):
+                return label + 1  # mcs's increase, which passes
+
+        s = Counting()
+        require_ic(s)
+        first = Counting.checks
+        assert first > 0
+        require_ic(s)
+        assert Counting.checks == 2 * first
+        assert not hasattr(s, "_ic_known_checked")
+
+    def test_a_failing_structure_fails_on_every_call(self):
+        class Frozen(_Unassignable, MaxInc):
+            pass
+
+        s = Frozen()
+        with pytest.raises(IcViolationError):
+            require_ic(s)
+        first = Frozen.checks
+        assert first > 0
+        with pytest.raises(IcViolationError):
+            require_ic(s)
+        assert Frozen.checks == 2 * first

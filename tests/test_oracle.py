@@ -387,3 +387,76 @@ class TestFixtureCatalog:
         assert graph("fig4_g").n == 5 and graph("fig4_g").m == 6
         assert graph("fig5_g").n == 7 and graph("fig5_g").m == 10
         assert graph("fig6_g").n == 6 and graph("fig6_g").m == 6
+
+
+class TestFailureBranches:
+    """The oracle's answers on bad input, which no correct product reaches."""
+
+    def test_atom_tree_with_a_wrong_atom_set(self):
+        from types import SimpleNamespace
+
+        from chordalkit.oracle import validate_atom_tree
+
+        g = graph("fig4_g")
+        want = sorted(map(sorted, atoms_brute(g)))
+        t = SimpleNamespace(atoms=(frozenset(range(g.n)),), tree_edges=(), clique_separators=frozenset())
+        violations = validate_atom_tree(g, t)
+        assert violations[0] == (
+            f"atom set differs from the decomposition atoms (got [[0, 1, 2, 3, 4]], want {want})"
+        )
+
+    def test_duplicate_nodes(self):
+        from types import SimpleNamespace
+
+        from chordalkit.cliquetree import mls_clique_tree
+
+        g = graph("fig1_h")
+        t = mls_clique_tree(g, mcs())
+        doubled = SimpleNamespace(cliques=t.cliques + t.cliques[-1:], tree_edges=t.tree_edges + ((3, 4),),
+                                  separators=t.separators)
+        assert "duplicate nodes" in validate_clique_tree(g, doubled)
+
+    def test_edges_listed_child_first(self):
+        # the subtree walk follows an edge in either direction: a
+        # hand-written result may list the child before its parent
+        from types import SimpleNamespace
+
+        from chordalkit.cliquetree import mls_clique_tree
+
+        g = graph("fig1_h")
+        t = mls_clique_tree(g, mcs())
+        assert t.tree_edges == ((1, 2), (2, 3))
+        flipped = SimpleNamespace(cliques=t.cliques, tree_edges=((2, 1), (3, 2)), separators=t.separators)
+        assert validate_clique_tree(g, flipped) == []
+
+    def test_peo_of_the_wrong_length(self):
+        from chordalkit.graph import Ordering
+
+        assert not is_peo(graph("fig1_h"), Ordering(range(5)))
+
+    def test_no_vertices_no_cliques(self):
+        assert maximal_cliques(Graph((), ())) == set()
+
+    def test_mccomp_peo_needs_a_peo(self):
+        g = graph("fig1_h")
+        assert not is_mccomp_peo(g, ordering_from_names(g, list("fedcba")))
+
+    def test_triangulation_must_be_chordal(self):
+        g = c4()
+        assert not is_minimal_triangulation(g, g)
+
+
+class TestGeneratorErrors:
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            gen(GeneratorConfig(seed=1, n=0, param=0.5, family="random-connected"))
+
+    def test_co_chordal_needs_four_vertices(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            gen(GeneratorConfig(seed=1, n=3, param=1.5, family="random-co-chordal"))
+
+    def test_redraw_cap(self):
+        # no draw at edge probability 0 is connected: all 10,000 fail
+        with pytest.raises(OracleCapError) as err:
+            gen(GeneratorConfig(seed=1, n=3, param=0.0, family="random-connected"))
+        assert str(err.value) == "could not draw a connected graph; raise param"

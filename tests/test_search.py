@@ -101,6 +101,17 @@ class TestMls:
         assert set(rows[0]) == {"i", "vertex", "label", "increased", "fill"}
         assert rows[0]["vertex"] == "f" and rows[0]["increased"] == ["a", "b", "e"]
 
+    def test_trace_equality_and_repr(self):
+        g = from_edge_list([("a", "b")])
+        _, trace = mls(g, mcs())
+        assert trace == mls(g, mcs())[1]
+        assert trace != trace.entries and trace.__eq__(trace.entries) is NotImplemented
+        assert repr(trace) == (
+            "SearchTrace(structure='mcs', entries=["
+            "TraceEntry(i=2, vertex=0, label=0, increased=(1,), fill=()), "
+            "TraceEntry(i=1, vertex=1, label=1, increased=(), fill=())])"
+        )
+
 
 class TestTieBreaks:
     def test_lowest_index_is_default(self):
