@@ -24,7 +24,7 @@ separator of the (possibly complement) chordal graph.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import combinations, filterfalse
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -109,38 +109,44 @@ def _anchor(sep: VertexSet, pos, x: int) -> int:
 class _TreeBuilder:
     """Bookkeeping shared by every builder: the growing clique list, tree
     edges, separator store (canonical frozensets, so duplicates collapse),
-    the vertex-to-clique map, and the current node ``at``, which each
+    the vertex-to-node map ``clique_of`` (an n-list, 0 until the vertex
+    joins), and the current node ``at`` with its set ``node``, which each
     vertex joins, after its step opens a node, if it does. The peo walker
-    and the atom-tree builder (whose nodes are atoms) may move ``at`` back
-    to an earlier node."""
+    and the atom-tree builder (whose nodes are atoms) may move back to an
+    earlier node. ``_mls_tree`` keeps ``at`` and ``node`` in locals."""
 
-    def __init__(self) -> None:
+    def __init__(self, n: int = 0) -> None:
         self.cliques: list[set[int]] = [set()]
         self.edges: list[tuple[int, int]] = []
         self.seps: set[VertexSet] = set()
-        self.clique_of: dict[int, int] = {}
-        self.at = 1
+        self.clique_of = [0] * n
+        self.at, self.node = 1, self.cliques[0]
 
-    def current(self) -> set[int]:
-        return self.cliques[self.at - 1]
+    def move(self, p: int) -> None:
+        """Make the node of p current."""
+        self.at = self.clique_of[p]
+        self.node = self.cliques[self.at - 1]
 
     def open(self, sep: VertexSet, p: int) -> None:
         """Open a node for sep under the node of its anchor p (``_anchor``)."""
-        self.cliques.append(set(sep))
+        self.node = set(sep)
+        self.cliques.append(self.node)
         self.at = len(self.cliques)
         self.edges.append((self.clique_of[p], self.at))
         self.seps.add(sep)
 
     def join(self, x: int) -> None:
-        self.cliques[self.at - 1].add(x)
+        self.node.add(x)
         self.clique_of[x] = self.at
 
     def result(self, ordering: Ordering, trace: SearchTrace | None = None) -> CliqueTreeResult:
+        """The frozen tree; ``clique_of`` becomes a dict in join order,
+        which is position order from n down."""
         return CliqueTreeResult(
-            cliques=tuple(frozenset(c) for c in self.cliques),
+            cliques=tuple(map(frozenset, self.cliques)),
             tree_edges=tuple(self.edges),
             separators=frozenset(self.seps),
-            clique_of=self.clique_of,
+            clique_of={v: self.clique_of[v] for v in reversed(ordering.seq)},
             ordering=ordering,
             trace=trace,
         )
@@ -160,15 +166,8 @@ def _debug_check_partial(
 
     verts = sorted(numbered)
     remap = {v: i for i, v in enumerate(verts)}
-    sub = Graph(
-        [str(v) for v in verts],
-        [
-            (remap[a], remap[b])
-            for ai, a in enumerate(verts)
-            for b in verts[ai + 1 :]
-            if adjacent(a, b)
-        ],
-    )
+    sub = Graph([str(v) for v in verts],
+                [(remap[a], remap[b]) for a, b in combinations(verts, 2) if adjacent(a, b)])
     tree = SimpleNamespace(
         cliques=tuple(frozenset(remap[v] for v in c) for c in builder.cliques),
         tree_edges=tuple(builder.edges),
@@ -185,12 +184,12 @@ def _debug_check_partial(
             )
 
 
-def _debug_step(builder: _TreeBuilder, run: LabelSearch, x: int, sep: VertexSet) -> None:
+def _debug_step(builder: _TreeBuilder, node: set[int], run: LabelSearch, x: int, sep: VertexSet) -> None:
     """The engine builders' debug hooks after x's step, run in debug mode
     only: the label test that chose the step agrees with the set test
     (x's node is sep plus x), and the partial tree passes
     ``_debug_check_partial`` on the run's adjacency."""
-    if builder.current() != sep | {x}:
+    if node != sep | {x}:
         raise DebugInvariantError(f"label test and set test disagree at position {run.pos[x]}")
     if run.n <= debug.ORACLE_CHECK_MAX_N:
         _debug_check_partial(builder, lambda a, b: b in run.hood(a), run.alpha[run.pos[x]:], run.pos)
@@ -242,7 +241,7 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
         raise ValueError("ordering length does not match the graph")
     if not h.n:
         require_connected(h)
-    builder = _TreeBuilder()
+    builder = _TreeBuilder(h.n)
     adj, seq, pos = h.adj, alpha.seq, alpha.pos
     done: set[int] = set()
     checking = debug.enabled() and h.n <= debug.ORACLE_CHECK_MAX_N
@@ -250,7 +249,7 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
         x = seq[i - 1]
         sep = adj[x] & done
         p = _anchor(sep, pos, x)
-        if len(sep - adj[p]) > 1:
+        if len(sep) > 1 and len(sep - adj[p]) > 1:
             raise NotAPeoError(
                 f"processed neighborhood of {h.names[x]!r} at position {i} is not a clique"
             )
@@ -260,8 +259,8 @@ def _walk_ordering(h: Graph, alpha: Ordering, join_parent: bool) -> CliqueTreeRe
                 require_connected(h)
                 raise NotAPeoError(f"vertex {h.names[x]!r} at position {i} has no later neighbor")
             if join_parent:
-                builder.at = builder.clique_of[p]
-        if builder.current() != sep:
+                builder.move(p)
+        if builder.node != sep:
             builder.open(sep, p)
         builder.join(x)
         done.add(x)
@@ -311,27 +310,36 @@ def _mls_tree(run: LabelSearch, label_test: bool, checked: bool = True) -> Cliqu
     current node, a known clique, joins it unchecked (``_anchor``). Under
     the set test ``known`` never clears, and S is compared with the node
     once, by the rule itself. ``checked`` off disarms the debug step check,
-    which a label test trusted past its gate would fail."""
+    which a label test trusted past its gate would fail. The builder's
+    lists are filled in place, with the current node in locals; a
+    one-vertex S needs no follower check, since it cannot fail."""
     h = run.g
-    adj, done, pos, boundary = h.adj, run.done, run.pos, run.boundary
+    adj, done, boundary, rank = h.adj, run.done, run.boundary, run.pos.__getitem__
     checking = run.debug and checked
-    builder = _TreeBuilder()
+    builder = _TreeBuilder(h.n)
+    cliques, edges, seps, node_of = builder.cliques, builder.edges, builder.seps, builder.clique_of
+    node, at = cliques[0], 1  # the current node and its index
     known = True  # the current node is a known clique
     for _, x in run.steps(True):
         sep = adj[x] & done
-        new = boundary(x) if label_test else sep != builder.current()
-        if new or not known or label_test and sep != builder.current():
-            p = _anchor(sep, pos, x)
-            if len(sep - adj[p]) > 1:
+        new = boundary(x) if label_test else sep != node
+        if new or not known or label_test and sep != node:
+            p = min(sep, key=rank)  # the anchor (``_anchor``): S is not empty after step n
+            if len(sep) > 1 and len(sep - adj[p]) > 1:
                 raise NotChordalError(
                     f"processed neighborhood of {h.names[x]!r} is not a clique; input not chordal"
                 )
-            if new:
-                builder.open(sep, p)
+            if new:  # open a node for sep under p's (``_TreeBuilder.open``)
+                node = set(sep)
+                cliques.append(node)
+                at = len(cliques)
+                edges.append((node_of[p], at))
+                seps.add(sep)
             known = new
-        builder.join(x)
+        node.add(x)
+        node_of[x] = at
         if checking:
-            _debug_step(builder, run, x, sep)
+            _debug_step(builder, node, run, x, sep)
     return builder.result(run.ordering(), run.trace)
 
 
@@ -350,7 +358,7 @@ def _mlsm_tree(g: Graph, structure: LabelingStructure, tiebreak: TieBreak | None
     run = LabelSearch(g, structure, tiebreak, triangulate=True)
     hood, done, pos, boundary = run.hood, run.done, run.pos, run.boundary
     checking = run.debug and clique_in is None
-    builder = _TreeBuilder()
+    builder = _TreeBuilder(g.n)
     for _, x in run.steps(True):
         if boundary(x):
             sep = frozenset(hood(x) & done)
@@ -358,10 +366,10 @@ def _mlsm_tree(g: Graph, structure: LabelingStructure, tiebreak: TieBreak | None
             if clique_in is None or is_clique_in(clique_in, sep):
                 builder.open(sep, p)
             else:
-                builder.at = builder.clique_of[p]
+                builder.move(p)
         builder.join(x)
         if checking:
-            _debug_step(builder, run, x, frozenset(hood(x) & done))
+            _debug_step(builder, builder.node, run, x, frozenset(hood(x) & done))
     tri = run.triangulation()
     return builder.result(tri.ordering), tri
 
@@ -388,7 +396,7 @@ def complement_mls_clique_tree(
     _require_complement_peo(g, gens.ordering)
     adj, seq, pos = g.adj, gens.ordering.seq, gens.ordering.pos
     opens = set(gens.gen_separators)
-    builder = _TreeBuilder()
+    builder = _TreeBuilder(g.n)
     for x in reversed(seq):
         if x in opens:
             # never empty: alpha is a peo of the connected complement, where

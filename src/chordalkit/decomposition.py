@@ -134,7 +134,8 @@ def dcl_atom_tree(
     never count), otherwise keep growing the atom that contains the
     separator's earliest vertex. Between boundaries the atom keeps growing,
     unchecked, as H is chordal. Each vertex is filed into the atom current
-    after its step, so the history is read off ``atom_of``."""
+    after its step, so the history is ``atom_of``'s values, which it
+    lists in step order."""
     t, tri = _mlsm_tree(g, structure, tiebreak, g)
-    history = tuple(t.clique_of[x] for x in reversed(tri.ordering.seq))
+    history = tuple(t.clique_of.values())
     return AtomTreeResult(t.cliques, t.tree_edges, t.separators, t.clique_of, tri, history)

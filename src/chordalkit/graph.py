@@ -256,6 +256,14 @@ class Ordering:
             pos[v] = i
         self.pos: tuple[int, ...] = tuple(pos)
 
+    @classmethod
+    def _of(cls, seq: Sequence[int], pos: Sequence[int]) -> Ordering:
+        """The ordering of seq with its inverse pos given and trusted, as a
+        finished search has both: two O(n) copies, no bijection test."""
+        alpha = cls.__new__(cls)
+        alpha.seq, alpha.pos = tuple(seq), tuple(pos)
+        return alpha
+
     def __len__(self) -> int:
         return len(self.seq)
 

@@ -18,11 +18,15 @@ increase asks the same queue which vertices the chosen vertex reaches, and
 the builders' label test asks it whether the chosen label continues the
 previous one (strictly greater when maximizing, equal when minimizing),
 which the moplex rule prefers. The engine stores no labels: a step hands
-the chosen vertex's unnumbered neighbors, one set difference, to the
-queue's one ``bump``, and the queue answers the label test from its blocks
-in O(1), with no label comparison, for every built-in structure. The
-four built-in structures bring their own selection queues, whose designs
-and costs ``chordalkit.selection`` states; with ``LowestIndex`` a plain
+the chosen vertex and its unnumbered neighbors, one set difference, to the
+queue's one ``bump``, its one queue call, which removes the vertex and
+grows the neighbors' labels, and the queue answers the label test from its
+blocks in O(1), with no label comparison, for every built-in structure.
+The debug checks (``CHORDALKIT_DEBUG=1``, small n) live in a checking
+queue around the structure's (``_CheckedQueue``), so with them off a step
+tests nothing for them. The four built-in structures bring their own
+selection queues, whose designs and costs ``chordalkit.selection``
+states; with ``LowestIndex`` a plain
 search costs O((n + m) log n) with any of the three total orders, the log
 being the heaps': an mcs increase moves a vertex between count buckets.
 A minimizing search on a graph with more edges m than its complement's m'
@@ -47,6 +51,7 @@ connected graph names a broken inclusion condition (``LabelSearch``).
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from . import debug
@@ -243,10 +248,10 @@ class ScanQueue:
     ``inc`` to them, and every other call scans them. Selection costs O(n)
     label comparisons per step when the extreme labels are few; ``reach``
     runs one search per candidate target, O(n (n + m)) per step; the label
-    test compares two labels. With ``CHORDALKIT_DEBUG=1`` the search also
-    runs one next to any other queue, fed the same calls (a flipped run's
-    bumps read g's rows), as the debug hooks' reference, and ``bump``
-    checks that every label grows."""
+    test compares two labels. With ``CHORDALKIT_DEBUG=1`` and small n the
+    search also runs one next to any queue, as the reference of the
+    checking queue (``_CheckedQueue``), and ``bump`` checks that every
+    label grows."""
 
     def __init__(self, structure: LabelingStructure, g: Graph | ComplementView, minimize: bool):
         self.structure = structure
@@ -259,12 +264,10 @@ class ScanQueue:
         self.continuing = Cmp.EQUAL if minimize else Cmp.LESS  # compare(prev, a label continuing it)
         self.check = debug.enabled()
 
-    def remove(self, v: int) -> None:
-        self.numbered[v] = True
-        self.prev = self.labels[v]
-
-    def bump(self, vs: Iterable[int], i: int) -> None:
+    def bump(self, x: int, vs: Iterable[int], i: int) -> None:
         labels, inc, cmp = self.labels, self.structure.inc, self.structure.compare
+        self.numbered[x] = True
+        self.prev = labels[x]
         for y in vs:
             old = labels[y]
             new = labels[y] = inc(old, i)
@@ -337,16 +340,88 @@ class ScanQueue:
         return targets
 
 
+class _CheckedQueue:
+    """The queue that a debug run drives (``CHORDALKIT_DEBUG=1`` and n at
+    most ``debug.LABEL_CHECK_MAX_N``): the run's own, its every answer
+    checked against the run's shadow ``ScanQueue``, which ``bump`` feeds
+    the same bumps (a flipped run's read g's rows off ``hood``). Before
+    each pick, the shadow's labels must order the processed neighborhoods
+    and the queue's extreme class must be the shadow's; the label test and
+    the reach targets must be the shadow's too. Built from the run, it
+    keeps the run's parts but not the run, so a finished run leaves no
+    cycle behind."""
+
+    def __init__(self, run: LabelSearch):
+        self.queue, self.shadow, self._pick = run.queue, run.shadow, run.pick
+        self.hood, self.done, self.flip = run.hood, run.done, run.flip
+        self._test = run.queue.twinned if run.flip else run.queue.continues  # the run's label test
+        self.i = run.n  # the step under way
+
+    def pick(self) -> int:
+        """The run's pick, after the label order check and the candidate
+        check: the queue's extreme class must be the one the shadow finds
+        under the same prefer rule and previous label."""
+        self._assert_label_order()
+        self.shadow.prefer = self.queue.prefer
+        got, want = set(self.queue.extreme()), set(self.shadow.extreme())
+        if got != want:
+            raise DebugInvariantError(f"iteration {self.i}: selection queue offers {sorted(got)} but the "
+                                      f"label scan finds {sorted(want)}")
+        return self._pick()
+
+    def continues(self, x: int) -> bool:
+        got = self._test(x)
+        if got != self.shadow.continues(x):
+            raise DebugInvariantError(
+                f"iteration {self.i}: the queue's {'equal' if self.shadow.minimize else 'less'} "
+                f"label test disagrees with the label scan on vertex {x}")
+        return got
+
+    twinned = continues  # a flipped run's label test: the queue's twinned, checked
+
+    def reach(self, x: int, nb: list[int]) -> list[int]:
+        targets, want = self.queue.reach(x, nb), self.shadow.reach(x, nb)
+        if targets != want:
+            raise DebugInvariantError(f"iteration {self.i}: block reach search finds {targets} but the "
+                                      f"per-target scan finds {want}")
+        return targets
+
+    def bump(self, x: int, ys: Iterable[int], i: int) -> None:
+        self.queue.bump(x, ys, i)
+        self.shadow.bump(x, self.hood(x) - self.done if self.flip else ys, i)  # type: ignore[operator]
+        self.i = i - 1
+
+    def _assert_label_order(self) -> None:
+        """Processed-neighborhood inclusions must be reflected in the
+        shadow's label order: strict inclusion forces strictly smaller,
+        equality forces equal labels."""
+        done, labels, compare = self.done, self.shadow.labels, self.shadow.structure.compare
+        unnumbered = [v for v in range(len(labels)) if v not in done]
+        hoods = {y: frozenset(self.hood(y) & done) for y in unnumbered}  # type: ignore[operator]
+        for y, z in permutations(unnumbered, 2):
+            r = compare(labels[y], labels[z])
+            if hoods[y] < hoods[z] and r is not Cmp.LESS:
+                raise DebugInvariantError(f"iteration {self.i}: processed neighborhood of {y} is strictly "
+                                          f"inside that of {z} but labels compare {r.value}")
+            if hoods[y] == hoods[z] and r is not Cmp.EQUAL:
+                raise DebugInvariantError(f"iteration {self.i}: equal processed neighborhoods of {y},{z} "
+                                          f"but labels compare {r.value}")
+
+
 class LabelSearch:
     """One label search on g: the numbered set, candidate selection under a
-    partial order, the debug hooks, and the loop ``steps`` that every
-    search function runs, adding its per-step rule as the loop body.
+    partial order, and the loop ``steps`` that every search function runs,
+    adding its per-step rule as the loop body.
 
     Building a run gates the inclusion condition (``require_ic``) before
     any state is made. The run stores no labels. Selection, the
     triangulating reach targets and the builders' label test all come from
     one queue: the structure's selection queue (``chordalkit.selection``),
-    or a ``ScanQueue``, which keeps the labels, when it has none.
+    or a ``ScanQueue``, which keeps the labels, when it has none. With
+    ``CHORDALKIT_DEBUG=1`` and small n the run keeps a second
+    ``ScanQueue``, its ``shadow``, and drives that queue through a
+    ``_CheckedQueue``, where the debug hooks live; otherwise it drives the
+    queue itself and no step tests anything for them.
 
     Labels mirror the processed neighborhoods, ``hood(x) & done`` with the
     numbered vertices ``done``, in one adjacency: ``hood`` reads g's
@@ -363,8 +438,8 @@ class LabelSearch:
     greatest complement labels and the extreme class is the same. A label
     equal to the last removed one is then one that grew from the same
     block at the last bump, which the queue's twin test (``twinned``)
-    answers. ``hood``, the trace, the debug shadow (fed g's rows) and
-    every error stay on the g side.
+    answers. ``hood``, the trace, the shadow (fed g's rows) and every
+    error stay on the g side.
 
     A maximizing run checks connectivity (``require_connected``) when built,
     after the inclusion condition and before the script's names, if it
@@ -399,7 +474,6 @@ class LabelSearch:
         queue = structure._selection_queue(n, minimize and not dense)
         self.flip = dense and queue is not None
         self.queue: BucketQueue | OrderedPartition | ScanQueue = queue or ScanQueue(structure, g, minimize)
-        self.continues = self.queue.twinned if self.flip else self.queue.continues
         self.pick = (tiebreak or LowestIndex()).start(g, self.queue)
         self.alpha: list[int | None] = [None] * (n + 1)  # 1-based positions
         self.pos = [0] * n
@@ -414,9 +488,14 @@ class LabelSearch:
         # vertex bitset adjacency, for the queue's reach
         self.nb = [sum(1 << w for w in s) for s in g.adj] if triangulate else None
         self.debug = debug.enabled()
-        # the debug hooks' reference: a ScanQueue fed the same calls
+        # the debug hooks' reference: a ScanQueue fed the same bumps
         self.shadow = (ScanQueue(structure, g, minimize)
                        if self.debug and n <= debug.LABEL_CHECK_MAX_N else None)
+        self._driven = self.queue  # the queue the steps drive
+        if self.shadow is not None:
+            self._driven = _CheckedQueue(self)
+            self.pick = self._driven.pick
+        self.continues = self._driven.twinned if self.flip else self._driven.continues
 
     @property
     def trace(self) -> SearchTrace:
@@ -433,25 +512,20 @@ class LabelSearch:
     def steps(self, prefer: bool = False) -> Iterator[tuple[int, int]]:
         """Run the search, yielding (i, x) once x is chosen and numbered i;
         the caller's loop body is the per-step sink. The tie-break's pick
-        chooses x from the queue's extreme class, after the debug hooks
-        check that class against the shadow's; ``prefer``, the moplex rule,
-        narrows the class to the labels that continue the previous one
+        chooses x from the queue's extreme class; ``prefer``, the moplex
+        rule, narrows the class to the labels that continue the previous one
         (see ``boundary``) when any do. The queue still holds x during the
         body, so ``boundary`` compares x's label with the previous
-        vertex's. Then the queue removes x and takes, in one ``bump``, the
-        vertices whose labels grow: x's unnumbered neighbors, or
-        (triangulating) the targets of ``inc_targets``, whose fill the step
-        adds to the overlay."""
-        queue, shadow, pick = self.queue, self.shadow, self.pick
-        queue.prefer = prefer
-        if shadow is not None:
-            shadow.prefer = prefer
+        vertex's. Then one ``bump`` removes x from the queue and grows the
+        labels of x's unnumbered neighbors, or (triangulating) of the
+        targets of ``inc_targets``, whose fill the step adds to the overlay.
+        That is the step's one queue call; with a shadow, the checking
+        queue checks the step (``_CheckedQueue``), and nothing here does."""
+        self.queue.prefer = prefer
+        pick, bump = self.pick, self._driven.bump
         g, alpha, pos, done, overlay, fill = self.g, self.alpha, self.pos, self.done, self.overlay, self.fill
-        hood, rows, flip, n, maximize = self.hood, self.rows, self.flip, self.n, not self.minimize
+        rows, n, maximize = self.rows, self.n, not self.minimize
         for i in range(n, 0, -1):
-            if shadow is not None:
-                self._assert_label_order(i)
-                self._assert_queue_candidates(i)
             x = pick()
             hx = rows(x)
             if maximize and i < n and hx.isdisjoint(done):
@@ -466,11 +540,8 @@ class LabelSearch:
             pos[x] = i
             done.add(x)
             yield i, x
-            queue.remove(x)
-            if shadow is not None:
-                shadow.remove(x)
             if overlay is None:
-                ys = hx - done
+                bump(x, hx - done, i)
             else:
                 ys = self.inc_targets(x, i)
                 # every fill edge has x as one end, and every other target
@@ -481,9 +552,7 @@ class LabelSearch:
                     if y not in adj:
                         overlay[y].add(x)
                         fill.append((x, y) if x < y else (y, x))
-            queue.bump(ys, i)
-            if shadow is not None:
-                shadow.bump(hood(x) - done if flip else ys, i)
+                bump(x, ys, i)
             self.completed += 1
 
     def boundary(self, x: int) -> bool:
@@ -492,17 +561,9 @@ class LabelSearch:
         one, being greater (a maximizing run, for dcl structures) or equal
         (a minimizing run, for complement-reversing ones). The queue
         answers it from the blocks, in O(1) (a maximizing lexdfs queue,
-        which only an unchecked dcl run asks, scans the step's twins)."""
-        if self.pos[x] == self.n:
-            return False
-        new = not self.continues(x)
-        shadow = self.shadow
-        if shadow is not None and new == shadow.continues(x):
-            raise DebugInvariantError(
-                f"iteration {self.pos[x]}: the queue's {'equal' if self.minimize else 'less'} "
-                f"label test disagrees with the label scan on vertex {x}"
-            )
-        return new
+        which only an unchecked dcl run asks, scans the step's twins); with
+        a shadow, the checking queue checks its answer."""
+        return self.pos[x] != self.n and not self.continues(x)
 
     # -- label updates
 
@@ -517,24 +578,15 @@ class LabelSearch:
         and path internals must be unnumbered).
 
         The queue finds the targets (``reach``; ``chordalkit.selection``
-        and ``ScanQueue`` state the designs and costs). With
-        ``CHORDALKIT_DEBUG=1`` and small n every step is checked against a
-        ``ScanQueue``'s per-target search."""
-        targets = self.queue.reach(x, self.nb)
-        if self.shadow is not None:
-            want = self.shadow.reach(x, self.nb)
-            if targets != want:
-                raise DebugInvariantError(
-                    f"iteration {i}: block reach search finds {targets} but the "
-                    f"per-target scan finds {want}"
-                )
-        return targets
+        and ``ScanQueue`` state the designs and costs). With a shadow, the
+        checking queue checks them against its per-target search."""
+        return self._driven.reach(x, self.nb)  # type: ignore[arg-type]
 
     # -- results
 
     def ordering(self) -> Ordering:
         if self._ordering is None:
-            self._ordering = Ordering(self.alpha[1:])  # type: ignore[arg-type]
+            self._ordering = Ordering._of(self.alpha[1:], self.pos)  # type: ignore[arg-type]
         return self._ordering
 
     def triangulation(self) -> TriangulationResult:
@@ -546,41 +598,6 @@ class LabelSearch:
         h = Graph._from_adj(g.names, g._index, self.overlay)
         self.hood = h.adj.__getitem__
         return TriangulationResult(self.ordering(), h, tuple(self.fill))
-
-    # -- debug hooks
-
-    def _assert_queue_candidates(self, i: int) -> None:
-        """The queue's extreme class must be the candidate set the shadow
-        ``ScanQueue`` finds under the same prefer rule and previous label."""
-        got, want = set(self.queue.extreme()), set(self.shadow.extreme())  # type: ignore[union-attr]
-        if got != want:
-            raise DebugInvariantError(
-                f"iteration {i}: selection queue offers {sorted(got)} but the "
-                f"label scan finds {sorted(want)}"
-            )
-
-    def _assert_label_order(self, i: int) -> None:
-        """Processed-neighborhood inclusions must be reflected in the label
-        order: strict inclusion forces strictly smaller, equality forces
-        equal labels."""
-        done, labels = self.done, self.shadow.labels  # type: ignore[union-attr]
-        unnumbered = [v for v in range(self.n) if v not in done]
-        hoods = {y: frozenset(self.hood(y) & done) for y in unnumbered}
-        for y in unnumbered:
-            for z in unnumbered:
-                if y == z:
-                    continue
-                r = self.structure.compare(labels[y], labels[z])
-                if hoods[y] < hoods[z] and r is not Cmp.LESS:
-                    raise DebugInvariantError(
-                        f"iteration {i}: processed neighborhood of {y} is strictly "
-                        f"inside that of {z} but labels compare {r.value}"
-                    )
-                if hoods[y] == hoods[z] and r is not Cmp.EQUAL:
-                    raise DebugInvariantError(
-                        f"iteration {i}: equal processed neighborhoods of {y},{z} "
-                        f"but labels compare {r.value}"
-                    )
 
 
 # ---------------------------------------------------------------------------

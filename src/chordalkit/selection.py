@@ -19,12 +19,12 @@ costs O(twins) mask tests, plus O(maximal blocks) per block whose witness
 empties. It applies the search's moplex rule (``prefer``) itself. Custom
 structures get ``chordalkit.search.ScanQueue``, which keeps their labels
 and answers the same calls by scanning them. All queues are driven by the
-same calls, each step making one ``remove`` of the vertex it numbers, then
-exactly one ``bump``, possibly empty, with every vertex whose label grows
-at position i. ``bump`` returns with the queue settled, so ``lowest`` (or
-``extreme``) selects by reading it. With ``minimize`` they read the least
-class instead of the greatest. The engine gets them through
-``LabelingStructure._selection_queue``.
+same calls, each step making exactly one ``bump(x, vs, i)``: it removes x,
+the vertex the step numbers at position i, then grows the labels of vs,
+possibly none, every vertex whose label grows at i. ``bump`` returns with
+the queue settled, so ``lowest`` (or ``extreme``) selects by reading it.
+With ``minimize`` they read the least class instead of the greatest. The
+engine gets them through ``LabelingStructure._selection_queue``.
 
 The queues also answer the one label test of the clique-tree builders,
 so the search keeps no labels: ``continues(x)`` says whether x's label,
@@ -32,14 +32,14 @@ for x in the extreme class, continues the label of the last removed
 vertex, that is, is strictly greater than it (maximizing) or equal to it
 (minimizing). A new clique starts exactly where the chosen label does not
 continue the previous one, and the moplex rule, ``prefer``, prefers the
-extreme labels that do. Each queue reads the block that ``remove``
-recorded: equal labels share a block, and a vertex grew past it,
-maximizing, when the last ``bump`` moved it to that block's twin (lexbfs
-and mns, in O(1): a set label strictly containing a maximal one holds the
-step's position, so it is that label's twin) or to any of the step's
-twins (lexdfs, which reads them off ``twins``). The mcs queue compares
-counts. A minimizing search on a graph denser than its complement runs a
-maximizing queue over complement labels (see
+extreme labels that do. Each queue reads the block that ``bump``
+recorded as it removed that vertex: equal labels share a block, and a
+vertex grew past it, maximizing, when the last ``bump`` moved it to that
+block's twin (lexbfs and mns, in O(1): a set label strictly containing a
+maximal one holds the step's position, so it is that label's twin) or to
+any of the step's twins (lexdfs, which reads them off ``twins``). The
+mcs queue compares counts. A minimizing search on a graph denser than its
+complement runs a maximizing queue over complement labels (see
 ``chordalkit.search.LabelSearch``) and asks the twin test ``twinned(x)``
 instead: whether x is in the twin of the block that the last removed
 vertex left, i.e. x's complement label is that vertex's plus the last
@@ -106,16 +106,14 @@ class OrderedPartition:
         self.prefer = False  # the moplex rule
         self.last = 0  # the last removed vertex's block
 
-    def remove(self, v: int) -> None:
-        b = self.last = self.block_of[v]
-        members = self.members[b]
-        members.discard(v)
-        if not members:
-            self._unlink(b)
-
-    def bump(self, vs: Iterable[int], i: int) -> None:
-        self.twins.clear()
+    def bump(self, x: int, vs: Iterable[int], i: int) -> None:
         members, heaps, block_of, twins = self.members, self.heaps, self.block_of, self.twins
+        b = self.last = block_of[x]
+        old = members[b]
+        old.discard(x)
+        if not old:
+            self._unlink(b)
+        twins.clear()
         for v in vs:
             b = block_of[v]
             t = twins.get(b)
@@ -218,15 +216,13 @@ class BucketQueue:
         self.prefer = False  # the moplex rule
         self.last = 0  # the last removed vertex's count
 
-    def remove(self, v: int) -> None:
-        c = self.last = self.count[v]
-        members = self.members[c]
-        members.discard(v)
-        if not members:
-            self.heaps[c].clear()
-
-    def bump(self, vs: Iterable[int], i: int) -> None:
+    def bump(self, x: int, vs: Iterable[int], i: int) -> None:
         count, members, heaps = self.count, self.members, self.heaps
+        c = self.last = count[x]
+        old = members[c]
+        old.discard(x)
+        if not old:
+            heaps[c].clear()
         for v in vs:
             c = count[v]
             old = members[c]
@@ -271,7 +267,8 @@ def _reach(classes: Iterable[set[int]], x: int, nb: list[int]) -> list[int]:
     """The triangulating search's targets from x in ascending order, given
     the label classes bottom up: the vertices y that x reaches through
     vertices labeled strictly below y. ``nb[v]`` is v's neighborhood as a
-    vertex bitset; call it between the step's removal of x and its bumps.
+    vertex bitset; call it before the step's bump, which removes x: x
+    may still be in its class, and is never a target.
     A class allows the classes below it on a path, so the region x reaches
     through them grows on the way up, and a class's targets are its
     members adjacent to x or to the region. A step costs O(n) operations
@@ -287,7 +284,7 @@ def _reach(classes: Iterable[set[int]], x: int, nb: list[int]) -> list[int]:
         allowed |= bits
         if new:
             near, region = _spread(new, near, region, allowed, nb)
-    return _vertices(hit)
+    return _vertices(hit & ~(1 << x))
 
 
 def _spread(new: int, near: int, region: int, allowed: int, nb: list[int]) -> tuple[int, int]:
@@ -342,8 +339,8 @@ class StackPartition(OrderedPartition):
         b = self.block_of[x]
         return b == self.last if self.minimize else b in self.twins.values()
 
-    def bump(self, vs: Iterable[int], i: int) -> None:
-        super().bump(sorted(vs, key=self.block_of.__getitem__), i)
+    def bump(self, x: int, vs: Iterable[int], i: int) -> None:
+        super().bump(x, sorted(vs, key=self.block_of.__getitem__), i)
 
     def _new_block(self, below: int) -> int:
         return super()._new_block(self.top)
@@ -409,9 +406,9 @@ class InclusionPartition(OrderedPartition):
         self.emptied: list[int] = []  # this step's emptied blocks
         self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
 
-    def bump(self, vs: Iterable[int], i: int) -> None:
+    def bump(self, x: int, vs: Iterable[int], i: int) -> None:
         self.step = i
-        super().bump(vs, i)
+        super().bump(x, vs, i)
         self._settle()
 
     def _new_block(self, below: int) -> int:
@@ -529,8 +526,8 @@ class InclusionPartition(OrderedPartition):
         """The triangulating search's targets from x in ascending order:
         the vertices y that x reaches through vertices whose labels are
         strict subsets of y's. ``nb[v]`` is v's neighborhood as a vertex
-        bitset. Call it once per step, between the step's removal of x and
-        its bumps.
+        bitset. Call it once per step, before the step's bump, which
+        removes x; x is never a target.
 
         The live blocks are walked up the chain, bottom first. The chain is
         in list label order, and a strict superset, read as positions in
@@ -608,7 +605,7 @@ class InclusionPartition(OrderedPartition):
             summary.append((allowed | bits, region, near))
             b = up[b]
         self.covers = kept
-        return _vertices(hit)
+        return _vertices(hit & ~(1 << x))
 
     def lowest(self) -> int:
         b = self._narrowed()

@@ -14,6 +14,7 @@ from chordalkit.cliquetree import (
     fast_clique_tree,
     mls_clique_tree,
 )
+from chordalkit.decomposition import AtomTreeResult, MlsmCliqueTreeResult, dcl_atom_tree, dcl_mlsm_clique_tree
 from chordalkit.errors import (
     ChordalkitError,
     ComplementDisconnectedError,
@@ -47,7 +48,7 @@ from chordalkit.oracle import (
     validate_clique_tree,
 )
 from chordalkit.rng import SplitMix64
-from chordalkit.search import LabelSearch, LowestIndex, ScriptedOrder, SeededRandom, moplex_mls
+from chordalkit.search import LabelSearch, LowestIndex, ScriptedOrder, SeededRandom, mls, moplex_mls
 
 ALL = [mcs, lexbfs, lexdfs, mns]
 DCL = [mcs, lexbfs, mns]
@@ -617,3 +618,66 @@ class TestSerialization:
         dot = serialize.clique_tree_dot(g, t)
         assert dot.startswith("graph cliquetree {")
         assert dot.count(" -- ") == len(t.tree_edges)
+
+
+def _shape_corpus():
+    """Seeded graphs of each generator family, with the family's name."""
+    params = {"random-chordal": lambda n: 3.0, "random-connected": lambda n: 4 / n,
+              "random-co-chordal": lambda n: 3.0, "random-split": lambda n: 4}
+    return [(family, gen(GeneratorConfig(seed=seed, n=n, param=param(n), family=family)))
+            for family, param in params.items() for seed, n in ((1, 9), (2, 24), (3, 40))]
+
+
+def _shape(result):
+    """(ordering, nodes, vertex-to-node map) of a product's result; the
+    bare orderings have no nodes."""
+    if isinstance(result, tuple):  # mls, moplex_mls
+        return result[0], None, None
+    if isinstance(result, AtomTreeResult):
+        return result.triangulation.ordering, result.atoms, result.atom_of
+    if isinstance(result, MlsmCliqueTreeResult):
+        assert result.clique_tree.ordering is result.ordering
+        result = result.clique_tree
+    return result.ordering, result.cliques, result.clique_of
+
+
+_SHAPE_PRODUCTS = {
+    "mls": mls,
+    "moplex_mls": moplex_mls,
+    "mls_clique_tree": mls_clique_tree,
+    "dcl_mls_clique_tree": dcl_mls_clique_tree,
+    "fast_clique_tree": lambda g, structure: fast_clique_tree(g, structure.name),
+    "complement_mls_clique_tree": complement_mls_clique_tree,
+    "dcl_mlsm_clique_tree": dcl_mlsm_clique_tree,
+    "dcl_atom_tree": dcl_atom_tree,
+}
+
+
+class TestResultShape:
+    """Every product that returns a run's ordering: the ordering's ``pos``
+    inverts its ``seq`` (the run's positions, taken without a bijection
+    check), and a tree's vertex-to-node map lists the vertices in join
+    order, position n first, each in its node."""
+
+    def test_orderings_and_node_maps(self):
+        checked = {}
+        for family, g in _shape_corpus():
+            for factory in (mcs, lexbfs, lexdfs, mns):
+                structure = factory()
+                for name, product in _SHAPE_PRODUCTS.items():
+                    if name == "fast_clique_tree" and structure.name not in ("mcs", "lexbfs"):
+                        continue
+                    try:
+                        ordering, nodes, node_of = _shape(product(g, structure))
+                    except ChordalkitError:  # an input or structure the product refuses
+                        continue
+                    where = (name, family, g.n, structure.name)
+                    assert sorted(ordering.seq) == list(range(g.n)), where
+                    assert all(ordering.pos[v] == i for i, v in enumerate(ordering.seq, 1)), where
+                    assert ordering == Ordering(ordering.seq) and ordering.pos == Ordering(ordering.seq).pos, where
+                    if nodes is not None:
+                        assert list(node_of) == list(reversed(ordering.seq)), where
+                        assert all(v in nodes[node_of[v] - 1] for v in range(g.n)), where
+                    checked.setdefault(name, set()).add(family)
+        # each product ran on every family it accepts
+        assert all(len(checked[name]) >= 2 for name in _SHAPE_PRODUCTS), checked

@@ -347,6 +347,19 @@ class TestComplement:
                 assert v.adjacent(a, b) == comp.adjacent(a, b)
 
 
+class TestVertices:
+    """``vertices()`` is public API on a graph and on its complement view:
+    the vertex indices, ``range(n)``."""
+
+    def test_range_of_n(self):
+        g = graph("fig1_h")
+        assert g.vertices() == range(g.n) and ComplementView(g).vertices() == range(g.n)
+
+    def test_no_vertex(self):
+        g = Graph([], [])
+        assert g.vertices() == range(0) and ComplementView(g).vertices() == range(0)
+
+
 def _pair_loop_complement(g):
     """The complement built pair by pair through the edge-list
     constructor: the reference for ``materialize_complement``."""

@@ -278,7 +278,7 @@ class TestComplementSide:
         queue = type(structure._selection_queue(1, False))
         bumped = []
         real = queue.bump
-        monkeypatch.setattr(queue, "bump", lambda self, vs, i: bumped.append(len(vs)) or real(self, vs, i))
+        monkeypatch.setattr(queue, "bump", lambda self, x, vs, i: bumped.append(len(vs)) or real(self, x, vs, i))
         dense = gen(GeneratorConfig(seed=6300, n=40, param=3.0, family="random-co-chordal"))
         sparse = gen(GeneratorConfig(seed=6301, n=40, param=3.0, family="random-chordal"))
         dense_bar = dense.n * (dense.n - 1) // 2 - dense.m
@@ -805,19 +805,20 @@ class TestSelectionQueue:
     @pytest.mark.parametrize("factory", ALL + [_TupleCount], ids=lambda f: f.__name__)
     def test_one_bump_per_step_after_its_remove(self, factory, monkeypatch):
         # the queues settle in bump, so every caller must hand a step's
-        # increases to one bump call, made after that step's remove; a
-        # custom structure's ScanQueue is driven the same way
+        # vertex and then its increases to one bump call, which removes
+        # that vertex first; a custom structure's ScanQueue is driven the
+        # same way
         structure = factory()
         queue = ScanQueue if factory is _TupleCount else type(structure._selection_queue(1, False))
         calls = {}
-        for name in ("remove", "bump"):
-            real = getattr(queue, name)
+        real = queue.bump
 
-            def spy(self, *args, name=name, real=real):
-                calls.setdefault(self, []).append(name if name == "remove" else args[1])
-                return real(self, *args)
+        def spy(self, x, vs, i):
+            vs = list(vs)
+            calls.setdefault(self, []).append((x, vs, i))
+            return real(self, x, vs, i)
 
-            monkeypatch.setattr(queue, name, spy)
+        monkeypatch.setattr(queue, "bump", spy)
         runs = [(fn, kind, kwargs) for _, fn, kind, kwargs in _QUEUE_PRODUCTS]
         if structure.name in ("mcs", "lexbfs"):
             runs.append((lambda g, s: fast_clique_tree(g, s.name), "chordal", {}))
@@ -833,7 +834,12 @@ class TestSelectionQueue:
                 for q, seen in calls.items():
                     per_vertex = {ScanQueue: "labels", BucketQueue: "count"}.get(type(q), "block_of")
                     n = len(getattr(q, per_vertex))
-                    assert seen == [c for i in range(n, 0, -1) for c in ("remove", i)], (fn, g)
+                    assert [i for _, _, i in seen] == list(range(n, 0, -1)), (fn, g)
+                    numbered = set()
+                    for x, vs, _ in seen:  # the step's vertex, then its increases
+                        numbered.add(x)
+                        assert numbered.isdisjoint(vs), (fn, g)
+                    assert len(numbered) == n, (fn, g)
 
     def test_other_structures_keep_the_scan(self, monkeypatch):
         # a custom structure's ScanQueue scans once per step; the built-ins
@@ -922,7 +928,7 @@ class TestSelectionQueue:
     ], ids=["mcs", "lexbfs", "lexdfs"])
     def test_total_order_queues_match_brute_force(self, queue, initial, inc, key):
         # the same protocol on count and tuple labels, totally ordered by
-        # key, with the reach search after each removal on a random graph,
+        # key, with the reach search before each bump on a random graph,
         # and the label and twin tests against the last removed label
         # (the twin test only maximizing, as a flipped run asks it). Steps whose
         # removal empties its class, after which an equal label may come
@@ -952,7 +958,6 @@ class TestSelectionQueue:
                     alone = len(want) == 1
                     emptied += alone
                     prev, grown = keys[x], inc(label[x], i)
-                    q.remove(x)
                     live.discard(x)
                     below = lambda y: {w for w in live if keys[w] < keys[y]}
                     reached = [y for y in sorted(live) if _reaches(adj, x, y, below(y))]
@@ -965,7 +970,7 @@ class TestSelectionQueue:
                         ys = [v for v in sorted(live) if rng.random() < p]
                     for y in ys:
                         label[y] = inc(label[y], i)
-                    q.bump(ys, i)
+                    q.bump(x, ys, i)
                     _assert_dead_blocks_released(q)
         assert emptied and (returned or queue is not BucketQueue), (emptied, returned)
 
@@ -973,10 +978,11 @@ class TestSelectionQueue:
 def _check_set_label_queue(make):
     """The engine's protocol on random set labels, for the queue that
     ``make(n, adj, minimize)`` builds: select under a random prefer rule,
-    remove the pick, then bump some vertices at position i in the step's
-    one call; a step may bump nothing, or whole classes. After each removal
-    the reach search runs on the random graph adj, and each extreme vertex's
-    label test is checked against the last removed label."""
+    then in the step's one call remove the pick and bump some vertices at
+    position i; a step may bump nothing, or whole classes. Before each bump
+    the reach search runs on the random graph adj, with the pick still
+    queued, and each extreme vertex's label test is checked against the
+    last removed label."""
     for minimize in (False, True):
         for seed in range(100):
             rng = random.Random(seed)
@@ -1010,7 +1016,6 @@ def _check_set_label_queue(make):
                     if not (minimize or isinstance(q, ScanQueue)):
                         assert q.twinned(v) == (label[v] == grown), (seed, i, v)
                 x = min(want) if rng.random() < 0.5 else rng.choice(sorted(want))
-                q.remove(x)
                 live.discard(x)
                 prev, grown = label[x], label[x] | 1 << i
                 below = lambda y: {w for w in live if label[w] & label[y] == label[w] != label[y]}
@@ -1024,6 +1029,6 @@ def _check_set_label_queue(make):
                     ys = [v for v in sorted(live) if rng.random() < p]
                 for y in ys:
                     label[y] |= 1 << i
-                q.bump(ys, i)
+                q.bump(x, ys, i)
                 if not isinstance(q, ScanQueue):
                     _assert_dead_blocks_released(q)
