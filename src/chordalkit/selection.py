@@ -11,12 +11,16 @@ at each step, each bumped block's twin linked just above it (Rose, Tarjan &
 Lueker 1976); prepended list labels (lexdfs) run the same bump with each
 twin linked on top instead, since a lexdfs increase lifts every bumped
 label above all the others (Corneil & Krueger 2008); and set labels (mns)
-keep the lexbfs partition with an int bitmask per block. For the three
+keep the lexbfs partition with each block's position set. For the three
 total orders selection and label increase cost O(log n) amortized. Set
-labels are a partial order, so the mns queue keeps its maximal blocks
-between steps, each other block holding a witness that dominates it: a step
-costs O(twins) mask tests, plus O(maximal blocks) per block whose witness
-empties. It applies the search's moplex rule (``prefer``) itself. Custom
+labels are a partial order, so the mns queue keeps the inclusion diagram
+of its blocks between steps, each block linked to the blocks whose labels
+cover its own and to those whose labels its own covers; its extreme blocks
+are those with nothing above them. ``bump`` updates the diagram as it moves
+vertices to their twins: a step costs mask tests among its twins and
+between the neighbors of each block it empties (see
+``InclusionPartition``). It applies the search's moplex rule (``prefer``)
+itself. Custom
 structures get ``chordalkit.search.ScanQueue``, which keeps their labels
 and answers the same calls by scanning them. All queues are driven by the
 same calls, each step making exactly one ``bump(x, vs, i)``: it removes x,
@@ -56,15 +60,15 @@ vertices labeled below them. Every queue's classes form a chain in list
 label order, which for set labels extends strict inclusion, so the mcs
 buckets and ``OrderedPartition.reach`` walk it once from the bottom
 (``_reach``), and ``InclusionPartition.reach`` walks it once too, searching
-each block from the blocks it dominates. ``ScanQueue.reach`` searches once
-per candidate target instead.
+each block from the blocks it covers in the diagram. ``ScanQueue.reach``
+searches once per candidate target instead.
 
 The ordered partitions create blocks by refinement and never revive them,
 so block ids count up in creation order and are never reused. An emptied
-block is unlinked and its state released (member set and heap; for mns also its mask and witness
-links, once ``bump`` settles the step), so the per-block lists keep
-one small entry per block ever created: at most one per label increase,
-O(n + m + fill) over a search.
+block is unlinked and its state released (member set and heap; for mns
+also its mask and diagram links, once ``bump`` settles the step), so the
+per-block lists keep one small entry per block ever created: at most one
+per label increase, O(n + m + fill) over a search.
 """
 
 from __future__ import annotations
@@ -346,154 +350,165 @@ class StackPartition(OrderedPartition):
         return super()._new_block(self.top)
 
 
-class _Witnessed(set):
-    """The blocks that one block, its owner, witnesses."""
-
-    __slots__ = ("owner",)
-
-
 class InclusionPartition(OrderedPartition):
     """Set labels (mns): the ordered partition, with each block's label kept
-    as an int bitmask of its positions and its extreme blocks (maximal, or
-    minimal with ``minimize``) kept between steps.
+    as the set of its positions (``mask``), and the strict inclusions
+    between the live blocks' masks kept as their covering graph:
+    ``above[b]`` holds the blocks whose masks cover b's (contain it, with
+    no live mask between), ``below[b]`` the blocks whose masks b's covers.
+    The extreme blocks (``ext``) are those with nothing above them
+    (nothing below, with ``minimize``).
 
     Equal position sets are equal list labels, so the blocks are the
     equal-label classes of mns and no two live blocks share a mask. A
-    twin's mask is its source's plus bit i (``bump`` keeps i as ``step``
-    for ``_new_block``), which no other block holds, so a twin never
-    dominates an older block, and dominates a twin exactly when its source
-    dominates that twin's source. Each live non-extreme block keeps a
-    witness, a live block that strictly dominates it. ``bump`` settles the
-    step:
+    twin's mask is its source's plus i, which no older block holds. So a
+    twin lies above no older block, covers its source, and covers another
+    twin exactly when that twin's source is least among the step's sources
+    strictly containing its own; the older blocks keep their covers.
+    ``bump`` settles the step by these rules (``_settle``): it links each
+    twin above its source and to the other twins (``_link_twins``), then
+    drops each emptied block, linking its lower neighbors to its upper ones
+    where no other block lies between (``_between``).
 
-    - the twin of an extreme source is extreme, unless (minimizing) the
-      source survives and witnesses it; maximizing, a surviving extreme
-      source leaves the extreme set, witnessed by its twin;
-    - another twin is witnessed by the twin of its source's witness or
-      (minimizing) by that witness, else tested against the step's
-      extreme twins (all extreme blocks, minimizing);
-    - an emptied block hands the blocks it witnesses to its twin
-      (maximizing) or its own witness, else they are re-tested against the
-      extreme set, in popcount order (descending when maximizing) so that
-      dominators are settled first.
+    ``lowest`` reads a lazy heap of (index, block) over the extreme set,
+    each entry at most its block's lowest index, pushed as the block enters
+    the set; an entry whose block has left the set is dropped, and one
+    whose vertex has left moves up to the block's new lowest, as no vertex
+    enters an older block. The label test is the ordered partition's, read
+    off ``twins`` with no mask test, and ``prefer`` reads the same block:
+    at most one extreme block continues the last removed vertex's label,
+    the block it left (minimizing) or that block's twin (maximizing), and
+    ``prefer`` keeps that block alone when it is extreme (``_narrowed``).
 
-    ``lowest`` reads a lazy heap of (lowest index, block) over the extreme
-    set, pushed as a block enters it; an entry whose block has left the set
-    is dropped, and one whose vertex has left moves up to the block's new
-    lowest, as no vertex enters an older block. The label test is the ordered
-    partition's, read off ``twins`` with no mask test, and ``prefer`` reads
-    the same block: at most one extreme block continues the last removed
-    vertex's label, the block it left (minimizing) or that block's twin
-    (maximizing), and ``prefer`` keeps that block alone when it is extreme
-    (``_narrowed``). A step costs
-    O(twins) mask tests, plus O(extreme blocks) per block re-tested.
+    A step costs O(twins^2) mask tests among its twins at worst, O(twins)
+    when their sources nest, plus one ``_between`` test per pair of an
+    emptied block's lower and old upper neighbors, of
+    min(|above|, |below|) mask tests. A mask test costs O(|label|) set
+    lookups, and a twin's mask a copy of its source's only when the source
+    lives on. ``reach`` reads the graph too: one bitset search per live
+    block, each starting from the regions of the blocks it covers."""
 
-    The blocks and masks also serve the triangulating search: ``reach``
-    finds a step's targets with one bitset search per live block, each
-    starting from the regions of the blocks it dominates, and keeps each
-    live block's maximal dominated blocks for the next step."""
-
-    __slots__ = ("mask", "ext", "order", "held", "home", "step", "emptied", "covers")
+    __slots__ = ("mask", "above", "below", "ext", "order")
 
     def __init__(self, n: int, minimize: bool = False):
         super().__init__(n, minimize)
-        self.mask = [0]  # by block id, parallel to members
-        self.ext = {0: 0}  # extreme block -> its mask
-        self.order = [(0, 0)]  # the lazy heap of (lowest index, extreme block)
-        # by block id: the blocks it witnesses; if not extreme, the set holding it
-        self.held: list[_Witnessed | None] = [None]
-        self.home: list[_Witnessed | None] = [None]
-        self.emptied: list[int] = []  # this step's emptied blocks
-        self.covers: dict[int, list[int]] = {}  # reach: live block -> its covers
+        # by block id, parallel to members: its positions, its upper and
+        # its lower covers; None once the block is dropped
+        self.mask: list[set[int]] = [set()]
+        self.above: list[set[int]] = [set()]
+        self.below: list[set[int]] = [set()]
+        self.ext = {0}  # the extreme blocks
+        self.order = [(0, 0)]  # the lazy heap of (index, extreme block)
 
     def bump(self, x: int, vs: Iterable[int], i: int) -> None:
-        self.step = i
         super().bump(x, vs, i)
-        self._settle()
+        self._settle(i)
 
-    def _new_block(self, below: int) -> int:
-        self.mask.append(self.mask[below] | 1 << self.step)
-        self.held.append(None)
-        self.home.append(None)
-        return super()._new_block(below)
+    def _settle(self, i: int) -> None:
+        """Link the step's twins, drop its emptied blocks and update the
+        extreme set. Maximizing, a live source leaves it, under its twin,
+        and a block enters it only as a twin or as a lower neighbor of an
+        emptied extreme block; minimizing, only as an upper neighbor of an
+        emptied extreme block.
 
-    def _unlink(self, b: int) -> None:
-        super()._unlink(b)
-        self.mask[b] = 0
-        self.emptied.append(b)
-
-    def _witness(self, b: int, w: int) -> None:
-        """Record that w strictly dominates b."""
-        s = self.held[w]
-        if s is None:
-            s = self.held[w] = _Witnessed()
-            s.owner = w
-        s.add(b)
-        self.home[b] = s
-
-    def _give(self, w: _Witnessed, t: int) -> None:
-        """Hand the blocks in w to t, relinking the smaller of w and t's own."""
-        into = self.held[t]
-        if into is None or len(into) < len(w):
-            w, into = into, w  # type: ignore[assignment]
-            into.owner, self.held[t] = t, into
-        if w:
-            for b in w:
-                self.home[b] = into
-            into |= w
-
-    def _settle(self) -> None:
-        """Apply the step's removal and bumps by the rules above."""
-        mask, members, ext, minimize = self.mask, self.members, self.ext, self.minimize
-        held, home, order, grown = self.held, self.home, self.order, {}
-        fresh = self.twins  # this step's source -> twin
-        tested: list[int] = []
-        orphans: list[int] = []
-        # emptied blocks leave ext only in the loop after this one
-        for s, t in fresh.items():
-            if minimize and members[s]:
-                self._witness(t, s)
-            elif s in ext:
-                ext[t] = grown[t] = mask[t]
-                heappush(order, (self._lowest_of(t), t))
-                if members[s]:
-                    del ext[s]
-                    self._witness(s, t)
+        An emptied source hands its position set to its twin, adding i, as
+        it is dropped. Until then the twin holds {i} alone: the step links
+        twins by their sources' masks, and asks of a twin's mask only
+        whether it lies inside an older block's, which no twin does."""
+        mask, above, below, members, ext = self.mask, self.above, self.below, self.members, self.ext
+        fresh, minimize, bit = self.twins, self.minimize, {i}  # this step's source -> twin
+        dropped = []
+        for s, t in fresh.items():  # the twins were made in this order
+            if members[s]:
+                mask.append(mask[s] | bit)
             else:
-                w = home[s].owner  # type: ignore[union-attr]
-                if minimize and members[w]:
-                    self._witness(t, w)
-                elif w in fresh:
-                    self._witness(t, fresh[w])
-                else:
-                    (orphans if minimize else tested).append(t)
-        for d in self.emptied:
-            h = home[d] if ext.pop(d, None) is None else None
-            home[d] = None
-            if h is not None:
-                h.discard(d)
-            w, held[d] = held[d], None
-            if not w:
+                mask.append(bit)
+                dropped.append(s)
+            above.append(set())
+            below.append({s})
+            above[s].add(t)
+        if len(fresh) > 1:
+            self._link_twins(sorted(fresh, key=lambda s: len(mask[s])))
+        if minimize:
+            side, enter = below, []
+        else:
+            side, enter = above, list(fresh.values())
+            ext.difference_update(fresh)
+        if len(dropped) > 1:  # supersets first, for the twin rule below
+            dropped.sort(key=lambda s: len(mask[s]), reverse=True)
+        if not members[self.last] and self.last not in fresh:
+            dropped.insert(0, self.last)  # first, so no dropped block lies under another's twin
+        for d in dropped:
+            ext.discard(d)
+            ups, downs, m = above[d], below[d], mask[d]
+            above[d] = below[d] = mask[d] = None  # type: ignore[call-overload]
+            for a in ups:
+                below[a].discard(d)
+            t = fresh.get(d)
+            for b in downs:
+                over = above[b]
+                over.discard(d)
+                for a in ups:
+                    # the twin rule: between b and d's twin lies only b's
+                    # own twin, as every source below d is still linked
+                    if b in fresh if a == t else over and self._between(b, a):
+                        continue
+                    over.add(a)
+                    below[a].add(b)
+            if not (downs if minimize else ups):
+                enter += ups if minimize else downs
+            if t is not None:  # d hands its positions to its twin
+                m.add(i)
+                mask[t] = m
+        order, heaps = self.order, self.heaps
+        for b in enter:
+            if members[b] and not side[b] and b not in ext:
+                ext.add(b)
+                heappush(order, (heaps[b][0], b))  # type: ignore[index]
+
+    def _between(self, b: int, a: int) -> bool:
+        """Whether a block's mask lies strictly between b's and a's, given
+        that a's contains b's: one of b's upper neighbors or one of a's
+        lower neighbors, tested on whichever side has fewer."""
+        mask, over, under = self.mask, self.above[b], self.below[a]
+        if len(over) <= len(under):
+            k = mask[a]
+            for c in over:
+                if mask[c] < k:
+                    return True
+        else:
+            m = mask[b]
+            for c in under:
+                if m < mask[c]:
+                    return True
+        return False
+
+    def _link_twins(self, sources: list[int]) -> None:
+        """Link each of a step's twins to its covers among them, given
+        their sources by ascending mask size: a block covering a twin's
+        mask holds i, so it is a twin, and twins nest as their sources do.
+        Each source, largest first, tests the larger ones in order; a
+        containing mask found there gives a cover, and rules out every
+        source above that one. A source with nothing above it but its own
+        twin tests none."""
+        mask, above, below, twins = self.mask, self.above, self.below, self.twins
+        ups = [0] * len(sources)  # by index: the sources above it, as a bitset of indices
+        for j in range(len(sources) - 2, -1, -1):
+            s = sources[j]
+            if len(above[s]) == 1:
                 continue
-            if not minimize and d in fresh:
-                self._give(w, fresh[d])
-            elif h is not None and members[h.owner]:
-                self._give(w, h.owner)
-            else:
-                orphans += w
-        for pool, group in ((grown, tested), (ext, orphans)):
-            group = [b for b in group if members[b]]
-            group.sort(key=lambda b: mask[b].bit_count(), reverse=not minimize)
-            for b in group:
-                m = mask[b]
-                for e, k in reversed(pool.items()):  # newest first
-                    if k & m == (k if minimize else m):
-                        self._witness(b, e)
-                        break
+            m, t, rest = mask[s], twins[s], (1 << len(sources)) - (2 << j)
+            while rest:
+                low = rest & -rest
+                k = low.bit_length() - 1
+                if m < mask[sources[k]]:
+                    u = twins[sources[k]]
+                    above[t].add(u)
+                    below[u].add(t)
+                    ups[j] |= low | ups[k]
+                    rest &= ~ups[j]
                 else:
-                    ext[b] = pool[b] = m
-                    heappush(order, (self._lowest_of(b), b))
-        self.emptied.clear()
+                    rest ^= low
 
     def _narrowed(self) -> int | None:
         """The one extreme block whose label continues the last removed
@@ -502,13 +517,13 @@ class InclusionPartition(OrderedPartition):
 
         Let E be the block that the vertex x removed at step i left, and L
         its mask. Maximizing, a live block whose mask strictly contains L
-        holds bit i: an older one was live beside E and would have
-        dominated it, yet E was maximal. So it is a twin s + {i} with s
-        containing L, and s = E, as E was maximal. E's twin is thus the
-        only label that continues x's, and it is extreme whenever it
-        exists, since its source was. Minimizing, equal masks are the same
-        block, since no two live blocks share a mask, and a twin holds bit
-        i, which L does not."""
+        holds i: an older one was live beside E and would have dominated
+        it, yet E was maximal. So it is a twin s + {i} with s containing
+        L, and s = E, as E was maximal. E's twin is thus the only label
+        that continues x's, and it is extreme whenever it exists, since its
+        source was. Minimizing, equal masks are the same block, since no
+        two live blocks share a mask, and a twin holds i, which L does
+        not."""
         if not self.prefer:
             return None
         b = self.last if self.minimize else self.twins.get(self.last)
@@ -535,76 +550,34 @@ class InclusionPartition(OrderedPartition):
         block it dominates (whose mask is a strict subset of its own). The
         members of those blocks are the vertices B allows on a path, and
         the region x reaches through them contains every dominated block's
-        region. So B starts from the allowed vertices and regions of its
-        covers, the maximal blocks it dominates, each standing for
-        everything below it, and grows its region through the bitsets. B's
-        targets are its members adjacent to x or to its region.
-
-        A block's covers are kept for the next call. Masks never change,
-        and a block made by the bumps in between holds their position,
-        which no older block holds, so an older block dominates only blocks
-        it dominated then: its covers are its kept ones, each emptied one
-        replaced by its own. A new block finds its covers among the blocks
-        walked before it, from the nearest down: a block that passes the
-        mask test rules out, in one bitset step, every block it dominates,
-        and one of equal or larger popcount fails the test by itself. A
-        step costs O(blocks^2) mask tests at worst, plus one bitset union
-        per vertex added to a region."""
-        members, mask, up = self.members, self.mask, self.up
+        region. So B starts from the allowed vertices and regions of the
+        blocks it covers (``below[B]``), each standing for everything below
+        it, and grows its region through the bitsets. B's targets are its
+        members adjacent to x or to its region. A step costs three unions
+        per covering pair, plus one bitset union per vertex added to a
+        region."""
+        members, below, up = self.members, self.below, self.up
         nx, hit = nb[x], 0
-        covers, kept, rank = self.covers, {}, {}
-        blocks: list[int] = []  # by rank: the live blocks, bottom up
-        masks: list[int] = []  # by rank
-        below: list[int] = []  # by rank: a bitset of the ranks at or below it
-        # by rank: (its members and allowed vertices, its region, the
+        # by block: (its members and allowed vertices, its region, the
         # neighbors of x and of the region)
-        summary: list[tuple[int, int, int]] = []
+        summary: dict[int, tuple[int, int, int]] = {}
         b = self.bottom
         while b != -1:
-            j, m, bits = len(blocks), mask[b], 0
-            for v in members[b]:
+            bits = allowed = region = 0
+            for v in members[b]:  # type: ignore[union-attr]
                 bits |= 1 << v
-            allowed = region = 0
-            near, down, mine = nx, 1 << j, []
-            if b in covers:
-                ranks, stack = [], list(covers[b])
-                while stack:
-                    c = stack.pop()
-                    if c in rank:
-                        ranks.append(rank[c])
-                    else:  # emptied since
-                        stack += covers[c]
-                found = sorted(ranks, reverse=True)
-            else:
-                found, outside = [], ~m
-                rest = (1 << j) - 1  # the ranks not yet ruled in or out
-                while rest:
-                    t = rest.bit_length() - 1
-                    if masks[t] & outside:
-                        rest ^= 1 << t
-                    else:
-                        found.append(t)
-                        rest &= ~below[t]
-            for t in found:
-                if not down >> t & 1:
-                    ka, kr, kn = summary[t]
-                    allowed |= ka
-                    region |= kr
-                    near |= kn
-                    down |= below[t]
-                    mine.append(blocks[t])
+            near = nx
+            for c in below[b]:
+                ka, kr, kn = summary[c]
+                allowed |= ka
+                region |= kr
+                near |= kn
             new = near & allowed & ~region
             if new:
                 near, region = _spread(new, near, region, allowed, nb)
             hit |= bits & near
-            rank[b] = j
-            kept[b] = mine
-            blocks.append(b)
-            masks.append(m)
-            below.append(down)
-            summary.append((allowed | bits, region, near))
+            summary[b] = (allowed | bits, region, near)
             b = up[b]
-        self.covers = kept
         return _vertices(hit & ~(1 << x))
 
     def lowest(self) -> int:

@@ -3,7 +3,7 @@ the suite and the acceptance criteria."""
 
 from __future__ import annotations
 
-from chordalkit.graph import Graph
+from chordalkit.graph import Graph, parse_edge_list
 from chordalkit.oracle import GeneratorConfig, gen
 
 _PARAMS = (1.0, 1.5, 2.0, 2.5)
@@ -32,6 +32,13 @@ def cochordal_corpus(count: int = 100) -> list[Graph]:
         gen(GeneratorConfig(seed=3000 + s, n=4 + s % 6, param=_PARAMS[s % 4], family="random-co-chordal"))
         for s in range(count)
     ]
+
+
+def first_appearance(g: Graph) -> Graph:
+    """g renumbered as a file of its edges reads back: its vertices
+    numbered in order of first appearance in ``g.name_edges()``. g must
+    have no isolated vertex."""
+    return parse_edge_list("".join(f"{u} {v}\n" for u, v in g.name_edges()))
 
 
 def names_of(g: Graph, vertices) -> set[str]:

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import chordal_corpus, cochordal_corpus, connected_corpus
+from conftest import chordal_corpus, cochordal_corpus, connected_corpus, first_appearance
 
 from chordalkit import serialize
 from chordalkit.cliquetree import (
@@ -350,6 +350,32 @@ def test_mns_moplex_search_scale():
     assert is_peo(g, alpha)
     print(f"\n[scale] PASS: moplex_mls (mns) on n={g.n}, m={g.m} "
           f"in {elapsed:.1f}s, under 10s")
+
+
+def test_mns_file_order_scale():
+    # numbered as a file of its edges reads back, this graph kept about
+    # 1,000 maximal mns classes, and re-testing them whenever a witness
+    # emptied took mls_clique_tree 15-23x lexbfs; the inclusion diagram
+    # that bump keeps has no such scan. The three products alternate within
+    # each round, and each keeps its best of 3 rounds.
+    g = first_appearance(gen(GeneratorConfig(seed=1, n=16_000, param=8.0, family="random-chordal")))
+    runs = {
+        "mls_clique_tree lexbfs": lambda: mls_clique_tree(g, lexbfs()),
+        "mls_clique_tree mns": lambda: mls_clique_tree(g, mns()),
+        "moplex_mls mns": lambda: moplex_mls(g, mns())[0],
+    }
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(3):
+        for name, run in runs.items():
+            elapsed, out = _cpu_time(run)
+            best[name] = min(best[name], elapsed)
+    assert len(out) == g.n
+    base = best.pop("mls_clique_tree lexbfs")
+    for name, elapsed in best.items():
+        assert elapsed < 10.0, f"{name} took {elapsed:.1f}s"
+        assert elapsed <= 4 * base, f"{name} took {elapsed:.2f}s, over 4x lexbfs's {base:.2f}s"
+    print(f"\n[scale] PASS: file-ordered chordal8 n={g.n}: lexbfs tree {base:.2f}s, "
+          + ", ".join(f"{k} {v:.2f}s" for k, v in best.items()))
 
 
 def test_complement_generators_scale():

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from conftest import chordal_corpus, cochordal_corpus, connected_corpus
+from conftest import chordal_corpus, cochordal_corpus, connected_corpus, first_appearance
 
 from chordalkit import serialize
 from chordalkit.cliquetree import (
@@ -671,7 +671,8 @@ def _queue_corpus(kind):
         n = 12 + 5 * s
         param = (1.0 + s % 3) if family != "random-connected" else 3 / n
         graphs.append(gen(GeneratorConfig(seed=5000 + s, n=n, param=param, family=family)))
-    return graphs
+    # each graph in its own numbering, then as a file of its edges reads back
+    return [h for g in graphs for h in (g, first_appearance(g))]
 
 
 def _queue_tiebreaks(g, minimize):
@@ -726,8 +727,15 @@ def _assert_dead_blocks_released(q):
     for b in set(range(len(q.members))) - set(linked):
         assert q.members[b] is None and q.heaps[b] is None, b
         if isinstance(q, InclusionPartition):
-            assert q.mask[b] == 0, b
-            assert not q.emptied and q.held[b] is None and q.home[b] is None, b
+            assert q.mask[b] is None and q.above[b] is None and q.below[b] is None, b
+    if isinstance(q, InclusionPartition):
+        # the live blocks link exactly their masks' covers, both ways, so
+        # no live block links to a dead one
+        for b in linked:
+            ups = [a for a in linked if q.mask[b] < q.mask[a]]
+            covers = {a for a in ups if not any(q.mask[c] < q.mask[a] for c in ups)}
+            assert q.above[b] == covers, b
+            assert q.below[b] == {c for c in linked if b in q.above[c]}, b
     if isinstance(q, StackPartition):  # blocks enter on top: ids rise upward
         assert linked == sorted(linked)
 
@@ -1007,7 +1015,7 @@ def _check_set_label_queue(make):
                 if isinstance(q, ScanQueue):
                     kept = lambda: all(sum(1 << p for p in q.labels[v]) == label[v] for v in live)
                 else:
-                    kept = lambda: sorted(q.mask[b] for b in q.ext) == sorted(extreme)
+                    kept = lambda: sorted(sum(1 << p for p in q.mask[b]) for b in q.ext) == sorted(extreme)
                 checks = [kept, lambda: set(q.extreme()) == want, lambda: q.lowest() == min(want)]
                 rng.shuffle(checks)
                 assert all(check() for check in checks), (minimize, seed, i)
